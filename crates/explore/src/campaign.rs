@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use retcon_sim::{SimConfig, SimReport};
-use retcon_workloads::{run_spec_configured, System};
+use retcon_workloads::{machine_for, System};
 
 use crate::fuzz::{fuzz, FuzzBudget};
 use crate::scenario::{Scenario, SystemUnderTest};
@@ -191,11 +191,12 @@ impl CampaignResult {
 pub fn run_campaign(campaign: &Campaign) -> CampaignResult {
     let scenario = campaign.scenario.build();
     let cfg = SimConfig::with_cores(scenario.cores);
-    let default_report = run_spec_configured(
+    let default_report = machine_for(
         &scenario.spec,
         campaign.system.protocol(scenario.cores),
         cfg,
     )
+    .run()
     .expect("explore scenario stays under the cycle cap");
     let mut result = CampaignResult {
         campaign: *campaign,

@@ -1,7 +1,5 @@
-//! Command-line plumbing shared by the `retcon-lab` binary and the
-//! `crates/bench` figure/table bins.
+//! Command-line plumbing of the `retcon-lab` binary.
 
-use crate::bench;
 use crate::checks::{self, Check};
 use crate::csv;
 use crate::datasets::Dataset;
@@ -26,7 +24,7 @@ enum Output {
     Csv,
 }
 
-/// Options shared by `run` and the bench bins.
+/// Options shared by `all`, `run` and `explore`.
 #[derive(Debug)]
 struct BinOptions {
     jobs: usize,
@@ -125,39 +123,6 @@ fn run_error(e: SimError) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Entry point for the `crates/bench` figure/table bins: regenerates
-/// `dataset` and prints it. Accepts `--jobs N`, `--json`, `--csv`, and
-/// `--out DIR` (which also writes the JSON+CSV pair).
-pub fn bin_main(dataset: Dataset) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_bin_options(&args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!(
-                "usage: {} [--jobs N] [--json | --csv] [--out DIR]",
-                dataset.name()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let record = match dataset.collect(opts.jobs) {
-        Ok(record) => record,
-        Err(e) => return run_error(e),
-    };
-    if let Some(dir) = &opts.out_dir {
-        if let Err(e) = write_record(dir, &record) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = emit(dataset, &record, opts.output) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 fn usage() -> ExitCode {
     eprintln!("usage: retcon-lab <command> [options]");
     eprintln!();
@@ -167,15 +132,7 @@ fn usage() -> ExitCode {
     );
     eprintln!("  run   <dataset> [--jobs N] [--json | --csv] [--out DIR] [--profile]");
     eprintln!("  check [--quick] [--jobs N] [--in DIR]");
-    eprintln!(
-        "  trace --workload <name> [--system S] [--cores N] [--seed N] [--shards N] [--out FILE]"
-    );
-    eprintln!("        run one workload with event tracing on; write Chrome trace-event JSON");
     eprintln!("  explore [--quick] [--jobs N] [--json | --csv] [--out DIR]   schedule exploration");
-    eprintln!(
-        "  bench [--jobs N] [--out FILE]       time every dataset, append to BENCH_hotpath.json"
-    );
-    eprintln!("  perfdiff [FILE]                     diff the last two bench entries (non-gating)");
     eprintln!("  list");
     eprintln!();
     eprintln!(
@@ -187,6 +144,8 @@ fn usage() -> ExitCode {
             .join(", ")
     );
     eprintln!("extras (run explicitly, not part of `all`): scaling_xl");
+    eprintln!();
+    eprintln!("single traced runs: retcon-run --trace; timing: benchmark/ (see its README)");
     ExitCode::FAILURE
 }
 
@@ -303,95 +262,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
-}
-
-/// `trace`: run one workload with event tracing on and export the stream
-/// as Chrome trace-event JSON (loadable in `chrome://tracing` or
-/// Perfetto). The report is byte-identical to an untraced run — printed
-/// alongside the event counts so the invariant is visible.
-fn cmd_trace(args: &[String]) -> ExitCode {
-    use retcon_workloads::{System, Workload, MAX_SIM_CORES};
-    let mut workload = None;
-    let mut system = System::Retcon;
-    let mut cores = 32usize;
-    let mut seed = 42u64;
-    let mut shards = 1usize;
-    let mut out = PathBuf::from("trace.json");
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--workload" | "-w" => match value(i).and_then(|v| Workload::parse(v)) {
-                Some(w) => workload = Some(w),
-                None => return usage(),
-            },
-            "--system" | "-s" => match value(i).and_then(|v| System::parse(v)) {
-                Some(s) => system = s,
-                None => return usage(),
-            },
-            "--cores" | "-c" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cores = n,
-                _ => return usage(),
-            },
-            "--seed" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage(),
-            },
-            "--shards" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => return usage(),
-            },
-            "--out" | "-o" => match value(i) {
-                Some(v) => out = PathBuf::from(v),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-        i += 2;
-    }
-    let Some(workload) = workload else {
-        return usage();
-    };
-    if cores > MAX_SIM_CORES {
-        eprintln!("--cores {cores} exceeds the widest CoreSet size class ({MAX_SIM_CORES} cores)");
-        return ExitCode::FAILURE;
-    }
-    let spec = workload.build(cores, seed);
-    let (report, tracer) = match retcon_workloads::run_spec_traced_sized(
-        &spec,
-        system,
-        cores,
-        shards,
-        retcon_obs::ring::DEFAULT_CAPACITY,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => return run_error(e),
-    };
-    if let Err(e) = std::fs::write(&out, retcon_obs::chrome::to_chrome_json(&tracer)) {
-        eprintln!("writing {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} ({} events, {} dropped, stream hash {:016x})",
-        out.display(),
-        tracer.len(),
-        tracer.dropped(),
-        tracer.stream_hash()
-    );
-    for kind in retcon_obs::EventKind::ALL {
-        let n = tracer.count(kind);
-        if n > 0 {
-            println!("  {:<12} {n}", kind.name());
-        }
-    }
-    println!(
-        "report: {} cycles, {} commits, {} aborts, {} stalls",
-        report.cycles,
-        report.protocol.commits,
-        report.protocol.aborts(),
-        report.protocol.stalls
-    );
     ExitCode::SUCCESS
 }
 
@@ -554,115 +424,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut jobs = 1usize;
-    let mut out = PathBuf::from("BENCH_hotpath.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" | "-j" => {
-                let Some(v) = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| (1..=256).contains(n))
-                else {
-                    return usage();
-                };
-                jobs = v;
-                i += 2;
-            }
-            "--out" | "-o" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                out = PathBuf::from(v);
-                i += 2;
-            }
-            _ => return usage(),
-        }
-    }
-    let report = match bench::run_bench(jobs) {
-        Ok(report) => report,
-        Err(e) => return run_error(e),
-    };
-    for d in &report.datasets {
-        println!(
-            "{:<16} {:>4} runs  {:>9.3}ms",
-            d.name,
-            d.runs,
-            d.micros as f64 / 1000.0
-        );
-    }
-    println!(
-        "total: {} runs in {:.3}s ({} us/run mean, jobs={})",
-        report.total_runs(),
-        report.total_micros() as f64 / 1e6,
-        report.mean_micros_per_run(),
-        report.jobs
-    );
-    // Append to the existing trajectory (a PR 3 single-run v1 file reads
-    // as its first entry), so the perf history stays diffable across PRs.
-    let mut trajectory = match std::fs::read_to_string(&out) {
-        Ok(text) => match bench::BenchTrajectory::from_json_str(&text) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{}: {e}", out.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        // Only a genuinely missing file starts a fresh trajectory; any
-        // other read failure must not silently overwrite the accumulated
-        // history.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => bench::BenchTrajectory::default(),
-        Err(e) => {
-            eprintln!("reading {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    trajectory.entries.push(report);
-    if let Err(e) = std::fs::write(&out, trajectory.to_json_string()) {
-        eprintln!("writing {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} ({} trajectory entries)",
-        out.display(),
-        trajectory.entries.len()
-    );
-    ExitCode::SUCCESS
-}
-
-/// Compares the last two trajectory entries and warns on regression.
-/// Non-gating by design: wall-clock on shared CI runners is noisy, so the
-/// exit code is success whenever the file is readable — the warning lines
-/// are the signal.
-fn cmd_perfdiff(args: &[String]) -> ExitCode {
-    let path = args
-        .first()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_hotpath.json"));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("reading {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let trajectory = match bench::BenchTrajectory::from_json_str(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let (lines, _warned) = bench::perfdiff_lines(&trajectory);
-    println!("{}:", path.display());
-    for line in lines {
-        println!("{line}");
-    }
-    ExitCode::SUCCESS
-}
-
 fn cmd_list() -> ExitCode {
     println!("{:<16} runs  artifact", "dataset");
     // `all` regenerates exactly Dataset::ALL; the chained extras are
@@ -685,10 +446,7 @@ pub fn lab_main() -> ExitCode {
         Some("all") => cmd_all(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
         Some("explore") => cmd_explore(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("perfdiff") => cmd_perfdiff(&args[1..]),
         Some("list") => cmd_list(),
         Some("--help" | "-h" | "help") => {
             let _ = usage();

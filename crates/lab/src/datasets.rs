@@ -2,9 +2,7 @@
 //! lists plus assembly into [`ExperimentRecord`]s.
 //!
 //! Each [`Dataset`] knows the `System × Workload × cores` sub-matrix that
-//! regenerates one artifact of §5 (the same matrices the bins in
-//! `crates/bench/src/bin/` historically ran serially and printed as ad-hoc
-//! tables). `table1` and `table2` carry no simulations — they are static
+//! regenerates one artifact of §5. `table1` and `table2` carry no simulations — they are static
 //! inventories emitted as metadata records, so `retcon-lab -- all` writes
 //! machine-readable output for *every* artifact.
 //!

@@ -22,11 +22,10 @@
 
 use crate::record::RunRecord;
 use retcon::RetconConfig;
-use retcon_htm::{AnyProtocol, RetconTm};
 use retcon_sim::canon::{content_hash128, Canon};
 use retcon_sim::json::Json;
 use retcon_sim::{SimConfig, SimError, SimReport};
-use retcon_workloads::{run_spec_sized, run_spec_with, System, Workload};
+use retcon_workloads::{run_spec_opts, RunOptions, System, Workload};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,18 +149,14 @@ impl RunKey {
 /// indicate workload bugs, so callers treat them as fatal).
 pub fn simulate(key: &RunKey) -> Result<SimReport, SimError> {
     let spec = key.workload.build(key.cores, key.seed);
-    if key.cfg.is_none() && key.cores > 64 {
-        // Past the single-word CoreSet class (64 cores) the `AnyProtocol`
-        // below cannot represent the machine; dispatch through the
-        // size-classed entry. Serial (`shards = 1`): a lab record must
-        // never depend on host-thread availability.
-        return run_spec_sized(&spec, key.system, key.cores, 1);
-    }
-    let protocol: AnyProtocol = match key.cfg {
-        Some(cfg) => RetconTm::new(key.cores, cfg).into(),
-        None => key.system.protocol(key.cores),
+    // Serial: a lab record must never depend on host-thread availability.
+    let opts = RunOptions {
+        cfg: key.sim_config(),
+        retcon: key.cfg,
+        shards: 1,
+        trace_capacity: None,
     };
-    run_spec_with(&spec, protocol, key.cores)
+    Ok(run_spec_opts(&spec, key.system, &opts)?.0)
 }
 
 /// Assembles the record a key + report pair serializes as. Knob labels

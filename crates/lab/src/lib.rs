@@ -30,15 +30,12 @@
 //! cargo run --release -p retcon-lab -- list
 //! ```
 //!
-//! Every bin in `crates/bench/src/bin/` is a thin wrapper over
-//! [`cli::bin_main`]: it regenerates its dataset through the same record
-//! types and accepts `--json` / `--csv` / `--jobs N` on top of the
-//! historical stdout table.
+//! `run <dataset>` regenerates one figure or table and prints the
+//! historical stdout table, or the record itself with `--json` / `--csv`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod checks;
 pub mod cli;
 pub mod csv;

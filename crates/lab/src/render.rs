@@ -1,9 +1,9 @@
 //! Human-readable rendering of experiment records.
 //!
-//! One function per dataset, reproducing the tables the
-//! `crates/bench/src/bin/` harnesses have always printed — the bins now
-//! build an [`ExperimentRecord`] and render it through here, so stdout
-//! output and machine-readable output come from the same data.
+//! One function per dataset, reproducing the table each figure/table
+//! harness has always printed: `retcon-lab -- run <dataset>` builds an
+//! [`ExperimentRecord`] and renders it through here, so stdout output and
+//! machine-readable output come from the same data.
 
 use crate::datasets::{
     ablation_workloads, scaling_workloads, table2_descriptions, Dataset, BACKOFF_SWEEP, CB_SWEEP,

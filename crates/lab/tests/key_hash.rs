@@ -23,6 +23,7 @@ use proptest::prelude::*;
 
 use retcon::RetconConfig;
 use retcon_lab::engine::{record_for, simulate};
+use retcon_lab::runner::{execute, Job};
 use retcon_lab::{RunKey, SEED};
 use retcon_sim::SimConfig;
 use retcon_workloads::{System, Workload};
@@ -163,6 +164,29 @@ proptest! {
             );
         }
     }
+}
+
+/// The default-config alias past the single-word `CoreSet` class: the
+/// two keys hash equal, so both must run (the explicit-config form used
+/// to panic in the 64-core machine) and serialize to the same bytes.
+#[test]
+fn default_cfg_alias_holds_past_64_cores() {
+    let plain = Job::new(Workload::ScalingXl, System::Retcon, 128, SEED);
+    let explicit = Job::with_cfg(
+        Workload::ScalingXl,
+        128,
+        SEED,
+        RetconConfig::default(),
+        vec![],
+    );
+    assert_eq!(plain.key().content_hash(), explicit.key().content_hash());
+    let plain = execute(&plain).expect("plain 128-core run");
+    let explicit = execute(&explicit).expect("explicit-config 128-core run");
+    assert_eq!(
+        plain.to_json().to_string(),
+        explicit.to_json().to_string(),
+        "aliased 128-core keys produced different records"
+    );
 }
 
 /// Golden hash snapshot: the canonical seed-42 keys, pinned as hex.

@@ -82,9 +82,7 @@ pub use schedule::{
     Bound, CoreAction, Decision, DeterministicMinHeap, Schedule, SchedulePeek, SeededFuzz,
     TraceHash,
 };
-pub use shard::{
-    run_sharded, run_sharded_traced, shard_ranges, ShardedOutcome, TracedShardedOutcome,
-};
+pub use shard::{run_sharded, shard_ranges, ShardedOutcome};
 pub use tape::InputTape;
 
 // Re-exports so workload crates need only depend on `retcon-sim`.

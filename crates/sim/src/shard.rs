@@ -37,7 +37,7 @@
 //! [`ShardedOutcome::Overlap`] and the caller must fall back to a serial
 //! run — the sharded path never returns a report whose premise it could
 //! not prove. Two further conditions are the *caller's* contract (checked
-//! in `retcon-workloads::run_spec_sized` because the spec lives there):
+//! in `retcon-workloads::run_spec_opts` because the spec lives there):
 //! no [`SimConfig::schedule_seed`] (a fuzzed schedule draws from a global
 //! sequence whose consumption order spans shards) and no `Barrier`
 //! instruction (barrier release synchronizes globally across all cores).
@@ -45,6 +45,8 @@
 //! [`SimConfig::schedule_seed`]: crate::SimConfig::schedule_seed
 
 use std::ops::Range;
+
+use retcon_obs::{EventKind, RingTracer, Tracer as _};
 
 use crate::machine::{Machine, SimError};
 use crate::report::SimReport;
@@ -74,30 +76,17 @@ pub fn shard_ranges(num_cores: usize, shards: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// What a traced sharded run produced (see [`run_sharded_traced`]).
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // constructed once per run, never stored
-pub enum TracedShardedOutcome {
-    /// Footprints disjoint: the merged report (byte-identical to serial)
-    /// plus the merged event stream — shard-local core ids renumbered to
-    /// global, with one `ShardMerge` event appended per shard.
-    Merged(SimReport, retcon_obs::RingTracer),
-    /// Two shards touched a common block; no merged trace exists (the
-    /// caller falls back to a serial traced run). Carries one witness
-    /// block id.
-    Overlap {
-        /// A block id present in at least two shard footprints.
-        block: u64,
-    },
-}
-
 /// What a sharded run produced.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // constructed once per run, never stored
 pub enum ShardedOutcome {
     /// The shards' footprints were pairwise disjoint; the merged report is
-    /// byte-identical to a serial run's.
-    Merged(SimReport),
+    /// byte-identical to a serial run's. A traced run also carries the
+    /// merged event stream: shard-local core ids renumbered to global,
+    /// with one [`ShardMerge`](EventKind::ShardMerge) event per shard
+    /// (`core` = shard index, `at` = that shard's cycle count, `arg` = 0
+    /// for merged).
+    Merged(SimReport, Option<RingTracer>),
     /// Two shards touched a common block: the independence premise fails
     /// and the caller must run serially. Carries one witness block id.
     Overlap {
@@ -115,18 +104,25 @@ pub enum ShardedOutcome {
 /// with footprint tracking left to this function — it is switched on
 /// here so the disjointness check can never be forgotten.
 ///
+/// `trace_capacity` turns on event tracing: each shard machine records
+/// into a private ring (the capacity split evenly across shards) and a
+/// successful merge concatenates the streams in shard order. Tracing
+/// never perturbs: the report is byte-identical with or without it.
+///
 /// # Errors
 ///
 /// Propagates the first [`SimError`] any shard reports (by shard order).
 pub fn run_sharded<const N: usize, F>(
     num_cores: usize,
     shards: usize,
+    trace_capacity: Option<usize>,
     build: F,
 ) -> Result<ShardedOutcome, SimError>
 where
     F: Fn(Range<usize>) -> Machine<N> + Sync,
 {
     let ranges = shard_ranges(num_cores, shards);
+    let per_shard = trace_capacity.map(|capacity| capacity.div_ceil(shards).max(1));
     let mut outcomes: Vec<Option<Result<_, SimError>>> = Vec::new();
     outcomes.resize_with(ranges.len(), || None);
     std::thread::scope(|scope| {
@@ -135,78 +131,15 @@ where
             scope.spawn(move || {
                 let mut machine = build(range.clone());
                 machine.set_track_footprint(true);
+                if let Some(capacity) = per_shard {
+                    machine.set_tracer(RingTracer::with_capacity(capacity));
+                }
                 *slot = Some(machine.run().map(|report| {
                     let footprint = machine
                         .footprint()
                         .expect("footprint tracking enabled above")
                         .clone();
-                    (report, footprint)
-                }));
-            });
-        }
-    });
-    let mut reports = Vec::with_capacity(ranges.len());
-    let mut footprints = Vec::with_capacity(ranges.len());
-    for slot in outcomes {
-        let (report, footprint) = slot.expect("every shard thread ran")?;
-        reports.push(report);
-        footprints.push(footprint);
-    }
-    // Pairwise disjointness, verified against what the cores actually did.
-    // Probe each block against a running union so the check is linear in
-    // the total footprint, not quadratic in shards.
-    let mut seen = retcon_mem::FxHashSet::default();
-    for fp in &footprints {
-        for &block in fp {
-            if !seen.insert(block) {
-                return Ok(ShardedOutcome::Overlap { block });
-            }
-        }
-    }
-    Ok(ShardedOutcome::Merged(merge_reports(reports)))
-}
-
-/// [`run_sharded`] with per-shard event tracing: each shard machine
-/// records its events into a private ring (capacity split evenly across
-/// shards), and on a successful merge the streams are concatenated in
-/// shard order with core ids shifted back to global numbering, followed
-/// by one [`ShardMerge`](retcon_obs::EventKind::ShardMerge) event per
-/// shard (`core` = shard index, `at` = that shard's cycle count,
-/// `arg` = 0 for merged).
-///
-/// Tracing never perturbs: the report returned is byte-identical to
-/// [`run_sharded`]'s (and therefore to a serial run's).
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] any shard reports (by shard order).
-pub fn run_sharded_traced<const N: usize, F>(
-    num_cores: usize,
-    shards: usize,
-    capacity: usize,
-    build: F,
-) -> Result<TracedShardedOutcome, SimError>
-where
-    F: Fn(Range<usize>) -> Machine<N> + Sync,
-{
-    let ranges = shard_ranges(num_cores, shards);
-    let per_shard = capacity.div_ceil(shards).max(1);
-    let mut outcomes: Vec<Option<Result<_, SimError>>> = Vec::new();
-    outcomes.resize_with(ranges.len(), || None);
-    std::thread::scope(|scope| {
-        for (range, slot) in ranges.iter().zip(outcomes.iter_mut()) {
-            let build = &build;
-            scope.spawn(move || {
-                let mut machine = build(range.clone());
-                machine.set_track_footprint(true);
-                machine.set_tracer(retcon_obs::RingTracer::with_capacity(per_shard));
-                *slot = Some(machine.run().map(|report| {
-                    let footprint = machine
-                        .footprint()
-                        .expect("footprint tracking enabled above")
-                        .clone();
-                    let tracer = machine.take_tracer().expect("tracer attached above");
-                    (report, footprint, tracer)
+                    (report, footprint, machine.take_tracer())
                 }));
             });
         }
@@ -220,24 +153,28 @@ where
         footprints.push(footprint);
         tracers.push(tracer);
     }
+    // Pairwise disjointness, verified against what the cores actually did.
+    // Probe each block against a running union so the check is linear in
+    // the total footprint, not quadratic in shards.
     let mut seen = retcon_mem::FxHashSet::default();
     for fp in &footprints {
         for &block in fp {
             if !seen.insert(block) {
-                return Ok(TracedShardedOutcome::Overlap { block });
+                return Ok(ShardedOutcome::Overlap { block });
             }
         }
     }
-    use retcon_obs::Tracer as _;
-    let mut merged_trace = retcon_obs::RingTracer::with_capacity(capacity.max(1) + shards);
-    for (s, ((tracer, range), report)) in tracers.iter().zip(&ranges).zip(&reports).enumerate() {
-        merged_trace.extend_offset(tracer, range.start);
-        merged_trace.record(s, retcon_obs::EventKind::ShardMerge, report.cycles, 0);
-    }
-    Ok(TracedShardedOutcome::Merged(
-        merge_reports(reports),
-        merged_trace,
-    ))
+    let merged_trace = trace_capacity.map(|capacity| {
+        let mut merged = RingTracer::with_capacity(capacity.max(1) + shards);
+        for (s, ((tracer, range), report)) in tracers.iter().zip(&ranges).zip(&reports).enumerate()
+        {
+            let tracer = tracer.as_ref().expect("tracer attached above");
+            merged.extend_offset(tracer, range.start);
+            merged.record(s, EventKind::ShardMerge, report.cycles, 0);
+        }
+        merged
+    });
+    Ok(ShardedOutcome::Merged(merge_reports(reports), merged_trace))
 }
 
 /// Merges shard reports (in shard order) into the serial-equivalent

@@ -20,8 +20,7 @@ use std::process::ExitCode;
 use retcon_sim::json::Json;
 use retcon_sim::SimConfig;
 use retcon_workloads::{
-    run_spec_configured_sized, run_spec_sized, run_spec_traced_sized, sequential_baseline, System,
-    Workload, MAX_SIM_CORES,
+    run_spec_opts, sequential_baseline, RunOptions, System, Workload, MAX_SIM_CORES,
 };
 
 fn usage() -> ExitCode {
@@ -45,7 +44,8 @@ fn usage() -> ExitCode {
     eprintln!("--trace PATH records transaction events (begin/conflict/stall/repair/");
     eprintln!("abort/commit, storm fast-forwards, shard merges) and writes them as");
     eprintln!("Chrome trace-event JSON, loadable in chrome://tracing or Perfetto.");
-    eprintln!("Tracing never changes the report (ignored under --schedule-seed)");
+    eprintln!("Tracing never changes the report; the event count, stream hash and");
+    eprintln!("per-kind counts are printed to stderr");
     ExitCode::FAILURE
 }
 
@@ -121,52 +121,39 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let spec = workload.build(cores, seed);
-    let result = match (schedule_seed, &trace) {
-        // Fuzzed schedules are serial-only: the seed drives one global
-        // draw sequence that sharding cannot split (and tracing is
-        // declined rather than silently shape-shifted).
-        (Some(_), _) => {
-            let mut cfg = SimConfig::with_cores(cores);
-            cfg.schedule_seed = schedule_seed;
-            run_spec_configured_sized(&spec, system, cfg)
-        }
-        (None, Some(path)) => {
-            let traced = run_spec_traced_sized(
-                &spec,
-                system,
-                cores,
-                shards,
-                retcon_obs::ring::DEFAULT_CAPACITY,
-            );
-            match traced {
-                Ok((report, tracer)) => {
-                    match std::fs::write(path, retcon_obs::chrome::to_chrome_json(&tracer)) {
-                        Ok(()) => {
-                            eprintln!(
-                                "trace: {} events ({} dropped) -> {path}",
-                                tracer.len(),
-                                tracer.dropped()
-                            );
-                            Ok(report)
-                        }
-                        Err(e) => {
-                            eprintln!("trace write failed: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                Err(e) => Err(e),
-            }
-        }
-        (None, None) => run_spec_sized(&spec, system, cores, shards),
+    let mut cfg = SimConfig::with_cores(cores);
+    cfg.schedule_seed = schedule_seed;
+    let opts = RunOptions {
+        cfg,
+        retcon: None,
+        shards,
+        trace_capacity: trace.as_ref().map(|_| retcon_obs::ring::DEFAULT_CAPACITY),
     };
-    let report = match result {
-        Ok(r) => r,
+    let (report, tracer) = match run_spec_opts(&spec, system, &opts) {
+        Ok(pair) => pair,
         Err(e) => {
             eprintln!("run failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    if let (Some(path), Some(tracer)) = (&trace, &tracer) {
+        if let Err(e) = std::fs::write(path, retcon_obs::chrome::to_chrome_json(tracer)) {
+            eprintln!("trace write failed: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!(
+            "trace: {} events ({} dropped, stream hash {:016x}) -> {path}",
+            tracer.len(),
+            tracer.dropped(),
+            tracer.stream_hash()
+        );
+        for kind in retcon_obs::EventKind::ALL {
+            let n = tracer.count(kind);
+            if n > 0 {
+                eprintln!("  {:<12} {n}", kind.name());
+            }
+        }
+    }
 
     if json {
         // The `retcon-lab` RunRecord shape; a fuzzed schedule is recorded

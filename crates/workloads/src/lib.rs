@@ -21,8 +21,9 @@
 //!
 //! Each builder returns a [`WorkloadSpec`]: one program per core, per-core
 //! input tapes (pre-randomized keys — deterministic under any
-//! interleaving), and initial memory contents. [`run`] executes a spec
-//! under any [`System`] and returns the simulator's report;
+//! interleaving), and initial memory contents. [`run_spec_opts`] is the
+//! one run path — size-class dispatch, sharding, tracing — and [`run`]
+//! and friends are its fixed-option shorthands;
 //! [`sequential_baseline`] runs the whole workload on one core for the
 //! speedup denominators of Figures 1, 3 and 9.
 
@@ -54,12 +55,12 @@ pub use spec::{Alloc, WorkloadSpec};
 
 use retcon::RetconConfig;
 use retcon_isa::Instr;
-use retcon_obs::RingTracer;
+use retcon_obs::{EventKind, RingTracer, Tracer as _};
 use retcon_sim::{
-    run_sharded, run_sharded_traced, AnyProtocol, ConflictPolicy, DatmLite, EagerTm, LazyTm,
-    LazyVbTm, Machine, RetconTm, ShardedOutcome, SimConfig, SimError, SimReport,
-    TracedShardedOutcome,
+    run_sharded, AnyProtocol, ConflictPolicy, DatmLite, EagerTm, LazyTm, LazyVbTm, Machine,
+    RetconTm, ShardedOutcome, SimConfig, SimError, SimReport,
 };
+use std::ops::Range;
 
 /// The widest supported machine: 16 `CoreSet` words of 64 cores each.
 pub const MAX_SIM_CORES: usize = 1024;
@@ -331,196 +332,133 @@ impl Workload {
     }
 }
 
-/// Runs `workload` on `num_cores` cores under `system`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator (cycle-limit or program
-/// validation failures — both indicate workload bugs).
-pub fn run(
-    workload: Workload,
-    system: System,
-    num_cores: usize,
-    seed: u64,
-) -> Result<SimReport, SimError> {
-    let spec = workload.build(num_cores, seed);
-    run_spec(&spec, system, num_cores)
+/// Everything that varies between two runs of the same spec under the
+/// same [`System`] — the parameters of [`run_spec_opts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Machine configuration; `cfg.num_cores` selects the `CoreSet` size
+    /// class and [`SimConfig::schedule_seed`] a fuzzed schedule.
+    pub cfg: SimConfig,
+    /// RETCON structure-size override (the lab's sweeps): `Some` runs
+    /// [`RetconTm`] under this configuration instead of the system's
+    /// default protocol.
+    pub retcon: Option<RetconConfig>,
+    /// Host threads to split the cores across; `1` runs serially.
+    pub shards: usize,
+    /// `Some(capacity)` records transaction events into a ring of that
+    /// many entries (see [`retcon_obs::ring::DEFAULT_CAPACITY`]).
+    pub trace_capacity: Option<usize>,
 }
 
-/// Runs an already-built [`WorkloadSpec`] under `system`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_spec(
-    spec: &WorkloadSpec,
-    system: System,
-    num_cores: usize,
-) -> Result<SimReport, SimError> {
-    run_spec_with(spec, system.protocol(num_cores), num_cores)
+impl RunOptions {
+    /// The default Table 1 machine at `num_cores`: the system's own
+    /// protocol, serial, untraced.
+    pub fn new(num_cores: usize) -> RunOptions {
+        RunOptions {
+            cfg: SimConfig::with_cores(num_cores),
+            retcon: None,
+            shards: 1,
+            trace_capacity: None,
+        }
+    }
 }
 
-/// Runs an already-built [`WorkloadSpec`] under `system` at whatever
-/// `CoreSet` size class `num_cores` needs, optionally sharded.
+/// Runs an already-built [`WorkloadSpec`] under `system` — the one run
+/// path every other entry point delegates to.
 ///
-/// * `num_cores <= 64` uses the single-word paper machine — the exact
-///   code path (and bytes) of [`run_spec`].
-/// * Wider counts dispatch to the 2/4/8/16-word size classes, up to
+/// * `opts.cfg.num_cores <= 64` uses the single-word paper machine; wider
+///   counts dispatch to the 2/4/8/16-word `CoreSet` size classes, up to
 ///   [`MAX_SIM_CORES`].
-/// * `shards > 1` requests sharded execution: contiguous core ranges run
-///   on host threads and merge iff their block footprints prove disjoint
-///   (see [`retcon_sim::shard`]). A workload that is ineligible (has a
-///   barrier, more shards than cores) or whose shards overlap falls back
-///   to the serial run — the returned report is byte-identical either
-///   way.
+/// * `opts.shards > 1` requests sharded execution: contiguous core ranges
+///   run on host threads and merge iff their block footprints prove
+///   disjoint (see [`retcon_sim::shard`]). A run that is ineligible (a
+///   barrier, a fuzzed schedule, more shards than cores) or whose shards
+///   overlap falls back to the serial run — the report is byte-identical
+///   either way.
+/// * `opts.trace_capacity` attaches event tracing and returns the stream.
+///   The report is byte-identical to the untraced run (pinned by the
+///   trace-determinism suite). A sharded run merges the per-shard streams
+///   back to global core numbering with one `ShardMerge` event per shard;
+///   an overlap fallback is recorded as a single `ShardMerge` event with
+///   `arg` = 1 at the head of the serial stream.
 ///
 /// # Errors
 ///
 /// [`SimError::UnsupportedCores`] past [`MAX_SIM_CORES`]; otherwise
-/// propagates [`SimError`] from the simulator.
-pub fn run_spec_sized(
+/// propagates [`SimError`] from the simulator (cycle-limit or program
+/// validation failures — both indicate workload bugs).
+pub fn run_spec_opts(
     spec: &WorkloadSpec,
     system: System,
-    num_cores: usize,
-    shards: usize,
-) -> Result<SimReport, SimError> {
-    match size_class(num_cores)? {
-        1 => run_class::<1>(spec, system, num_cores, shards),
-        2 => run_class::<2>(spec, system, num_cores, shards),
-        4 => run_class::<4>(spec, system, num_cores, shards),
-        8 => run_class::<8>(spec, system, num_cores, shards),
-        _ => run_class::<16>(spec, system, num_cores, shards),
-    }
-}
-
-/// [`run_spec_sized`] with transaction event tracing attached: returns
-/// the report — byte-identical to the untraced run, pinned by the
-/// trace-determinism suite — plus the recorded event stream.
-///
-/// `capacity` bounds the event ring (see
-/// [`retcon_obs::ring::DEFAULT_CAPACITY`]); a sharded run splits it
-/// across shards and merges the streams back to global core numbering,
-/// appending one `ShardMerge` event per shard. A workload that is
-/// ineligible for sharding, or whose shards overlap, runs serially
-/// traced — exactly mirroring [`run_spec_sized`]'s fallback (an overlap
-/// fallback is recorded as a `ShardMerge` event with `arg` = 1 at the
-/// head of the stream).
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedCores`] past [`MAX_SIM_CORES`]; otherwise
-/// propagates [`SimError`] from the simulator.
-pub fn run_spec_traced_sized(
-    spec: &WorkloadSpec,
-    system: System,
-    num_cores: usize,
-    shards: usize,
-    capacity: usize,
-) -> Result<(SimReport, RingTracer), SimError> {
-    match size_class(num_cores)? {
-        1 => run_class_traced::<1>(spec, system, num_cores, shards, capacity),
-        2 => run_class_traced::<2>(spec, system, num_cores, shards, capacity),
-        4 => run_class_traced::<4>(spec, system, num_cores, shards, capacity),
-        8 => run_class_traced::<8>(spec, system, num_cores, shards, capacity),
-        _ => run_class_traced::<16>(spec, system, num_cores, shards, capacity),
-    }
-}
-
-fn run_class_traced<const N: usize>(
-    spec: &WorkloadSpec,
-    system: System,
-    num_cores: usize,
-    shards: usize,
-    capacity: usize,
-) -> Result<(SimReport, RingTracer), SimError> {
-    let serial = |spec: &WorkloadSpec, tracer: RingTracer| {
-        let mut machine = machine_for_sized::<N>(
-            spec,
-            system.protocol_sized::<N>(num_cores),
-            SimConfig::with_cores(num_cores),
-        );
-        machine.set_tracer(tracer);
-        let report = machine.run()?;
-        let tracer = machine.take_tracer().expect("tracer attached above");
-        Ok((report, tracer))
-    };
-    if shards <= 1 || shards > num_cores || spec_has_barrier(spec) {
-        return serial(spec, RingTracer::with_capacity(capacity));
-    }
-    let outcome = run_sharded_traced::<N, _>(num_cores, shards, capacity, |range| {
-        let cores = range.len();
-        let mut machine: Machine<N> = Machine::new(
-            SimConfig::with_cores(cores),
-            system.protocol_sized::<N>(cores),
-            spec.programs[range.clone()].to_vec(),
-        );
-        for (i, tape) in spec.tapes[range].iter().enumerate() {
-            machine.set_tape(i, tape.clone());
-        }
-        for &(addr, value) in &spec.init {
-            machine.init_word(addr, value);
-        }
-        machine
-    })?;
-    match outcome {
-        TracedShardedOutcome::Merged(report, tracer) => Ok((report, tracer)),
-        // Overlapping footprints: rerun serially traced, recording the
-        // merge decision (overlap → fallback) at the head of the stream.
-        TracedShardedOutcome::Overlap { .. } => {
-            use retcon_obs::Tracer as _;
-            let mut tracer = RingTracer::with_capacity(capacity);
-            tracer.record(0, retcon_obs::EventKind::ShardMerge, 0, 1);
-            serial(spec, tracer)
-        }
-    }
-}
-
-/// [`run_spec_sized`] with an explicit [`SimConfig`] (fuzzed schedules,
-/// custom cycle caps), always serial: a fuzzed schedule draws from one
-/// global sequence whose consumption order spans all cores, which
-/// sharding cannot reproduce.
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedCores`] past [`MAX_SIM_CORES`]; otherwise
-/// propagates [`SimError`] from the simulator.
-pub fn run_spec_configured_sized(
-    spec: &WorkloadSpec,
-    system: System,
-    cfg: SimConfig,
-) -> Result<SimReport, SimError> {
-    let n = cfg.num_cores;
-    match size_class(n)? {
-        1 => machine_for_sized::<1>(spec, system.protocol_sized::<1>(n), cfg).run(),
-        2 => machine_for_sized::<2>(spec, system.protocol_sized::<2>(n), cfg).run(),
-        4 => machine_for_sized::<4>(spec, system.protocol_sized::<4>(n), cfg).run(),
-        8 => machine_for_sized::<8>(spec, system.protocol_sized::<8>(n), cfg).run(),
-        _ => machine_for_sized::<16>(spec, system.protocol_sized::<16>(n), cfg).run(),
-    }
-}
-
-/// The smallest `CoreSet` word count covering `num_cores`.
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedCores`] past [`MAX_SIM_CORES`].
-fn size_class(num_cores: usize) -> Result<usize, SimError> {
-    match num_cores {
-        0..=64 => Ok(1),
-        65..=128 => Ok(2),
-        129..=256 => Ok(4),
-        257..=512 => Ok(8),
-        513..=1024 => Ok(16),
-        _ => Err(SimError::UnsupportedCores {
-            requested: num_cores,
+    opts: &RunOptions,
+) -> Result<(SimReport, Option<RingTracer>), SimError> {
+    match opts.cfg.num_cores {
+        0..=64 => run_class::<1>(spec, system, opts),
+        65..=128 => run_class::<2>(spec, system, opts),
+        129..=256 => run_class::<4>(spec, system, opts),
+        257..=512 => run_class::<8>(spec, system, opts),
+        513..=MAX_SIM_CORES => run_class::<16>(spec, system, opts),
+        requested => Err(SimError::UnsupportedCores {
+            requested,
             max: MAX_SIM_CORES,
         }),
     }
 }
 
-/// `true` if any program contains a `Barrier` — barrier release is a
-/// global synchronization across all cores, which sharded execution
-/// cannot reproduce.
+fn run_class<const N: usize>(
+    spec: &WorkloadSpec,
+    system: System,
+    opts: &RunOptions,
+) -> Result<(SimReport, Option<RingTracer>), SimError> {
+    let num_cores = opts.cfg.num_cores;
+    assert_eq!(
+        spec.num_cores(),
+        num_cores,
+        "spec was built for a different core count"
+    );
+    // The machine for a contiguous range of the spec's cores, locally
+    // numbered from zero: the whole spec serially, one shard otherwise.
+    let build = |range: Range<usize>| {
+        let cfg = SimConfig {
+            num_cores: range.len(),
+            ..opts.cfg
+        };
+        let protocol: AnyProtocol<N> = match opts.retcon {
+            Some(retcon) => RetconTm::new(cfg.num_cores, retcon).into(),
+            None => system.protocol_sized(cfg.num_cores),
+        };
+        build_machine(spec, range, protocol, cfg)
+    };
+    // Sharding cannot reproduce a barrier release (a global
+    // synchronization across all cores) or a fuzzed schedule (one global
+    // draw sequence whose consumption order spans all cores).
+    let shardable = (2..=num_cores).contains(&opts.shards)
+        && opts.cfg.schedule_seed.is_none()
+        && !spec_has_barrier(spec);
+    let mut overlapped = false;
+    if shardable {
+        match run_sharded::<N, _>(num_cores, opts.shards, opts.trace_capacity, &build)? {
+            ShardedOutcome::Merged(report, tracer) => return Ok((report, tracer)),
+            // Overlapping footprints: the independence premise failed, so
+            // the shard results are unusable. Rerun serially; the answer
+            // is still exact, only the parallelism is lost.
+            ShardedOutcome::Overlap { .. } => overlapped = true,
+        }
+    }
+    let mut machine = build(0..num_cores);
+    if let Some(capacity) = opts.trace_capacity {
+        let mut tracer = RingTracer::with_capacity(capacity);
+        // The stream's head says which execution strategy actually ran.
+        if overlapped {
+            tracer.record(0, EventKind::ShardMerge, 0, 1);
+        }
+        machine.set_tracer(tracer);
+    }
+    let report = machine.run()?;
+    Ok((report, machine.take_tracer()))
+}
+
+/// `true` if any program contains a `Barrier`.
 fn spec_has_barrier(spec: &WorkloadSpec) -> bool {
     spec.programs.iter().any(|p| {
         p.blocks
@@ -529,84 +467,94 @@ fn spec_has_barrier(spec: &WorkloadSpec) -> bool {
     })
 }
 
-fn run_class<const N: usize>(
+fn build_machine<const N: usize>(
+    spec: &WorkloadSpec,
+    range: Range<usize>,
+    protocol: impl Into<AnyProtocol<N>>,
+    cfg: SimConfig,
+) -> Machine<N> {
+    let mut machine = Machine::new(cfg, protocol, spec.programs[range.clone()].to_vec());
+    for (i, tape) in spec.tapes[range].iter().enumerate() {
+        machine.set_tape(i, tape.clone());
+    }
+    for &(addr, value) in &spec.init {
+        machine.init_word(addr, value);
+    }
+    machine
+}
+
+/// Runs `workload` on `num_cores` cores under `system`.
+///
+/// # Errors
+///
+/// As [`run_spec_opts`].
+pub fn run(
+    workload: Workload,
+    system: System,
+    num_cores: usize,
+    seed: u64,
+) -> Result<SimReport, SimError> {
+    run_spec(&workload.build(num_cores, seed), system, num_cores)
+}
+
+/// [`run_spec_opts`] with the default options: serial, untraced.
+///
+/// # Errors
+///
+/// As [`run_spec_opts`].
+pub fn run_spec(
+    spec: &WorkloadSpec,
+    system: System,
+    num_cores: usize,
+) -> Result<SimReport, SimError> {
+    run_spec_sized(spec, system, num_cores, 1)
+}
+
+/// [`run_spec_opts`] across `shards` host threads, untraced.
+///
+/// # Errors
+///
+/// As [`run_spec_opts`].
+pub fn run_spec_sized(
     spec: &WorkloadSpec,
     system: System,
     num_cores: usize,
     shards: usize,
 ) -> Result<SimReport, SimError> {
-    let serial = |spec: &WorkloadSpec| {
-        machine_for_sized::<N>(
-            spec,
-            system.protocol_sized::<N>(num_cores),
-            SimConfig::with_cores(num_cores),
-        )
-        .run()
+    let opts = RunOptions {
+        shards,
+        ..RunOptions::new(num_cores)
     };
-    if shards <= 1 || shards > num_cores || spec_has_barrier(spec) {
-        return serial(spec);
-    }
-    let outcome = run_sharded::<N, _>(num_cores, shards, |range| {
-        let cores = range.len();
-        let mut machine: Machine<N> = Machine::new(
-            SimConfig::with_cores(cores),
-            system.protocol_sized::<N>(cores),
-            spec.programs[range.clone()].to_vec(),
-        );
-        for (i, tape) in spec.tapes[range].iter().enumerate() {
-            machine.set_tape(i, tape.clone());
-        }
-        for &(addr, value) in &spec.init {
-            machine.init_word(addr, value);
-        }
-        machine
-    })?;
-    match outcome {
-        ShardedOutcome::Merged(report) => Ok(report),
-        // Overlapping footprints: the independence premise failed, so the
-        // shard results are unusable. Rerun serially; the answer is still
-        // exact, only the parallelism is lost.
-        ShardedOutcome::Overlap { .. } => serial(spec),
-    }
+    Ok(run_spec_opts(spec, system, &opts)?.0)
 }
 
-/// Runs an already-built [`WorkloadSpec`] under an explicit protocol
-/// instance — the hook sweep harnesses use to vary [`RetconConfig`] knobs
-/// beyond the named [`System`] configurations. Accepts any built-in
-/// protocol by value, an [`AnyProtocol`], or a boxed custom
-/// [`Protocol`](retcon_sim::Protocol).
+/// [`run_spec_opts`] across `shards` host threads with event tracing into
+/// a ring of `capacity` entries.
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_spec_with(
+/// As [`run_spec_opts`].
+pub fn run_spec_traced_sized(
     spec: &WorkloadSpec,
-    protocol: impl Into<AnyProtocol>,
+    system: System,
     num_cores: usize,
-) -> Result<SimReport, SimError> {
-    run_spec_configured(spec, protocol, SimConfig::with_cores(num_cores))
+    shards: usize,
+    capacity: usize,
+) -> Result<(SimReport, RingTracer), SimError> {
+    let opts = RunOptions {
+        shards,
+        trace_capacity: Some(capacity),
+        ..RunOptions::new(num_cores)
+    };
+    let (report, tracer) = run_spec_opts(spec, system, &opts)?;
+    Ok((report, tracer.expect("trace_capacity set above")))
 }
 
-/// Runs an already-built [`WorkloadSpec`] under an explicit protocol *and*
-/// an explicit [`SimConfig`] — the entry point for non-default machine
-/// configurations such as a fuzzed schedule
-/// ([`SimConfig::schedule_seed`]).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_spec_configured(
-    spec: &WorkloadSpec,
-    protocol: impl Into<AnyProtocol>,
-    cfg: SimConfig,
-) -> Result<SimReport, SimError> {
-    let mut machine = machine_for(spec, protocol, cfg);
-    machine.run()
-}
-
-/// Builds the machine a spec runs on (programs, tapes, initial memory)
-/// without running it — exploration drives the returned machine through
-/// [`Machine::run_with`] with its own schedules.
+/// Builds the single-word (≤ 64 cores) machine a spec runs on — programs,
+/// tapes, initial memory — without running it: exploration drives the
+/// returned machine through [`Machine::run_with`] with its own schedules.
+/// Accepts any built-in protocol by value, an [`AnyProtocol`], or a boxed
+/// custom [`Protocol`](retcon_sim::Protocol).
 pub fn machine_for(
     spec: &WorkloadSpec,
     protocol: impl Into<AnyProtocol>,
@@ -621,14 +569,7 @@ pub fn machine_for_sized<const N: usize>(
     protocol: impl Into<AnyProtocol<N>>,
     cfg: SimConfig,
 ) -> Machine<N> {
-    let mut machine = Machine::new(cfg, protocol, spec.programs.clone());
-    for (i, tape) in spec.tapes.iter().enumerate() {
-        machine.set_tape(i, tape.clone());
-    }
-    for &(addr, value) in &spec.init {
-        machine.init_word(addr, value);
-    }
-    machine
+    build_machine(spec, 0..spec.num_cores(), protocol, cfg)
 }
 
 /// Sequential-baseline cycle count: the whole workload on one core (the

@@ -6,7 +6,7 @@
 //! the serialization boundary: the merged report's JSON must be *equal as
 //! bytes* to the serial run's, at every size class the shards cross.
 
-use retcon_workloads::{run_spec_sized, System, Workload};
+use retcon_workloads::{run, run_spec, run_spec_sized, System, Workload};
 
 /// Serial vs sharded, compared on the serialized report.
 fn assert_shard_identity(cores: usize, shards: usize, system: System) {
@@ -78,7 +78,7 @@ fn barrier_workloads_are_refused_and_run_serially() {
     // `counter` ends in a barrier: the sharded entry must take the serial
     // path and agree with run_spec.
     let spec = Workload::Counter.build(4, 0);
-    let direct = retcon_workloads::run_spec(&spec, System::Retcon, 4).expect("direct");
+    let direct = run_spec(&spec, System::Retcon, 4).expect("direct");
     let via_sized = run_spec_sized(&spec, System::Retcon, 4, 2).expect("sized");
     assert_eq!(
         direct.to_json().to_string(),
@@ -89,10 +89,22 @@ fn barrier_workloads_are_refused_and_run_serially() {
 #[test]
 fn unsupported_core_count_is_a_clear_error() {
     let spec = Workload::ScalingXl.build(4, 0);
-    let err = run_spec_sized(&spec, System::Eager, 1025, 1).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("1025") && msg.contains("1024"),
-        "error must name the request and the ceiling: {msg}"
-    );
+    for err in [
+        run_spec_sized(&spec, System::Eager, 1025, 1).unwrap_err(),
+        run_spec(&spec, System::Eager, 1025).unwrap_err(),
+    ] {
+        let msg = err.to_string();
+        assert!(
+            msg.contains("1025") && msg.contains("1024"),
+            "error must name the request and the ceiling: {msg}"
+        );
+    }
+    // Up to the ceiling `run`/`run_spec` take the same size-class
+    // dispatch as `run_spec_sized` (they used to stop at 64 cores).
+    let spec = Workload::ScalingXl.build(128, 0);
+    let sized = run_spec_sized(&spec, System::Eager, 128, 1).expect("sized");
+    let plain = run_spec(&spec, System::Eager, 128).expect("run_spec at 128 cores");
+    let built = run(Workload::ScalingXl, System::Eager, 128, 0).expect("run at 128 cores");
+    assert_eq!(sized.to_json().to_string(), plain.to_json().to_string());
+    assert_eq!(sized.to_json().to_string(), built.to_json().to_string());
 }

@@ -24,9 +24,9 @@
 //! cargo run --release --example contention_explorer
 //! ```
 //!
-//! Every table and figure of the paper regenerates from the harness
-//! binaries in `crates/bench` (see `DESIGN.md` for the index and
-//! `EXPERIMENTS.md` for recorded results).
+//! Every table and figure of the paper regenerates with
+//! `cargo run --release -p retcon-lab -- run <dataset>` (see
+//! `EXPERIMENTS.md` for the index and recorded results).
 
 #![forbid(unsafe_code)]
 

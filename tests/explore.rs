@@ -11,7 +11,7 @@ use retcon_explore::{
 };
 use retcon_isa::Addr;
 use retcon_sim::SimConfig;
-use retcon_workloads::{run_spec_configured, System, Workload};
+use retcon_workloads::{machine_for, System, Workload};
 
 /// `SimConfig::schedule_seed` (the `retcon-run --schedule-seed` path):
 /// fuzzed runs are exactly reproducible from the seed, still
@@ -23,7 +23,9 @@ fn schedule_seed_is_reproducible_and_serializable() {
     let run = |seed: u64| {
         let mut cfg = SimConfig::with_cores(4);
         cfg.schedule_seed = Some(seed);
-        run_spec_configured(&spec, System::Eager.protocol(4), cfg).expect("fuzzed run completes")
+        machine_for(&spec, System::Eager.protocol(4), cfg)
+            .run()
+            .expect("fuzzed run completes")
     };
     let a = run(7);
     let b = run(7);
@@ -102,8 +104,7 @@ fn bounded_search_flags_the_mutation_with_a_replayable_trace() {
 fn dyn_adapter_runs_the_mutation_shim_end_to_end() {
     let scenario = Scenario::counter(2, 4);
     let cfg = SimConfig::with_cores(2);
-    let mut machine =
-        retcon_workloads::machine_for(&scenario.spec, SystemUnderTest::LostUpdate.protocol(2), cfg);
+    let mut machine = machine_for(&scenario.spec, SystemUnderTest::LostUpdate.protocol(2), cfg);
     let report = machine.run().expect("shim run completes");
     assert_eq!(machine.protocol().name(), "lost-update");
     assert_eq!(report.protocol.commits, 8, "every transaction commits");

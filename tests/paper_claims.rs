@@ -1,6 +1,6 @@
 //! End-to-end assertions of the paper's headline quantitative claims, at a
 //! reduced scale (8 cores) so they run quickly in CI. The full 32-core
-//! numbers are regenerated by the `retcon-bench` harness binaries.
+//! numbers are regenerated by `retcon-lab -- run <dataset>`.
 
 use retcon_workloads::{run, sequential_baseline, System, Workload};
 

@@ -14,7 +14,9 @@
 use retcon_obs::{EventKind, RingTracer};
 use retcon_sim::json::Json;
 use retcon_sim::SimReport;
-use retcon_workloads::{run_spec_sized, run_spec_traced_sized, System, Workload};
+use retcon_workloads::{
+    run_spec_opts, run_spec_sized, run_spec_traced_sized, RunOptions, System, Workload,
+};
 
 const CAPACITY: usize = 1 << 20;
 
@@ -43,6 +45,22 @@ fn tracing_never_changes_the_report_under_any_system() {
         );
         assert_eq!(tracer.dropped(), 0, "{}", system.label());
         assert!(!tracer.is_empty(), "{}", system.label());
+
+        // A fuzzed schedule is just another serial run: tracing it must
+        // not change its report either.
+        let mut fuzzed = RunOptions::new(4);
+        fuzzed.cfg.schedule_seed = Some(7);
+        let (plain, none) = run_spec_opts(&spec, system, &fuzzed).expect("fuzzed run");
+        fuzzed.trace_capacity = Some(CAPACITY);
+        let (with_trace, tracer) = run_spec_opts(&spec, system, &fuzzed).expect("fuzzed traced");
+        assert!(none.is_none(), "untraced run returned a tracer");
+        assert_eq!(
+            plain.to_json().to_string(),
+            with_trace.to_json().to_string(),
+            "fuzzed report bytes changed under tracing ({})",
+            system.label()
+        );
+        assert!(!tracer.expect("traced run returns its stream").is_empty());
     }
 }
 
@@ -94,6 +112,34 @@ fn sharded_traced_report_matches_serial() {
         serial.to_json().to_string(),
         sharded.to_json().to_string(),
         "sharded traced run must stay byte-identical to serial"
+    );
+    assert_eq!(tracer.count(EventKind::ShardMerge), 2);
+
+    // 8 cores / 2 shards cuts scaling_xl's first group in half, so the
+    // shards overlap: the traced run falls back to serial and says so
+    // with exactly one merge event (`arg` = 1) at the head of the stream.
+    let spec = Workload::ScalingXl.build(8, 3);
+    let serial = run_spec_sized(&spec, System::Retcon, 8, 1).expect("serial");
+    let (fallback, tracer) = traced(Workload::ScalingXl, System::Retcon, 8, 3, 2);
+    assert_eq!(
+        serial.to_json().to_string(),
+        fallback.to_json().to_string(),
+        "traced overlap fallback must stay byte-identical to serial"
+    );
+    assert_eq!(tracer.count(EventKind::ShardMerge), 1);
+    let first = tracer.events().next().expect("non-empty stream");
+    assert_eq!(first.event_kind(), Some(EventKind::ShardMerge));
+    assert_eq!(first.arg, 1);
+
+    // Traced and untraced sharded runs are the same `run_sharded`: equal
+    // bytes at 256 cores (the 4-word class) over 2 shards.
+    let spec = Workload::ScalingXl.build(256, 42);
+    let untraced = run_spec_sized(&spec, System::Retcon, 256, 2).expect("sharded");
+    let (with_trace, tracer) = traced(Workload::ScalingXl, System::Retcon, 256, 42, 2);
+    assert_eq!(
+        untraced.to_json().to_string(),
+        with_trace.to_json().to_string(),
+        "tracing changed a 256-core sharded report"
     );
     assert_eq!(tracer.count(EventKind::ShardMerge), 2);
 }
