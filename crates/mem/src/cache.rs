@@ -1,5 +1,7 @@
 //! Set-associative tag arrays with speculative access bits.
 
+use std::ops::Range;
+
 use retcon_isa::BlockAddr;
 
 /// The speculative-access bits attached to a cached block (§2: a
@@ -74,13 +76,34 @@ impl CacheGeometry {
     }
 }
 
-/// One way of one set.
+/// One way of one touched set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     block: BlockAddr,
     spec: SpecBits,
     /// Larger = more recently used.
     lru: u64,
+}
+
+/// Block id marking a slot that holds no block. No address reaches it
+/// (block = word address / 8 < 2^61), so a row needs no length beside it:
+/// its occupied slots come first and a scan ends at the first vacant one.
+const VACANT: BlockAddr = BlockAddr(u64::MAX);
+
+impl Line {
+    const VACANT: Line = Line {
+        block: VACANT,
+        spec: SpecBits::NONE,
+        lru: 0,
+    };
+
+    fn new(block: BlockAddr, lru: u64) -> Line {
+        Line {
+            block,
+            spec: SpecBits::NONE,
+            lru,
+        }
+    }
 }
 
 /// A set-associative tag array.
@@ -90,19 +113,44 @@ struct Line {
 /// the directory. Replacement is LRU, preferring non-speculative victims so
 /// speculative state stays resident as long as possible (evicted speculative
 /// permissions are retained by the memory system's permissions-only cache).
+///
+/// Storage is a lazy slab: a set costs four bytes until a block is first
+/// inserted into it, and only then gets a row of `ways` slots at the end of
+/// one shared vector. A run touches a small fraction of the 4 352 sets a
+/// Table 1 core has, and a 1024-core machine has 2 048 of these arrays.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Line>>,
+    /// Per set, where its row starts in `lines`; 0 = never touched. Stored
+    /// as the offset, not the row number, so a lookup goes from this load
+    /// to the line's address without a multiply by `ways`.
+    rows: Vec<u32>,
+    /// Rows of `ways` slots. Row 0 belongs to no set and stays vacant, so
+    /// a lookup in a never-touched set needs no branch: it scans that row
+    /// and finds nothing. The touched sets' rows follow in first-touch
+    /// order. Within a row the occupied slots come first, the [`VACANT`]
+    /// ones after.
+    lines: Vec<Line>,
     tick: u64,
 }
 
 impl CacheArray {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more lines than a `u32` row offset can name.
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(
+            u32::try_from((geometry.sets + 1) * geometry.ways).is_ok(),
+            "{} sets of {} ways exceed the u32 row offset",
+            geometry.sets,
+            geometry.ways
+        );
         CacheArray {
             geometry,
-            sets: vec![Vec::new(); geometry.sets],
+            rows: vec![0; geometry.sets],
+            lines: vec![Line::VACANT; geometry.ways],
             tick: 0,
         }
     }
@@ -112,27 +160,48 @@ impl CacheArray {
         self.geometry
     }
 
+    /// Where `block`'s set lives in `lines`: the vacant row 0 if it was
+    /// never touched.
+    #[inline]
+    fn row(&self, block: BlockAddr) -> Range<usize> {
+        debug_assert_ne!(block, VACANT, "the vacant-slot sentinel is not a block");
+        let start = self.rows[self.geometry.set_of(block)] as usize;
+        start..start + self.geometry.ways
+    }
+
+    /// The line holding `block`, if it is resident.
+    #[inline]
+    fn line(&self, block: BlockAddr) -> Option<&Line> {
+        self.lines[self.row(block)]
+            .iter()
+            .take_while(|l| l.block != VACANT)
+            .find(|l| l.block == block)
+    }
+
+    #[inline]
+    fn line_mut(&mut self, block: BlockAddr) -> Option<&mut Line> {
+        let row = self.row(block);
+        self.lines[row]
+            .iter_mut()
+            .take_while(|l| l.block != VACANT)
+            .find(|l| l.block == block)
+    }
+
     /// `true` if `block` is present.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.sets[self.geometry.set_of(block)]
-            .iter()
-            .any(|l| l.block == block)
+        self.line(block).is_some()
     }
 
     /// Returns the speculative bits of `block`, if present.
     pub fn spec_bits(&self, block: BlockAddr) -> Option<SpecBits> {
-        self.sets[self.geometry.set_of(block)]
-            .iter()
-            .find(|l| l.block == block)
-            .map(|l| l.spec)
+        self.line(block).map(|l| l.spec)
     }
 
     /// Marks `block` most-recently-used and returns whether it was present.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.geometry.set_of(block);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+        if let Some(line) = self.line_mut(block) {
             line.lru = tick;
             true
         } else {
@@ -150,53 +219,73 @@ impl CacheArray {
     pub fn insert(&mut self, block: BlockAddr) -> Option<(BlockAddr, SpecBits)> {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.geometry.set_of(block);
         let ways = self.geometry.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.block == block) {
-            line.lru = tick;
-            return None;
+        let mut row = self.row(block);
+        if row.start == 0 {
+            // First touch: the set gets the next row of the slab.
+            row = self.lines.len()..self.lines.len() + ways;
+            self.lines.resize(row.end, Line::VACANT);
+            // At most one row per set, and `new` checked that all fit u32.
+            self.rows[self.geometry.set_of(block)] = row.start as u32;
         }
-        let mut evicted = None;
-        if set.len() >= ways {
-            // Prefer the LRU non-speculative line; fall back to the LRU line.
-            let victim_idx = set
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| !l.spec.any())
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .unwrap_or_else(|| {
-                    set.iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.lru)
-                        .map(|(i, _)| i)
-                        .expect("full set has lines")
-                });
-            let victim = set.swap_remove(victim_idx);
-            evicted = Some((victim.block, victim.spec));
+        let set = &mut self.lines[row];
+        for line in set.iter_mut() {
+            if line.block == block {
+                line.lru = tick;
+                return None;
+            }
+            // Occupied slots are a prefix, so `block` is not further on.
+            if line.block == VACANT {
+                *line = Line::new(block, tick);
+                return None;
+            }
         }
-        set.push(Line {
-            block,
-            spec: SpecBits::NONE,
-            lru: tick,
-        });
-        evicted
+        // Prefer the LRU non-speculative line; fall back to the LRU line.
+        let victim_idx = set
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| !l.spec.any())
+            .min_by_key(|(_, l)| l.lru)
+            .map(|(i, _)| i)
+            .unwrap_or_else(|| {
+                set.iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.lru)
+                    .map(|(i, _)| i)
+                    .expect("full set has lines")
+            });
+        let victim = set[victim_idx];
+        // The last line takes the victim's slot and the new one goes last:
+        // the order `swap_remove` + `push` leave.
+        set[victim_idx] = set[ways - 1];
+        set[ways - 1] = Line::new(block, tick);
+        Some((victim.block, victim.spec))
     }
 
     /// Removes `block` if present, returning its speculative bits.
     pub fn remove(&mut self, block: BlockAddr) -> Option<SpecBits> {
-        let set = self.geometry.set_of(block);
-        let lines = &mut self.sets[set];
-        let idx = lines.iter().position(|l| l.block == block)?;
-        Some(lines.swap_remove(idx).spec)
+        let row = self.row(block);
+        let set = &mut self.lines[row];
+        let idx = set
+            .iter()
+            .take_while(|l| l.block != VACANT)
+            .position(|l| l.block == block)?;
+        let spec = set[idx].spec;
+        // Keep the occupied slots a prefix: the last one fills the hole
+        // (`swap_remove`).
+        let len = set[idx..]
+            .iter()
+            .position(|l| l.block == VACANT)
+            .map_or(set.len(), |vacant| idx + vacant);
+        set[idx] = set[len - 1];
+        set[len - 1] = Line::VACANT;
+        Some(spec)
     }
 
     /// ORs `bits` into the speculative bits of `block`. Returns `false` if
     /// the block is not present.
     pub fn mark_spec(&mut self, block: BlockAddr, bits: SpecBits) -> bool {
-        let set = self.geometry.set_of(block);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+        if let Some(line) = self.line_mut(block) {
             line.spec.merge(bits);
             true
         } else {
@@ -209,8 +298,7 @@ impl CacheArray {
     /// [`clear_all_spec`](Self::clear_all_spec) this touches one set only,
     /// so a commit clearing N tracked blocks costs O(N), not O(cache).
     pub fn clear_spec(&mut self, block: BlockAddr) -> bool {
-        let set = self.geometry.set_of(block);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+        if let Some(line) = self.line_mut(block) {
             let had = line.spec.any();
             line.spec = SpecBits::NONE;
             had
@@ -220,37 +308,36 @@ impl CacheArray {
     }
 
     /// Clears the speculative bits of every resident block, returning how
-    /// many blocks had any bit set.
+    /// many blocks had any bit set. Walks the touched sets only.
     pub fn clear_all_spec(&mut self) -> usize {
         let mut cleared = 0;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.spec.any() {
-                    cleared += 1;
-                    line.spec = SpecBits::NONE;
-                }
+        for line in &mut self.lines {
+            if line.spec.any() {
+                cleared += 1;
+                line.spec = SpecBits::NONE;
             }
         }
         cleared
     }
 
-    /// Iterates over resident blocks with at least one speculative bit set.
+    /// Iterates over resident blocks with at least one speculative bit set,
+    /// in no particular order. Walks the touched sets only.
     pub fn spec_blocks(&self) -> impl Iterator<Item = (BlockAddr, SpecBits)> + '_ {
-        self.sets
+        // A vacant slot carries no bits, so the filter skips it too.
+        self.lines
             .iter()
-            .flat_map(|set| set.iter())
             .filter(|l| l.spec.any())
             .map(|l| (l.block, l.spec))
     }
 
-    /// Number of resident blocks.
+    /// Number of resident blocks. Walks the touched sets only.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.lines.iter().filter(|l| l.block != VACANT).count()
     }
 
     /// `true` if no blocks are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lines.iter().all(|l| l.block == VACANT)
     }
 }
 

@@ -1,4 +1,6 @@
-//! Model-based property tests for the cache array and directory.
+//! Model-based property tests for the cache array and directory, and the
+//! differential test of the slab-backed `CacheArray` against the
+//! `Vec<Vec<Line>>` implementation it replaced.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -6,6 +8,183 @@ use proptest::prelude::*;
 
 use retcon_isa::BlockAddr;
 use retcon_mem::{CacheArray, CacheGeometry, CoreId, Directory, SpecBits};
+
+/// One way of one set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Line {
+    block: BlockAddr,
+    spec: SpecBits,
+    /// Larger = more recently used.
+    lru: u64,
+}
+
+/// The obvious tag array — one `Vec<Line>` per set, built eagerly — that
+/// `CacheArray` was until it became a lazy slab, kept verbatim as the
+/// reference the slab is checked against: same return values, same victim,
+/// same bits, after every operation.
+#[derive(Debug, Clone)]
+struct RefCache {
+    geometry: CacheGeometry,
+    sets: Vec<Vec<Line>>,
+    tick: u64,
+}
+
+impl RefCache {
+    /// Creates an empty cache with the given geometry.
+    fn new(geometry: CacheGeometry) -> Self {
+        RefCache {
+            geometry,
+            sets: vec![Vec::new(); geometry.sets],
+            tick: 0,
+        }
+    }
+
+    /// The cache's geometry.
+    fn geometry(&self) -> CacheGeometry {
+        self.geometry
+    }
+
+    /// `true` if `block` is present.
+    fn contains(&self, block: BlockAddr) -> bool {
+        self.sets[self.geometry.set_of(block)]
+            .iter()
+            .any(|l| l.block == block)
+    }
+
+    /// Returns the speculative bits of `block`, if present.
+    fn spec_bits(&self, block: BlockAddr) -> Option<SpecBits> {
+        self.sets[self.geometry.set_of(block)]
+            .iter()
+            .find(|l| l.block == block)
+            .map(|l| l.spec)
+    }
+
+    /// Marks `block` most-recently-used and returns whether it was present.
+    fn touch(&mut self, block: BlockAddr) -> bool {
+        self.tick += 1;
+        let tick = self.tick;
+        let set = self.geometry.set_of(block);
+        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+            line.lru = tick;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Inserts `block` (MRU position), evicting the LRU line if the set is
+    /// full. Returns the evicted block and its speculative bits, if any.
+    ///
+    /// Victim selection prefers lines without speculative bits; if every line
+    /// in the set is speculative, the LRU speculative line is evicted and its
+    /// bits are returned so the caller can preserve them in the
+    /// permissions-only cache.
+    fn insert(&mut self, block: BlockAddr) -> Option<(BlockAddr, SpecBits)> {
+        self.tick += 1;
+        let tick = self.tick;
+        let set_idx = self.geometry.set_of(block);
+        let ways = self.geometry.ways;
+        let set = &mut self.sets[set_idx];
+        if let Some(line) = set.iter_mut().find(|l| l.block == block) {
+            line.lru = tick;
+            return None;
+        }
+        let mut evicted = None;
+        if set.len() >= ways {
+            // Prefer the LRU non-speculative line; fall back to the LRU line.
+            let victim_idx = set
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| !l.spec.any())
+                .min_by_key(|(_, l)| l.lru)
+                .map(|(i, _)| i)
+                .unwrap_or_else(|| {
+                    set.iter()
+                        .enumerate()
+                        .min_by_key(|(_, l)| l.lru)
+                        .map(|(i, _)| i)
+                        .expect("full set has lines")
+                });
+            let victim = set.swap_remove(victim_idx);
+            evicted = Some((victim.block, victim.spec));
+        }
+        set.push(Line {
+            block,
+            spec: SpecBits::NONE,
+            lru: tick,
+        });
+        evicted
+    }
+
+    /// Removes `block` if present, returning its speculative bits.
+    fn remove(&mut self, block: BlockAddr) -> Option<SpecBits> {
+        let set = self.geometry.set_of(block);
+        let lines = &mut self.sets[set];
+        let idx = lines.iter().position(|l| l.block == block)?;
+        Some(lines.swap_remove(idx).spec)
+    }
+
+    /// ORs `bits` into the speculative bits of `block`. Returns `false` if
+    /// the block is not present.
+    fn mark_spec(&mut self, block: BlockAddr, bits: SpecBits) -> bool {
+        let set = self.geometry.set_of(block);
+        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+            line.spec.merge(bits);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Clears the speculative bits of `block` if it is resident. Returns
+    /// `true` if the block was present with at least one bit set. Unlike
+    /// [`clear_all_spec`](Self::clear_all_spec) this touches one set only,
+    /// so a commit clearing N tracked blocks costs O(N), not O(cache).
+    fn clear_spec(&mut self, block: BlockAddr) -> bool {
+        let set = self.geometry.set_of(block);
+        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+            let had = line.spec.any();
+            line.spec = SpecBits::NONE;
+            had
+        } else {
+            false
+        }
+    }
+
+    /// Clears the speculative bits of every resident block, returning how
+    /// many blocks had any bit set.
+    fn clear_all_spec(&mut self) -> usize {
+        let mut cleared = 0;
+        for set in &mut self.sets {
+            for line in set.iter_mut() {
+                if line.spec.any() {
+                    cleared += 1;
+                    line.spec = SpecBits::NONE;
+                }
+            }
+        }
+        cleared
+    }
+
+    /// Iterates over resident blocks with at least one speculative bit set.
+    fn spec_blocks(&self) -> impl Iterator<Item = (BlockAddr, SpecBits)> + '_ {
+        self.sets
+            .iter()
+            .flat_map(|set| set.iter())
+            .filter(|l| l.spec.any())
+            .map(|l| (l.block, l.spec))
+    }
+
+    /// Number of resident blocks.
+    fn len(&self) -> usize {
+        self.sets.iter().map(|s| s.len()).sum()
+    }
+
+    /// `true` if no blocks are resident.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// Random cache operations checked against a naive reference model that
 /// tracks only membership and capacity (replacement policy is the cache's
@@ -29,8 +208,105 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
     ]
 }
 
+/// One operation of the differential test. Blocks are named by a set
+/// selector and a tag so that every geometry sees the same pressure: four
+/// sets at most, eight tags each — more than any tested associativity.
+#[derive(Debug, Clone, Copy)]
+enum DiffOp {
+    Insert(u64, u64),
+    Touch(u64, u64),
+    Remove(u64, u64),
+    MarkSpec(u64, u64, bool, bool),
+    ClearSpec(u64, u64),
+    ClearAllSpec,
+}
+
+const DIFF_SELECTORS: u64 = 4;
+const DIFF_TAGS: u64 = 8;
+
+fn diff_block(geometry: CacheGeometry, selector: u64, tag: u64) -> BlockAddr {
+    let sets = geometry.sets as u64;
+    BlockAddr(selector * 7 % sets + sets * tag)
+}
+
+fn diff_op() -> impl Strategy<Value = DiffOp> {
+    let block = || (0..DIFF_SELECTORS, 0..DIFF_TAGS);
+    prop_oneof![
+        // Twice, so that inserts outweigh removes and sets fill up.
+        block().prop_map(|(s, t)| DiffOp::Insert(s, t)),
+        block().prop_map(|(s, t)| DiffOp::Insert(s, t)),
+        block().prop_map(|(s, t)| DiffOp::Touch(s, t)),
+        block().prop_map(|(s, t)| DiffOp::Remove(s, t)),
+        (block(), any::<bool>(), any::<bool>())
+            .prop_map(|((s, t), r, w)| DiffOp::MarkSpec(s, t, r, w)),
+        block().prop_map(|(s, t)| DiffOp::ClearSpec(s, t)),
+        Just(DiffOp::ClearAllSpec),
+    ]
+}
+
+fn sorted(blocks: impl Iterator<Item = (BlockAddr, SpecBits)>) -> Vec<(u64, bool, bool)> {
+    let mut v: Vec<_> = blocks.map(|(b, s)| (b.0, s.read, s.written)).collect();
+    v.sort_unstable();
+    v
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Optimized ≡ obvious: the slab and the reference agree on every
+    /// return value — the evicted block *and* its bits, so victim choice is
+    /// covered — and on every observable after every operation.
+    #[test]
+    fn slab_matches_reference_implementation(ops in proptest::collection::vec(diff_op(), 1..300)) {
+        for (sets, ways) in [(1, 1), (4, 2), (3, 5), (256, 4)] {
+            let geometry = CacheGeometry { sets, ways };
+            let mut slab = CacheArray::new(geometry);
+            let mut reference = RefCache::new(geometry);
+            prop_assert_eq!(slab.geometry(), reference.geometry());
+            for &op in &ops {
+                let at = |s, t| diff_block(geometry, s, t);
+                match op {
+                    DiffOp::Insert(s, t) => {
+                        prop_assert_eq!(slab.insert(at(s, t)), reference.insert(at(s, t)), "{:?}", op);
+                    }
+                    DiffOp::Touch(s, t) => {
+                        prop_assert_eq!(slab.touch(at(s, t)), reference.touch(at(s, t)), "{:?}", op);
+                    }
+                    DiffOp::Remove(s, t) => {
+                        prop_assert_eq!(slab.remove(at(s, t)), reference.remove(at(s, t)), "{:?}", op);
+                    }
+                    DiffOp::MarkSpec(s, t, read, written) => {
+                        let bits = SpecBits { read, written };
+                        prop_assert_eq!(
+                            slab.mark_spec(at(s, t), bits),
+                            reference.mark_spec(at(s, t), bits),
+                            "{:?}", op
+                        );
+                    }
+                    DiffOp::ClearSpec(s, t) => {
+                        prop_assert_eq!(
+                            slab.clear_spec(at(s, t)),
+                            reference.clear_spec(at(s, t)),
+                            "{:?}", op
+                        );
+                    }
+                    DiffOp::ClearAllSpec => {
+                        prop_assert_eq!(slab.clear_all_spec(), reference.clear_all_spec());
+                    }
+                }
+                for s in 0..DIFF_SELECTORS {
+                    for t in 0..DIFF_TAGS {
+                        let b = at(s, t);
+                        prop_assert_eq!(slab.contains(b), reference.contains(b), "{:?}", b);
+                        prop_assert_eq!(slab.spec_bits(b), reference.spec_bits(b), "{:?}", b);
+                    }
+                }
+                prop_assert_eq!(slab.len(), reference.len());
+                prop_assert_eq!(slab.is_empty(), reference.is_empty());
+                prop_assert_eq!(sorted(slab.spec_blocks()), sorted(reference.spec_blocks()));
+            }
+        }
+    }
 
     #[test]
     fn cache_membership_and_capacity(ops in proptest::collection::vec(cache_op(), 1..200)) {

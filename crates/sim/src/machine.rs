@@ -370,9 +370,10 @@ impl<const N: usize> Machine<N> {
         };
     }
 
-    /// The recorded block footprint, if tracking was enabled.
-    pub fn footprint(&self) -> Option<&retcon_mem::FxHashSet<u64>> {
-        self.footprint.as_ref()
+    /// Detaches and returns the recorded block footprint, switching
+    /// tracking off. `None` if tracking was never enabled.
+    pub fn take_footprint(&mut self) -> Option<retcon_mem::FxHashSet<u64>> {
+        self.footprint.take()
     }
 
     /// Attaches an event tracer: transaction begin/conflict/stall/

@@ -136,9 +136,8 @@ where
                 }
                 *slot = Some(machine.run().map(|report| {
                     let footprint = machine
-                        .footprint()
-                        .expect("footprint tracking enabled above")
-                        .clone();
+                        .take_footprint()
+                        .expect("footprint tracking enabled above");
                     (report, footprint, machine.take_tracer())
                 }));
             });
