@@ -79,8 +79,8 @@ pub use config::SimConfig;
 pub use machine::{Machine, SimError};
 pub use report::{CoreReport, SimReport, TimeBreakdown};
 pub use schedule::{
-    Bound, CoreAction, Decision, DeterministicMinHeap, Schedule, SchedulePeek, SeededFuzz,
-    TraceHash,
+    Bound, CoreAction, Decision, DeterministicMin, Schedule, SchedulePeek, ScheduleStats,
+    SeededFuzz, TraceHash,
 };
 pub use shard::{run_sharded, shard_ranges, ShardedOutcome};
 pub use tape::InputTape;

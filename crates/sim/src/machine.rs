@@ -9,7 +9,7 @@ use retcon_mem::{CoreId, MemorySystem};
 use crate::config::SimConfig;
 use crate::report::{CoreReport, SimReport, TimeBreakdown};
 use crate::schedule::{
-    Bound, CoreAction, Decision, DeterministicMinHeap, Schedule, SchedulePeek, SeededFuzz,
+    Bound, CoreAction, Decision, DeterministicMin, Schedule, SchedulePeek, SeededFuzz,
 };
 use crate::tape::InputTape;
 
@@ -434,7 +434,7 @@ impl<const N: usize> Machine<N> {
 
     /// Runs every core to completion and reports.
     ///
-    /// Scheduling policy: the deterministic `(clock, id)` min-heap, unless
+    /// Scheduling policy: the deterministic `(clock, id)` minimum, unless
     /// [`SimConfig::schedule_seed`] selects a [`SeededFuzz`] perturbation
     /// (still exactly reproducible from the seed).
     ///
@@ -444,18 +444,18 @@ impl<const N: usize> Machine<N> {
     /// [`SimError::CycleLimit`] if the run exceeds the configured cap.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         match self.cfg.schedule_seed {
-            None => self.run_with(&mut DeterministicMinHeap::new()),
+            None => self.run_with(&mut DeterministicMin::new()),
             Some(seed) => self.run_with(&mut SeededFuzz::new(seed)),
         }
     }
 
     /// Runs every core to completion under an explicit [`Schedule`] policy.
     ///
-    /// The default policy ([`DeterministicMinHeap`]) always advances the
+    /// The default policy ([`DeterministicMin`]) always advances the
     /// runnable core with the smallest `(clock, id)`: each runnable core
-    /// has exactly one heap entry carrying its current clock, and the
+    /// has exactly one queued key carrying its current clock, and the
     /// popped core then *batches* — `run_core` keeps executing its
-    /// instructions while `(clock, id)` stays strictly below the next heap
+    /// instructions while `(clock, id)` stays strictly below the next queued
     /// key ([`Bound::Until`]). A core's clock only grows and no other core
     /// runs in between, so the batched execution order is identical to
     /// re-popping after every instruction — but the schedule is only

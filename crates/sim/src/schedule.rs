@@ -8,7 +8,7 @@
 //! the policy behind a [`Schedule`] trait so the same machine can be driven
 //! by other policies:
 //!
-//! * [`DeterministicMinHeap`] — the default; byte-for-byte the historical
+//! * [`DeterministicMin`] — the default; byte-for-byte the historical
 //!   behavior, including the stall-boundary batching contract.
 //! * [`SeededFuzz`] — a splitmix-seeded perturber that reorders
 //!   same-clock-eligible cores and injects bounded stall jitter; every run
@@ -34,7 +34,7 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Batch: execute while the core's `(clock, id)` stays strictly below
-    /// this key (the heap policy's stall-boundary batching; the key is the
+    /// this key (the default policy's stall-boundary batching; the key is the
     /// smallest `(clock, id)` among the other runnable cores).
     Until(u64, usize),
     /// Execute exactly one instruction attempt (a stalled retry counts),
@@ -60,7 +60,7 @@ pub struct Decision {
     /// may charge past the keys of other cores that are themselves inside
     /// certified storms — but never past a core that would execute a real
     /// instruction. Policies without a storm/active split (every policy
-    /// except [`DeterministicMinHeap`]) set this equal to `bound`, which
+    /// except [`DeterministicMin`]) set this equal to `bound`, which
     /// disables the relaxation.
     pub storm_bound: Bound,
 }
@@ -180,11 +180,210 @@ pub trait Schedule {
     }
 }
 
+/// Width of a [`MonotoneQueue`]'s wheel in one-cycle slots (a power of
+/// two). Cores re-enter within a few cycles of the clock they were popped
+/// at — one instruction, one L1 hit, one stall retry — so nearly every
+/// push lands inside the window; stall fast-forward charges and long
+/// `Work` instructions overshoot it and go to the far heap
+/// (`tests/sched_traffic.rs` pins that share).
+const WHEEL: usize = 256;
+
+/// A `(clock, id)` scheduling key.
+type Key = (u64, usize);
+
+/// "No entry": compares above every real key (no core has this id).
+const EMPTY: Key = (u64::MAX, usize::MAX);
+
+/// A min-priority queue of `(clock, id)` keys for *monotone* use: a timing
+/// wheel for keys in `[base, base + WHEEL)` and a plain binary heap for
+/// the rest.
+///
+/// The wheel is `WHEEL` slots, one per clock value modulo `WHEEL`, each a
+/// bitmask over core ids (`words` `u64`s per slot, all slots in one flat
+/// vector). A key is one bit: slot `clock & (WHEEL - 1)`, bit `id`. Within
+/// a slot the lowest set bit is the smallest id, so the `(clock, id)`
+/// tie-break costs nothing; across slots, `occupied` (one bit per
+/// non-empty slot) is scanned circularly from the last popped clock.
+///
+/// **Precondition** (checked by `debug_assert!`): every pushed clock is at
+/// least `base`, the clock of the last pop — here or, through
+/// [`advance`](Self::advance), in a sibling queue popped in the same
+/// global-minimum order. Then `base` never decreases, every wheel key
+/// stays inside `[base, base + WHEEL)`, and two wheel keys share a slot
+/// only if they share a clock. Keys at or beyond `base + WHEEL` go to
+/// `far` and are never migrated: the minimum is `min(wheel minimum,
+/// far.peek())`, both O(1) to read, so a far key is simply popped from
+/// the heap when its turn comes.
+#[derive(Debug)]
+struct MonotoneQueue {
+    /// `u64` words per slot: `ceil(cores / 64)`.
+    words: usize,
+    /// `WHEEL * words` id-mask words, slot-major.
+    slots: Vec<u64>,
+    /// Bit `s` set iff slot `s` holds at least one id.
+    occupied: [u64; WHEEL / 64],
+    base: u64,
+    /// Cached smallest wheel key ([`EMPTY`] if the wheel is empty).
+    near_min: Key,
+    far: BinaryHeap<Reverse<Key>>,
+    /// Cached smallest key overall: `min(near_min, far.peek())`.
+    min: Key,
+}
+
+impl Default for MonotoneQueue {
+    fn default() -> Self {
+        MonotoneQueue {
+            words: 0,
+            slots: Vec::new(),
+            occupied: [0; WHEEL / 64],
+            base: 0,
+            near_min: EMPTY,
+            far: BinaryHeap::new(),
+            min: EMPTY,
+        }
+    }
+}
+
+impl MonotoneQueue {
+    /// Empties the queue for a `cores`-core run starting at clock `base`,
+    /// keeping both allocations.
+    fn reset(&mut self, cores: usize, base: u64) {
+        self.words = cores.div_ceil(64);
+        self.slots.clear();
+        self.slots.resize(WHEEL * self.words, 0);
+        self.occupied = [0; WHEEL / 64];
+        self.base = base;
+        self.near_min = EMPTY;
+        self.far.clear();
+        // A core has at most one key, so `far` never outgrows this.
+        self.far.reserve(cores);
+        self.min = EMPTY;
+    }
+
+    /// Inserts `(clock, id)`; returns whether it landed on the wheel.
+    #[inline]
+    fn push(&mut self, clock: u64, id: usize) -> bool {
+        debug_assert!(
+            clock >= self.base,
+            "non-monotone push: clock {clock} below the last popped clock {}",
+            self.base
+        );
+        let key = (clock, id);
+        let near = clock - self.base < WHEEL as u64;
+        if near {
+            let slot = clock as usize & (WHEEL - 1);
+            self.slots[slot * self.words + id / 64] |= 1 << (id % 64);
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.near_min = self.near_min.min(key);
+        } else {
+            self.far.push(Reverse(key));
+        }
+        self.min = self.min.min(key);
+        near
+    }
+
+    /// Removes the minimum, which the caller has read from `min` (so the
+    /// queue is non-empty), and makes its clock the new `base`.
+    #[inline]
+    fn pop(&mut self) {
+        let (clock, id) = self.min;
+        if self.min == self.near_min {
+            self.near_min = self.remove_near_min(clock, id);
+        } else {
+            self.far.pop();
+        }
+        self.base = clock;
+        let far_min = self.far.peek().map_or(EMPTY, |&Reverse(key)| key);
+        self.min = self.near_min.min(far_min);
+    }
+
+    /// A sibling queue popped `clock`, the minimum over both: no key here
+    /// is below it, so the window may start there.
+    #[inline]
+    fn advance(&mut self, clock: u64) {
+        debug_assert!(self.base <= clock && clock <= self.min.0);
+        self.base = clock;
+    }
+
+    /// Clears the wheel's minimum `(clock, id)` and returns the next one.
+    /// `id` was the lowest bit of its slot, so the slot's remaining ids are
+    /// all above it; only when the slot runs dry is `occupied` consulted.
+    #[inline]
+    fn remove_near_min(&mut self, clock: u64, id: usize) -> Key {
+        let slot = clock as usize & (WHEEL - 1);
+        if self.words == 1 {
+            // At most 64 cores: a slot is one word.
+            let rest = self.slots[slot] & !(1 << id);
+            self.slots[slot] = rest;
+            if rest != 0 {
+                return (clock, rest.trailing_zeros() as usize);
+            }
+        } else {
+            let ids = &mut self.slots[slot * self.words..][..self.words];
+            ids[id / 64] &= !(1 << (id % 64));
+            if let Some(next) = lowest_id(&ids[id / 64..]) {
+                return (clock, (id & !63) + next);
+            }
+        }
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        self.scan_from(clock)
+    }
+
+    /// The smallest wheel key, given that none is below `from`: the first
+    /// occupied slot at or circularly after `from`'s, and its lowest id.
+    fn scan_from(&self, from: u64) -> Key {
+        const OCC: usize = WHEEL / 64;
+        let start = from as usize & (WHEEL - 1);
+        let (word, bit) = (start / 64, start % 64);
+        // `word`'s bits from `bit` up, the other words whole, then
+        // `word`'s bits below `bit` (the wrapped-around tail).
+        for i in 0..=OCC {
+            let w = (word + i) % OCC;
+            let mask = match i {
+                0 => !0 << bit,
+                OCC => !(!0 << bit),
+                _ => !0,
+            };
+            let bits = self.occupied[w] & mask;
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                let ahead = slot.wrapping_sub(start) & (WHEEL - 1);
+                let ids = &self.slots[slot * self.words..][..self.words];
+                let id = lowest_id(ids).expect("an occupied slot holds an id");
+                return (from + ahead as u64, id);
+            }
+        }
+        EMPTY
+    }
+}
+
+/// Index of the lowest set bit across `words`, least significant first.
+#[inline]
+fn lowest_id(words: &[u64]) -> Option<usize> {
+    words
+        .iter()
+        .position(|&w| w != 0)
+        .map(|i| i * 64 + words[i].trailing_zeros() as usize)
+}
+
+/// Deterministic work counters of one [`DeterministicMin`] run: exact per
+/// input, never part of a report or record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScheduleStats {
+    /// Scheduling decisions taken (`next_core` calls that returned a core).
+    pub pops: u64,
+    /// Keys pushed onto a timing wheel (within its 256-cycle window above
+    /// the last popped clock).
+    pub near_pushes: u64,
+    /// Keys pushed beyond the wheel's window, onto a binary heap.
+    pub far_pushes: u64,
+}
+
 /// The default policy: always run the runnable core with the smallest
-/// `(clock, id)`, batching until the next heap key. Byte-for-byte the
+/// `(clock, id)`, batching until the next key. Byte-for-byte the
 /// historical `Machine::run` scheduler.
 ///
-/// Runnable cores live in two heaps by the `storming` yield flag: cores
+/// Runnable cores live in two queues by the `storming` yield flag: cores
 /// about to execute real instructions in `ready`, cores inside certified
 /// stall storms in `storming`. Selection order is unchanged (the global
 /// minimum across both), so the split is invisible to execution order; its
@@ -192,70 +391,113 @@ pub trait Schedule {
 /// the earliest *ready* key only. On heavily contended runs most runnable
 /// cores are storming in lockstep, and without the split every storm
 /// charge is clamped to a single retry by the next storming neighbour's
-/// key — the relaxation lets one heap pop charge a storm clear across all
-/// of them, collapsing the scheduler round-trips that dominate such runs.
+/// key — the relaxation lets one pop charge a storm clear across all of
+/// them, collapsing the scheduler round-trips that dominate such runs.
+///
+/// The policy is consulted about once per simulated instruction (cores
+/// advance in lock-step, so a batch is rarely longer), which is why the
+/// queues are O(1) timing wheels and not binary heaps.
+///
+/// # Precondition: monotone pushes
+///
+/// `core_yielded` and `core_released` must report clocks at or above the
+/// clock of the last decision. [`Machine::run_with`](crate::Machine::run_with)
+/// guarantees it: the decided key is the global minimum, a yielding core's
+/// clock has only grown from it, and a barrier releases at the maximum
+/// parked clock. The one exception is allowed for: a release while *no*
+/// core is runnable may restart below the last decision (the last runner
+/// halted above every parked core). Debug builds assert the precondition;
+/// a policy for arbitrary push orders must bring its own queue.
 #[derive(Debug, Default)]
-pub struct DeterministicMinHeap {
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
-    storming: BinaryHeap<Reverse<(u64, usize)>>,
+pub struct DeterministicMin {
+    ready: MonotoneQueue,
+    storming: MonotoneQueue,
+    stats: ScheduleStats,
 }
 
-impl DeterministicMinHeap {
-    /// An empty heap; `begin` fills it.
+impl DeterministicMin {
+    /// An empty policy; `begin` fills it.
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Work counters since the last `begin` (whose initial keys count as
+    /// pushes).
+    pub fn stats(&self) -> ScheduleStats {
+        self.stats
+    }
+
+    /// Queues `core` at `clock`, among the storming cores or the ready.
+    #[inline]
+    fn push(&mut self, storming: bool, clock: u64, core: usize) {
+        let queue = if storming {
+            &mut self.storming
+        } else {
+            &mut self.ready
+        };
+        let near = queue.push(clock, core);
+        self.stats.near_pushes += u64::from(near);
+        self.stats.far_pushes += u64::from(!near);
+    }
 }
 
-impl Schedule for DeterministicMinHeap {
+impl Schedule for DeterministicMin {
     fn begin(&mut self, clocks: &[u64]) {
-        self.ready.clear();
-        self.storming.clear();
-        self.ready
-            .extend(clocks.iter().enumerate().map(|(i, &c)| Reverse((c, i))));
+        let base = clocks.iter().copied().min().unwrap_or(0);
+        self.ready.reset(clocks.len(), base);
+        self.storming.reset(clocks.len(), base);
+        self.stats = ScheduleStats::default();
+        for (core, &clock) in clocks.iter().enumerate() {
+            self.push(false, clock, core);
+        }
     }
 
     fn next_core(&mut self, _peek: &dyn SchedulePeek) -> Option<Decision> {
-        let from_storm = match (self.ready.peek(), self.storming.peek()) {
-            (Some(&Reverse(r)), Some(&Reverse(s))) => s < r,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => return None,
-        };
-        let Reverse((_, core)) = if from_storm {
-            self.storming.pop()?
+        // Both arms spelled out: picking the two queues through `&mut`
+        // bindings first cost ~2 ns a decision (`cost_per_decision_probe`).
+        let (_, core) = if self.storming.min < self.ready.min {
+            let key = self.storming.min;
+            self.storming.pop();
+            self.ready.advance(key.0);
+            key
         } else {
-            self.ready.pop()?
+            let key = self.ready.min;
+            if key == EMPTY {
+                return None; // and `storming`, whose minimum is no smaller
+            }
+            self.ready.pop();
+            self.storming.advance(key.0);
+            key
         };
-        let ready_top = self.ready.peek().map(|&Reverse(k)| k);
-        let storm_top = self.storming.peek().map(|&Reverse(k)| k);
-        let until = |key: Option<(u64, usize)>| match key {
-            Some((clock, id)) => Bound::Until(clock, id),
-            None => Bound::Free,
+        self.stats.pops += 1;
+        let until = |key: Key| match key {
+            EMPTY => Bound::Free,
+            (clock, id) => Bound::Until(clock, id),
         };
-        let bound = until(match (ready_top, storm_top) {
-            (Some(r), Some(s)) => Some(r.min(s)),
-            (r, s) => r.or(s),
-        });
         Some(Decision {
             core,
-            bound,
-            storm_bound: until(ready_top),
+            bound: until(self.ready.min.min(self.storming.min)),
+            storm_bound: until(self.ready.min),
         })
     }
 
     fn core_yielded(&mut self, core: usize, now: u64, runnable: bool, storming: bool) {
         if runnable {
-            if storming {
-                self.storming.push(Reverse((now, core)));
-            } else {
-                self.ready.push(Reverse((now, core)));
-            }
+            self.push(storming, now, core);
         }
     }
 
     fn core_released(&mut self, core: usize, now: u64) {
-        self.ready.push(Reverse((now, core)));
+        if now < self.ready.base {
+            // The last runner halted above every parked core, so this
+            // barrier releases below the last decision. Nothing is queued
+            // (a barrier releases only when no core is runnable), and an
+            // empty wheel may restart anywhere.
+            debug_assert!(self.ready.min == EMPTY && self.storming.min == EMPTY);
+            self.ready.base = now;
+            self.storming.base = now;
+        }
+        self.push(false, now, core);
     }
 
     fn stall_jitter_free(&self) -> bool {
@@ -431,8 +673,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_orders_by_clock_then_id() {
-        let mut s = DeterministicMinHeap::new();
+    fn default_orders_by_clock_then_id() {
+        let mut s = DeterministicMin::new();
         s.begin(&[5, 0, 5]);
         let d = s.next_core(&NoPeek).unwrap();
         assert_eq!(d.core, 1);
@@ -444,8 +686,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_frees_last_core_and_drops_unrunnable() {
-        let mut s = DeterministicMinHeap::new();
+    fn default_frees_last_core_and_drops_unrunnable() {
+        let mut s = DeterministicMin::new();
         s.begin(&[0, 3]);
         let d = s.next_core(&NoPeek).unwrap();
         assert_eq!(d.core, 0);
