@@ -77,6 +77,14 @@ pub struct Repair {
     pub registers: Vec<(Reg, u64)>,
 }
 
+/// A position in the pre-commit acquisition order (see
+/// [`Engine::next_precommit_block`]); the default is its start.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrecommitCursor {
+    tracked: usize,
+    last_store: Option<BlockAddr>,
+}
+
 /// The per-core RETCON engine.
 ///
 /// The engine owns the four hardware structures of Figure 5 — initial value
@@ -209,7 +217,15 @@ impl Engine {
     /// via `read_word`. Returns `false` if the initial value buffer is full.
     pub fn begin_tracking(&mut self, block: BlockAddr, read_word: impl FnMut(Addr) -> u64) -> bool {
         debug_assert!(self.in_tx, "tracking outside a transaction");
-        self.ivb.allocate(block, read_word)
+        let tracked = self.ivb.allocate(block, read_word);
+        // A symbolic store may already be buffered for the block (stored
+        // while untracked, another word loaded now): commit-time stores
+        // target it, so it is reacquired with write permission (§4.4) like
+        // any block stored to after tracking began.
+        if tracked && self.ssb.iter().any(|e| e.addr.block() == block) {
+            self.ivb.mark_written(block);
+        }
+        tracked
     }
 
     /// Completes a load serviced by the symbolic store buffer: copies the
@@ -391,37 +407,28 @@ impl Engine {
         self.ivb.mark_lost(block);
     }
 
-    /// The blocks the pre-commit process must reacquire, with the §4.4
-    /// written-bit hint (`true` = acquire write permission directly because
-    /// commit-time stores target the block).
-    pub fn precommit_blocks(&self) -> Vec<(BlockAddr, bool)> {
-        self.ivb
+    /// The next block the pre-commit process must acquire (Figure 7,
+    /// step 1) and whether it needs write permission, advancing `at`:
+    /// every tracked block in IVB order — written when commit-time stores
+    /// target it (§4.4) — then the *untracked* blocks holding buffered
+    /// stores, ascending. A cursor rather than an iterator, so the protocol
+    /// can resolve conflicts between steps and walk the same order
+    /// read-only without a buffer.
+    pub fn next_precommit_block(&self, at: &mut PrecommitCursor) -> Option<(BlockAddr, bool)> {
+        if at.tracked < self.ivb.len() {
+            let e = self.ivb.entry_at(at.tracked);
+            at.tracked += 1;
+            return Some((e.block(), e.is_written()));
+        }
+        let after = at.last_store;
+        let block = self
+            .ssb
             .iter()
-            .map(|e| (e.block(), e.is_written()))
-            .collect()
-    }
-
-    /// Word addresses of buffered stores to *untracked* blocks, which the
-    /// commit process must acquire write permission for.
-    pub fn precommit_store_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks = Vec::new();
-        self.collect_precommit_store_blocks(&mut blocks);
-        blocks
-    }
-
-    /// [`precommit_store_blocks`](Engine::precommit_store_blocks) into a
-    /// caller-owned scratch buffer (cleared first), so steady-state commits
-    /// reuse one allocation instead of collecting a fresh `Vec`.
-    pub fn collect_precommit_store_blocks(&self, out: &mut Vec<BlockAddr>) {
-        out.clear();
-        out.extend(
-            self.ssb
-                .iter()
-                .map(|e| e.addr.block())
-                .filter(|b| !self.ivb.contains(*b)),
-        );
-        out.sort_by_key(|b| b.0);
-        out.dedup();
+            .map(|e| e.addr.block())
+            .filter(|b| after.map_or(true, |a| b.0 > a.0) && !self.ivb.contains(*b))
+            .min_by_key(|b| b.0)?;
+        at.last_store = Some(block);
+        Some((block, true))
     }
 
     /// Runs the Figure 7 pre-commit repair algorithm.
@@ -925,23 +932,30 @@ mod tests {
     }
 
     #[test]
-    fn precommit_blocks_report_write_hint() {
+    fn precommit_order_is_tracked_then_untracked_stores() {
         let a = Addr(0);
         let b = Addr(8);
-        let c = Addr(16);
         let mut eng = engine();
         eng.begin();
         track(&mut eng, a, 1);
         track(&mut eng, b, 2);
         eng.on_store(a, None, 9); // tracked block A written
-        let blocks = eng.precommit_blocks();
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks.contains(&(a.block(), true)));
-        assert!(blocks.contains(&(b.block(), false)));
-        // A symbolic store to an untracked block shows up separately.
         let _ = eng.finish_tracked_load(Reg(1), a);
-        eng.on_store(c, Some(Reg(1)), 1);
-        assert_eq!(eng.precommit_store_blocks(), vec![c.block()]);
+        // Symbolic stores to untracked blocks follow, ascending, once each.
+        for c in [Addr(40), Addr(16), Addr(17)] {
+            eng.on_store(c, Some(Reg(1)), 1);
+        }
+        let mut at = PrecommitCursor::default();
+        let order: Vec<_> = std::iter::from_fn(|| eng.next_precommit_block(&mut at)).collect();
+        assert_eq!(
+            order,
+            [
+                (a.block(), true),
+                (b.block(), false),
+                (Addr(16).block(), true),
+                (Addr(40).block(), true)
+            ]
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ mod sym;
 
 pub use config::RetconConfig;
 pub use constraint::Constraint;
-pub use engine::{Engine, LoadPath, Repair, StorePath, Violation};
+pub use engine::{Engine, LoadPath, PrecommitCursor, Repair, StorePath, Violation};
 pub use ivb::{Ivb, IvbEntry};
 pub use predictor::Predictor;
 pub use regfile::SymRegFile;

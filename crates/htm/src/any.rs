@@ -60,29 +60,18 @@ impl<const N: usize> std::fmt::Debug for AnyProtocol<N> {
     }
 }
 
-/// Expands one protocol call across every variant, fully qualified as
-/// `Protocol::<N>::method` so the size class is pinned (the built-ins
-/// implement `Protocol<N>` for every `N`). `Dyn` deref-coerces the box,
-/// so the same expansion serves all six arms.
+/// Expands one protocol call across every variant. Method-call syntax
+/// picks the receiver each [`Protocol`] method wants, and auto-derefs the
+/// `Dyn` box, so one expansion serves all six arms.
 macro_rules! dispatch {
     ($self:expr, $method:ident ( $($args:expr),* )) => {
         match $self {
-            AnyProtocol::Eager(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Lazy(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::LazyVb(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Retcon(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Datm(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Dyn(p) => Protocol::<N>::$method(&mut **p, $($args),*),
-        }
-    };
-    (ref $self:expr, $method:ident ( $($args:expr),* )) => {
-        match $self {
-            AnyProtocol::Eager(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Lazy(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::LazyVb(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Retcon(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Datm(p) => Protocol::<N>::$method(p, $($args),*),
-            AnyProtocol::Dyn(p) => Protocol::<N>::$method(&**p, $($args),*),
+            AnyProtocol::Eager(p) => p.$method($($args),*),
+            AnyProtocol::Lazy(p) => p.$method($($args),*),
+            AnyProtocol::LazyVb(p) => p.$method($($args),*),
+            AnyProtocol::Retcon(p) => p.$method($($args),*),
+            AnyProtocol::Datm(p) => p.$method($($args),*),
+            AnyProtocol::Dyn(p) => p.$method($($args),*),
         }
     };
 }
@@ -91,7 +80,7 @@ impl<const N: usize> AnyProtocol<N> {
     /// Short name for reports (e.g. `"eager"`, `"lazy-vb"`, `"RetCon"`).
     #[inline]
     pub fn name(&self) -> &'static str {
-        dispatch!(ref self, name())
+        dispatch!(self, name())
     }
 
     /// Begins (or re-begins after an abort) a transaction on `core`.
@@ -103,7 +92,7 @@ impl<const N: usize> AnyProtocol<N> {
     /// `true` while `core` has an active transaction.
     #[inline]
     pub fn tx_active(&self, core: CoreId) -> bool {
-        dispatch!(ref self, tx_active(core))
+        dispatch!(self, tx_active(core))
     }
 
     /// Performs a load (see [`Protocol::read`]).
@@ -152,7 +141,7 @@ impl<const N: usize> AnyProtocol<N> {
     /// [`Protocol::abort_pending`]).
     #[inline]
     pub fn abort_pending(&self, core: CoreId) -> bool {
-        dispatch!(ref self, abort_pending(core))
+        dispatch!(self, abort_pending(core))
     }
 
     /// Hook: `dst` was overwritten with an immediate.
@@ -201,13 +190,13 @@ impl<const N: usize> AnyProtocol<N> {
     /// This core's protocol statistics.
     #[inline]
     pub fn stats(&self, core: CoreId) -> &ProtocolStats {
-        dispatch!(ref self, stats(core))
+        dispatch!(self, stats(core))
     }
 
     /// Aggregate RETCON structure statistics, if collected.
     #[inline]
     pub fn retcon_stats(&self) -> Option<RetconStats> {
-        dispatch!(ref self, retcon_stats())
+        dispatch!(self, retcon_stats())
     }
 
     /// Read-only stall-storm dry run (see [`Protocol::stall_storm`]).
@@ -218,7 +207,7 @@ impl<const N: usize> AnyProtocol<N> {
         action: StallAction,
         mem: &MemorySystem<N>,
     ) -> Option<StallStorm<N>> {
-        dispatch!(ref self, stall_storm(core, action, mem))
+        dispatch!(self, stall_storm(core, action, mem))
     }
 
     /// Applies `n` fast-forwarded stall retries (see
@@ -241,7 +230,7 @@ impl<const N: usize> AnyProtocol<N> {
     ///
     /// Describes the first violated invariant.
     pub fn check_quiescent(&self) -> Result<(), String> {
-        dispatch!(ref self, check_quiescent())
+        dispatch!(self, check_quiescent())
     }
 
     /// The inner [`RetconTm`], if this is the RETCON variant (tests and
@@ -254,153 +243,23 @@ impl<const N: usize> AnyProtocol<N> {
     }
 }
 
-/// `AnyProtocol` is itself a [`Protocol`], so code written against the
-/// trait (or nesting one `AnyProtocol` inside another's `Dyn` box) keeps
-/// working.
-impl<const N: usize> Protocol<N> for AnyProtocol<N> {
-    fn name(&self) -> &'static str {
-        AnyProtocol::name(self)
-    }
-
-    fn tx_begin(&mut self, core: CoreId, now: u64) {
-        AnyProtocol::tx_begin(self, core, now)
-    }
-
-    fn tx_active(&self, core: CoreId) -> bool {
-        AnyProtocol::tx_active(self, core)
-    }
-
-    fn read(
-        &mut self,
-        core: CoreId,
-        dst: Reg,
-        addr: Addr,
-        addr_reg: Option<Reg>,
-        mem: &mut MemorySystem<N>,
-        now: u64,
-    ) -> MemResult {
-        AnyProtocol::read(self, core, dst, addr, addr_reg, mem, now)
-    }
-
-    fn write(
-        &mut self,
-        core: CoreId,
-        src: Option<Reg>,
-        value: u64,
-        addr: Addr,
-        addr_reg: Option<Reg>,
-        mem: &mut MemorySystem<N>,
-        now: u64,
-    ) -> MemResult {
-        AnyProtocol::write(self, core, src, value, addr, addr_reg, mem, now)
-    }
-
-    fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, now: u64) -> CommitResult {
-        AnyProtocol::commit(self, core, mem, now)
-    }
-
-    fn take_aborted(&mut self, core: CoreId) -> bool {
-        AnyProtocol::take_aborted(self, core)
-    }
-
-    fn abort_pending(&self, core: CoreId) -> bool {
-        AnyProtocol::abort_pending(self, core)
-    }
-
-    fn on_imm(&mut self, core: CoreId, dst: Reg) {
-        AnyProtocol::on_imm(self, core, dst)
-    }
-
-    fn on_mov(&mut self, core: CoreId, dst: Reg, src: Reg) {
-        AnyProtocol::on_mov(self, core, dst, src)
-    }
-
-    fn on_alu(
-        &mut self,
-        core: CoreId,
-        op: BinOp,
-        dst: Reg,
-        lhs: Reg,
-        rhs: Option<Reg>,
-        lhs_val: u64,
-        rhs_val: u64,
-    ) -> u64 {
-        AnyProtocol::on_alu(self, core, op, dst, lhs, rhs, lhs_val, rhs_val)
-    }
-
-    fn on_branch(
-        &mut self,
-        core: CoreId,
-        cmp: CmpOp,
-        lhs: Reg,
-        rhs: Option<Reg>,
-        lhs_val: u64,
-        rhs_val: u64,
-    ) -> bool {
-        AnyProtocol::on_branch(self, core, cmp, lhs, rhs, lhs_val, rhs_val)
-    }
-
-    fn stats(&self, core: CoreId) -> &ProtocolStats {
-        AnyProtocol::stats(self, core)
-    }
-
-    fn retcon_stats(&self) -> Option<RetconStats> {
-        AnyProtocol::retcon_stats(self)
-    }
-
-    fn stall_storm(
-        &self,
-        core: CoreId,
-        action: StallAction,
-        mem: &MemorySystem<N>,
-    ) -> Option<StallStorm<N>> {
-        AnyProtocol::stall_storm(self, core, action, mem)
-    }
-
-    fn apply_stall_retries(
-        &mut self,
-        core: CoreId,
-        storm: &StallStorm<N>,
-        n: u64,
-        mem: &mut MemorySystem<N>,
-    ) {
-        AnyProtocol::apply_stall_retries(self, core, storm, n, mem)
-    }
-
-    fn check_quiescent(&self) -> Result<(), String> {
-        AnyProtocol::check_quiescent(self)
-    }
+/// Every built-in protocol converts into its variant.
+macro_rules! from_builtin {
+    ($($variant:ident($protocol:ident)),*) => {$(
+        impl<const N: usize> From<$protocol<N>> for AnyProtocol<N> {
+            fn from(p: $protocol<N>) -> Self {
+                AnyProtocol::$variant(p)
+            }
+        }
+    )*};
 }
-
-impl<const N: usize> From<EagerTm<N>> for AnyProtocol<N> {
-    fn from(p: EagerTm<N>) -> Self {
-        AnyProtocol::Eager(p)
-    }
-}
-
-impl<const N: usize> From<LazyTm<N>> for AnyProtocol<N> {
-    fn from(p: LazyTm<N>) -> Self {
-        AnyProtocol::Lazy(p)
-    }
-}
-
-impl<const N: usize> From<LazyVbTm<N>> for AnyProtocol<N> {
-    fn from(p: LazyVbTm<N>) -> Self {
-        AnyProtocol::LazyVb(p)
-    }
-}
-
-impl<const N: usize> From<RetconTm<N>> for AnyProtocol<N> {
-    fn from(p: RetconTm<N>) -> Self {
-        AnyProtocol::Retcon(p)
-    }
-}
-
-impl<const N: usize> From<DatmLite<N>> for AnyProtocol<N> {
-    fn from(p: DatmLite<N>) -> Self {
-        AnyProtocol::Datm(p)
-    }
-}
+from_builtin!(
+    Eager(EagerTm),
+    Lazy(LazyTm),
+    LazyVb(LazyVbTm),
+    Retcon(RetconTm),
+    Datm(DatmLite)
+);
 
 impl<const N: usize> From<Box<dyn Protocol<N>>> for AnyProtocol<N> {
     fn from(p: Box<dyn Protocol<N>>) -> Self {

@@ -1,8 +1,6 @@
 //! Contention management: the §2 timestamp-based "oldest transaction wins"
 //! policy and the abort-the-requester policy of Figure 2(c).
 
-use retcon_mem::CoreId;
-
 /// How conflicts between a requester and transactional victims are resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictPolicy {
@@ -38,21 +36,23 @@ pub enum Decision {
 /// core id as a deterministic tie-breaker.
 pub(crate) type Age = (u64, usize);
 
-/// Resolves a conflict between a requester and a set of victims.
+/// Resolves a conflict between a requester and the victims whose ages
+/// `victims` yields.
 ///
 /// `requester` is `None` for non-transactional accesses, which always win
-/// (they cannot be rolled back or indefinitely stalled).
+/// (they cannot be rolled back or indefinitely stalled). No victims at all
+/// is [`Decision::AbortVictims`] vacuously: nobody aborts and the requester
+/// proceeds.
 pub(crate) fn decide(
     policy: ConflictPolicy,
     requester: Option<Age>,
-    victims: &[(CoreId, Age)],
+    victims: impl IntoIterator<Item = Age>,
 ) -> Decision {
-    debug_assert!(!victims.is_empty(), "no conflict to resolve");
     let req = match requester {
         None => return Decision::AbortVictims,
         Some(age) => age,
     };
-    let requester_oldest = victims.iter().all(|&(_, age)| req < age);
+    let requester_oldest = victims.into_iter().all(|age| req < age);
     match policy {
         ConflictPolicy::RequesterLoses => {
             if requester_oldest {
@@ -75,13 +75,13 @@ pub(crate) fn decide(
 mod tests {
     use super::*;
 
-    const V0: (CoreId, Age) = (CoreId(0), (100, 0));
-    const V1: (CoreId, Age) = (CoreId(1), (50, 1));
+    const V0: Age = (100, 0);
+    const V1: Age = (50, 1);
 
     #[test]
     fn non_tx_requester_always_wins() {
         for policy in [ConflictPolicy::OldestWins, ConflictPolicy::RequesterLoses] {
-            assert_eq!(decide(policy, None, &[V0, V1]), Decision::AbortVictims);
+            assert_eq!(decide(policy, None, [V0, V1]), Decision::AbortVictims);
         }
     }
 
@@ -89,7 +89,7 @@ mod tests {
     fn oldest_wins_aborts_younger_victims() {
         // Requester born at 10: older than both victims.
         assert_eq!(
-            decide(ConflictPolicy::OldestWins, Some((10, 2)), &[V0, V1]),
+            decide(ConflictPolicy::OldestWins, Some((10, 2)), [V0, V1]),
             Decision::AbortVictims
         );
     }
@@ -98,7 +98,7 @@ mod tests {
     fn oldest_wins_stalls_younger_requester() {
         // Requester born at 70: younger than V1 (born 50).
         assert_eq!(
-            decide(ConflictPolicy::OldestWins, Some((70, 2)), &[V0, V1]),
+            decide(ConflictPolicy::OldestWins, Some((70, 2)), [V0, V1]),
             Decision::StallRequester
         );
     }
@@ -107,19 +107,11 @@ mod tests {
     fn ties_break_by_core_id() {
         // Same birth cycle: the smaller core id counts as older.
         assert_eq!(
-            decide(
-                ConflictPolicy::OldestWins,
-                Some((50, 0)),
-                &[(CoreId(1), (50, 1))]
-            ),
+            decide(ConflictPolicy::OldestWins, Some((50, 0)), [(50, 1)]),
             Decision::AbortVictims
         );
         assert_eq!(
-            decide(
-                ConflictPolicy::OldestWins,
-                Some((50, 2)),
-                &[(CoreId(1), (50, 1))]
-            ),
+            decide(ConflictPolicy::OldestWins, Some((50, 2)), [(50, 1)]),
             Decision::StallRequester
         );
     }
@@ -128,12 +120,12 @@ mod tests {
     fn requester_loses_aborts_younger_side() {
         // Younger requester: aborts itself.
         assert_eq!(
-            decide(ConflictPolicy::RequesterLoses, Some((200, 0)), &[V0]),
+            decide(ConflictPolicy::RequesterLoses, Some((200, 0)), [V0]),
             Decision::AbortRequester
         );
         // Older requester: victims abort (never stalls under this policy).
         assert_eq!(
-            decide(ConflictPolicy::RequesterLoses, Some((1, 0)), &[V0]),
+            decide(ConflictPolicy::RequesterLoses, Some((1, 0)), [V0]),
             Decision::AbortVictims
         );
     }

@@ -29,12 +29,12 @@ use retcon_mem::{AccessKind, CoreId, FxHashSet, MemorySystem, UndoLog};
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::storm::{StallAction, StallStorm};
+use crate::tx::{tx_accessors, Tx};
 use retcon_isa::BlockAddr;
 
 #[derive(Debug, Default)]
 struct CoreState {
-    active: bool,
-    birth: Option<u64>,
+    tx: Tx,
     undo: UndoLog,
     read_set: EpochSet,
     write_set: EpochSet,
@@ -43,8 +43,6 @@ struct CoreState {
     /// reader/writer masks at transaction end.
     read_blocks: Vec<u64>,
     write_blocks: Vec<u64>,
-    aborted: bool,
-    stats: ProtocolStats,
 }
 
 /// Simplified dependence-aware transactional memory (see module docs).
@@ -97,7 +95,7 @@ impl<const N: usize> DatmLite<N> {
     }
 
     fn age(&self, c: usize) -> (u64, usize) {
-        (self.cores[c].birth.unwrap_or(u64::MAX), c)
+        (self.cores[c].tx.birth().unwrap_or(u64::MAX), c)
     }
 
     /// Requires `pred` to commit before `succ`. If `pred` is actually the
@@ -121,7 +119,7 @@ impl<const N: usize> DatmLite<N> {
         } else {
             self.edges.insert((pred, succ));
         }
-        self.cores[requester].active
+        self.cores[requester].tx.is_active()
     }
 
     /// Aborts `core` and every active transaction that consumed data
@@ -146,7 +144,7 @@ impl<const N: usize> DatmLite<N> {
                     .iter()
                     .filter(|&&(p, _)| p == c)
                     .map(|&(_, s)| s)
-                    .filter(|s| self.cores[*s].active),
+                    .filter(|s| self.cores[*s].tx.is_active()),
             );
         }
         self.cascade = stack;
@@ -157,21 +155,28 @@ impl<const N: usize> DatmLite<N> {
         let mut victims = std::mem::take(&mut self.victims);
         victims.clear();
         victims.extend(seen.iter().filter(|&c| c < self.cores.len()));
-        victims.retain(|&c| self.cores[c].active);
-        victims.sort_unstable_by_key(|&c| std::cmp::Reverse((self.cores[c].birth.unwrap_or(0), c)));
+        victims.retain(|&c| self.cores[c].tx.is_active());
+        victims.sort_unstable_by_key(|&c| {
+            std::cmp::Reverse((self.cores[c].tx.birth().unwrap_or(0), c))
+        });
         for &v in &victims {
             self.cores[v].undo.rollback(mem.memory_mut());
             self.clear_footprint(v);
-            let cs = &mut self.cores[v];
-            cs.active = false;
-            cs.aborted = true;
-            cs.stats.record_abort(AbortCause::Cycle);
+            self.cores[v].tx.abort(AbortCause::Cycle, true);
             self.edges.retain(|&(p, s)| p != v && s != v);
         }
         self.victims = victims;
         // Dependence edges and activity changed: commit-waiting verdicts
         // (keyed on the sentinel block 0 by `stall_storm`) may change.
         mem.bump_block_version(BlockAddr(0));
+    }
+
+    /// `true` while a transaction `core` must commit after is still active
+    /// — the one condition a DATM commit stalls on.
+    fn has_active_predecessor(&self, core: usize) -> bool {
+        self.edges
+            .iter()
+            .any(|&(p, s)| s == core && self.cores[p].tx.is_active())
     }
 
     /// Sets of the *other* active cores whose write set (resp. only
@@ -192,15 +197,10 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
     }
 
     fn tx_begin(&mut self, core: CoreId, now: u64) {
-        let cs = &mut self.cores[core.0];
-        debug_assert!(!cs.active);
-        cs.active = true;
-        cs.birth.get_or_insert(now);
+        self.cores[core.0].tx.begin(now);
     }
 
-    fn tx_active(&self, core: CoreId) -> bool {
-        self.cores[core.0].active
-    }
+    tx_accessors!();
 
     fn read(
         &mut self,
@@ -212,7 +212,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         _now: u64,
     ) -> MemResult {
         let block = addr.block().0;
-        if self.cores[core.0].active {
+        if self.tx_active(core) {
             // Forwarding: reading a block another transaction wrote creates
             // a dependence writer -> reader (we must commit after them).
             let (writers, _) = self.writers_and_readers(block, core.0);
@@ -221,7 +221,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
                     return MemResult::Abort;
                 }
             }
-            if self.cores[core.0].active {
+            if self.tx_active(core) {
                 if self.cores[core.0].read_set.insert(block) {
                     self.cores[core.0].read_blocks.push(block);
                     self.readers.entry(block).insert(core.0);
@@ -249,7 +249,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         _now: u64,
     ) -> MemResult {
         let block = addr.block().0;
-        if self.cores[core.0].active {
+        if self.tx_active(core) {
             // Anti- and output-dependences: prior readers and writers must
             // commit before us (writers first, then pure readers, each in
             // ascending core order, as the old per-core snoop produced).
@@ -261,7 +261,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
                     }
                 }
             }
-            if !self.cores[core.0].active {
+            if !self.tx_active(core) {
                 return MemResult::Abort;
             }
             if self.cores[core.0].write_set.insert(block) {
@@ -276,25 +276,18 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
     }
 
     fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
-        if !self.cores[core.0].active {
+        if !self.tx_active(core) {
             // A cascading abort landed between the last access and commit.
             return CommitResult::Abort;
         }
         // Commit in dependence order: wait for active predecessors.
-        let has_active_pred = self
-            .edges
-            .iter()
-            .any(|&(p, s)| s == core.0 && self.cores[p].active);
-        if has_active_pred {
-            self.cores[core.0].stats.stalls += 1;
+        if self.has_active_predecessor(core.0) {
+            self.cores[core.0].tx.stats.stalls += 1;
             return CommitResult::Stall;
         }
         self.cores[core.0].undo.clear();
         self.clear_footprint(core.0);
-        let cs = &mut self.cores[core.0];
-        cs.active = false;
-        cs.birth = None;
-        cs.stats.commits += 1;
+        self.cores[core.0].tx.commit();
         self.edges.retain(|&(p, s)| p != core.0 && s != core.0);
         mem.clear_spec(core);
         // A predecessor leaving the dependence graph releases waiting
@@ -305,18 +298,6 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
             latency: 0,
             reg_updates: RegUpdates::EMPTY,
         }
-    }
-
-    fn take_aborted(&mut self, core: CoreId) -> bool {
-        std::mem::take(&mut self.cores[core.0].aborted)
-    }
-
-    fn abort_pending(&self, core: CoreId) -> bool {
-        self.cores[core.0].aborted
-    }
-
-    fn stats(&self, core: CoreId) -> &ProtocolStats {
-        &self.cores[core.0].stats
     }
 
     fn stall_storm(
@@ -336,12 +317,8 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         if !matches!(action, StallAction::Commit) {
             return None;
         }
-        let waiting = self.cores[core.0].active
-            && self
-                .edges
-                .iter()
-                .any(|&(p, s)| s == core.0 && self.cores[p].active);
-        waiting.then_some(StallStorm::access(CoreSet::EMPTY, BlockAddr(0)))
+        (self.tx_active(core) && self.has_active_predecessor(core.0))
+            .then_some(StallStorm::access(CoreSet::EMPTY, BlockAddr(0)))
     }
 
     fn apply_stall_retries(
@@ -352,7 +329,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         _mem: &mut MemorySystem<N>,
     ) {
         // n repetitions of `commit`'s active-predecessor stall.
-        self.cores[core.0].stats.stalls += n;
+        self.cores[core.0].tx.stats.stalls += n;
     }
 
     fn check_quiescent(&self) -> Result<(), String> {
@@ -363,18 +340,8 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
             ));
         }
         for (i, cs) in self.cores.iter().enumerate() {
-            if cs.active {
-                return Err(format!("datm: core {i} still has an active transaction"));
-            }
-            if cs.birth.is_some() {
-                return Err(format!("datm: core {i} kept a transaction birth stamp"));
-            }
-            if !cs.undo.is_empty() {
-                return Err(format!(
-                    "datm: core {i} undo log holds {} entries at quiescence",
-                    cs.undo.len()
-                ));
-            }
+            cs.tx
+                .check_quiescent("datm", i, ("undo log", cs.undo.len()))?;
             // The shared reader/writer masks are cleared through these
             // worklists, so non-empty worklists mean leaked mask bits.
             if !cs.read_blocks.is_empty() || !cs.write_blocks.is_empty() {
@@ -383,9 +350,6 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
                     cs.read_blocks.len(),
                     cs.write_blocks.len()
                 ));
-            }
-            if cs.aborted {
-                return Err(format!("datm: core {i} has an undelivered abort flag"));
             }
         }
         Ok(())

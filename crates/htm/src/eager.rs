@@ -1,4 +1,6 @@
-//! The eager-conflict-detection HTM baseline (§2 of the paper).
+//! The eager-conflict-detection HTM baseline (§2 of the paper), and the
+//! mechanics [`RetconTm`](crate::RetconTm) builds on: transaction ages,
+//! the undo log, abort and the contention verdict.
 
 use retcon_isa::{Addr, CoreSet, Reg};
 use retcon_mem::{AccessKind, CoreId, MemorySystem, UndoLog};
@@ -7,16 +9,38 @@ use crate::cm::{decide, Age, ConflictPolicy, Decision};
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::storm::{StallAction, StallStorm};
+use crate::tx::{tx_accessors, Tx};
 
 #[derive(Debug, Default)]
 struct CoreState {
-    active: bool,
-    /// Cycle of the transaction's *first* begin; survives retries so the
-    /// oldest transaction eventually wins.
-    birth: Option<u64>,
+    tx: Tx,
     undo: UndoLog,
-    aborted: bool,
-    stats: ProtocolStats,
+}
+
+/// What conflict resolution does with one conflicting access: the single
+/// statement of the §2 policy (plus RETCON's steal rule, §4.2).
+/// [`EagerTm::apply`] carries it out; the stall-storm oracle only reads it.
+#[derive(Debug)]
+pub(crate) struct Verdict<const N: usize> {
+    /// Victims that lose the block without aborting. Always empty under
+    /// the plain baseline, where nothing is stealable.
+    pub(crate) steal: CoreSet<N>,
+    /// The remaining victims, which the contention manager rules on.
+    pub(crate) hard: CoreSet<N>,
+    /// The contention manager's ruling over `hard` (with no hard victims,
+    /// [`Decision::AbortVictims`]: the requester proceeds).
+    pub(crate) decision: Decision,
+}
+
+impl<const N: usize> Verdict<N> {
+    /// `true` when a retry of the access is a fixed point: the requester
+    /// stalls again and no steal mutates coherence state on the way. The
+    /// conflict mask, the steal inputs and every age are frozen while the
+    /// requester owns the scheduler, so the verdict of the retry is this
+    /// verdict.
+    pub(crate) fn restalls(&self) -> bool {
+        self.steal.is_empty() && self.decision == Decision::StallRequester
+    }
 }
 
 /// The baseline hardware transactional memory of §2: conflicts detected
@@ -47,9 +71,6 @@ pub struct EagerTm<const N: usize = 1> {
     _class: core::marker::PhantomData<[u64; N]>,
     policy: ConflictPolicy,
     cores: Vec<CoreState>,
-    /// Scratch: the victims of the conflict being resolved (reused so the
-    /// contended steady state never allocates).
-    victims: Vec<(CoreId, Age)>,
 }
 
 impl<const N: usize> EagerTm<N> {
@@ -60,20 +81,16 @@ impl<const N: usize> EagerTm<N> {
             _class: core::marker::PhantomData,
             policy,
             cores: (0..num_cores).map(|_| CoreState::default()).collect(),
-            victims: Vec::new(),
         }
     }
 
     fn age(&self, core: CoreId) -> Option<Age> {
-        let cs = &self.cores[core.0];
-        if cs.active {
-            Some((cs.birth.expect("active tx has a birth"), core.0))
-        } else {
-            None
-        }
+        self.cores[core.0].tx.age(core)
     }
 
-    fn abort_core(
+    /// Zero-cycle rollback: restores memory from the undo log, drops the
+    /// speculative bits and ends `core`'s transaction.
+    pub(crate) fn abort_core(
         &mut self,
         core: CoreId,
         mem: &mut MemorySystem<N>,
@@ -81,51 +98,113 @@ impl<const N: usize> EagerTm<N> {
         remote: bool,
     ) {
         let cs = &mut self.cores[core.0];
-        debug_assert!(cs.active, "aborting an inactive transaction on {core}");
         cs.undo.rollback(mem.memory_mut());
         mem.clear_spec(core);
-        cs.active = false;
-        cs.aborted = remote;
-        cs.stats.record_abort(cause);
+        cs.tx.abort(cause, remote);
     }
 
-    /// Resolves the conflicts of a pending access (`conflicts` is the set
-    /// of conflicting cores). Returns `None` when the requester may
-    /// proceed (victims aborted), or the result to hand back.
-    fn resolve(
-        &mut self,
+    /// The verdict on `core`'s access conflicting with `conflicts`: victims `stealable` admits lose the block without
+    /// aborting, the contention manager rules on the rest. Pure — it reads
+    /// ages and whatever `stealable` reads, and allocates nothing.
+    pub(crate) fn verdict(
+        &self,
         core: CoreId,
         conflicts: CoreSet<N>,
-        mem: &mut MemorySystem<N>,
-    ) -> Option<MemResult> {
-        let mut victims = std::mem::take(&mut self.victims);
-        victims.clear();
+        stealable: impl Fn(CoreId) -> bool,
+    ) -> Verdict<N> {
+        let mut steal = CoreSet::EMPTY;
         for c in conflicts {
-            let c = CoreId(c);
-            victims.push((
-                c,
-                self.age(c)
-                    .expect("speculative bits imply an active transaction"),
-            ));
+            if stealable(CoreId(c)) {
+                steal.insert(c);
+            }
         }
-        let result = match decide(self.policy, self.age(core), &victims) {
+        let hard = conflicts.and_not(steal);
+        let ages = hard.iter().map(|c| {
+            self.age(CoreId(c))
+                .expect("speculative bits imply an active transaction")
+        });
+        Verdict {
+            steal,
+            hard,
+            decision: decide(self.policy, self.age(core), ages),
+        }
+    }
+
+    /// Carries out `verdict`'s contention-manager ruling (steals are the
+    /// caller's business). Returns `None` when the requester may proceed
+    /// (hard victims aborted), or the result to hand back. `on_abort` sees
+    /// every core whose transaction this ended.
+    pub(crate) fn apply(
+        &mut self,
+        core: CoreId,
+        verdict: &Verdict<N>,
+        mem: &mut MemorySystem<N>,
+        mut on_abort: impl FnMut(CoreId),
+    ) -> Option<MemResult> {
+        match verdict.decision {
             Decision::AbortVictims => {
-                for &(v, _) in &victims {
-                    self.abort_core(v, mem, AbortCause::Conflict, true);
+                for v in verdict.hard {
+                    self.abort_core(CoreId(v), mem, AbortCause::Conflict, true);
+                    on_abort(CoreId(v));
                 }
                 None
             }
             Decision::StallRequester => {
-                self.cores[core.0].stats.stalls += 1;
+                self.cores[core.0].tx.stats.stalls += 1;
                 Some(MemResult::Stall)
             }
             Decision::AbortRequester => {
                 self.abort_core(core, mem, AbortCause::Conflict, false);
+                on_abort(core);
                 Some(MemResult::Abort)
             }
-        };
-        self.victims = victims;
-        result
+        }
+    }
+
+    /// First half of every access: resolves whatever conflicts `kind` on
+    /// `addr` raises. `None` lets the access proceed.
+    fn resolve(
+        &mut self,
+        core: CoreId,
+        addr: Addr,
+        kind: AccessKind,
+        mem: &mut MemorySystem<N>,
+    ) -> Option<MemResult> {
+        let conflicts = mem.conflict_mask_of(core, addr, kind);
+        if conflicts.is_empty() {
+            return None;
+        }
+        let verdict = self.verdict(core, conflicts, |_| false);
+        self.apply(core, &verdict, mem, |_| {})
+    }
+
+    /// Ends `core`'s transaction as committed: the undo log and the
+    /// speculative bits are dropped.
+    pub(crate) fn retire(&mut self, core: CoreId, mem: &mut MemorySystem<N>) {
+        let cs = &mut self.cores[core.0];
+        cs.undo.clear();
+        cs.tx.commit();
+        mem.clear_spec(core);
+    }
+
+    /// Completes a store that passed conflict resolution: eager version
+    /// management logs the pre-speculative value, then memory is updated
+    /// in place.
+    pub(crate) fn plain_write(
+        &mut self,
+        core: CoreId,
+        value: u64,
+        addr: Addr,
+        mem: &mut MemorySystem<N>,
+    ) -> MemResult {
+        let cs = &mut self.cores[core.0];
+        let spec = cs.tx.is_active();
+        if spec {
+            cs.undo.record(mem.memory(), addr);
+        }
+        let latency = mem.access(core, addr, AccessKind::Write, spec);
+        mem.write_word(addr, value);
+        MemResult::Value { value, latency }
     }
 }
 
@@ -138,18 +217,10 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
     }
 
     fn tx_begin(&mut self, core: CoreId, now: u64) {
-        let cs = &mut self.cores[core.0];
-        debug_assert!(
-            !cs.active,
-            "nested transactions are flattened by the simulator"
-        );
-        cs.active = true;
-        cs.birth.get_or_insert(now);
+        self.cores[core.0].tx.begin(now);
     }
 
-    fn tx_active(&self, core: CoreId) -> bool {
-        self.cores[core.0].active
-    }
+    tx_accessors!();
 
     fn read(
         &mut self,
@@ -160,17 +231,10 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        let spec = self.cores[core.0].active;
-        let latency = match mem.plan_if_clean(core, addr, AccessKind::Read) {
-            Ok(plan) => mem.access_planned(&plan, spec),
-            Err(conflicts) => {
-                if let Some(result) = self.resolve(core, conflicts, mem) {
-                    return result;
-                }
-                // Resolution may have changed coherence state: classify now.
-                mem.access(core, addr, AccessKind::Read, spec)
-            }
-        };
+        if let Some(result) = self.resolve(core, addr, AccessKind::Read, mem) {
+            return result;
+        }
+        let latency = mem.access(core, addr, AccessKind::Read, self.tx_active(core));
         MemResult::Value {
             value: mem.read_word(addr),
             latency,
@@ -187,55 +251,18 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        let clean_plan = match mem.plan_if_clean(core, addr, AccessKind::Write) {
-            Ok(plan) => Some(plan),
-            Err(conflicts) => {
-                if let Some(result) = self.resolve(core, conflicts, mem) {
-                    return result;
-                }
-                None
-            }
-        };
-        let spec = self.cores[core.0].active;
-        if spec {
-            // Eager version management: log the pre-speculative value, then
-            // update memory in place.
-            let cs = &mut self.cores[core.0];
-            cs.undo.record(mem.memory(), addr);
+        match self.resolve(core, addr, AccessKind::Write, mem) {
+            Some(result) => result,
+            None => self.plain_write(core, value, addr, mem),
         }
-        let latency = match clean_plan {
-            Some(plan) => mem.access_planned(&plan, spec),
-            // Resolution may have changed coherence state: classify now.
-            None => mem.access(core, addr, AccessKind::Write, spec),
-        };
-        mem.write_word(addr, value);
-        MemResult::Value { value, latency }
     }
 
     fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
-        let cs = &mut self.cores[core.0];
-        debug_assert!(cs.active, "commit without an active transaction on {core}");
-        cs.undo.clear();
-        cs.active = false;
-        cs.birth = None;
-        cs.stats.commits += 1;
-        mem.clear_spec(core);
+        self.retire(core, mem);
         CommitResult::Committed {
             latency: 0,
             reg_updates: RegUpdates::EMPTY,
         }
-    }
-
-    fn take_aborted(&mut self, core: CoreId) -> bool {
-        std::mem::take(&mut self.cores[core.0].aborted)
-    }
-
-    fn abort_pending(&self, core: CoreId) -> bool {
-        self.cores[core.0].aborted
-    }
-
-    fn stats(&self, core: CoreId) -> &ProtocolStats {
-        &self.cores[core.0].stats
     }
 
     fn stall_storm(
@@ -244,35 +271,12 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         action: StallAction,
         mem: &MemorySystem<N>,
     ) -> Option<StallStorm<N>> {
-        // Commits never stall here, and an access retry is a fixed point
-        // exactly when the contention manager would stall the requester
-        // again: the conflict mask and every age are frozen while this core
-        // owns the scheduler, and a stalled retry mutates nothing but the
-        // stall counter. Victims go on the stack — the dry run must not
-        // allocate (the scratch holds 64 victims; wider conflicts decline
-        // certification and retry step-by-step).
-        let (addr, kind) = match action {
-            StallAction::Read(a) => (a, AccessKind::Read),
-            StallAction::Write(a) => (a, AccessKind::Write),
-            StallAction::Commit => return None,
-        };
-        let conflicts = mem.conflict_mask_of(core, addr, kind);
-        if conflicts.is_empty() {
-            return None;
-        }
-        let mut victims = [(CoreId(0), (0u64, 0usize)); 64];
-        let mut n = 0;
-        for c in conflicts {
-            if n == victims.len() {
-                return None;
-            }
-            victims[n] = (CoreId(c), self.age(CoreId(c))?);
-            n += 1;
-        }
-        match decide(self.policy, self.age(core), &victims[..n]) {
-            Decision::StallRequester => Some(StallStorm::access(CoreSet::EMPTY, addr.block())),
-            _ => None,
-        }
+        // Commits never stall here, and a stalled retry mutates nothing
+        // but the stall counter.
+        let (addr, kind) = action.access()?;
+        self.verdict(core, mem.conflict_mask_of(core, addr, kind), |_| false)
+            .restalls()
+            .then(|| StallStorm::access(CoreSet::EMPTY, addr.block()))
     }
 
     fn apply_stall_retries(
@@ -282,29 +286,15 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         n: u64,
         _mem: &mut MemorySystem<N>,
     ) {
-        // n repetitions of `resolve`'s StallRequester arm.
-        self.cores[core.0].stats.stalls += n;
+        // n repetitions of `apply`'s StallRequester arm.
+        self.cores[core.0].tx.stats.stalls += n;
     }
 
     fn check_quiescent(&self) -> Result<(), String> {
-        for (i, cs) in self.cores.iter().enumerate() {
-            if cs.active {
-                return Err(format!("eager: core {i} still has an active transaction"));
-            }
-            if cs.birth.is_some() {
-                return Err(format!("eager: core {i} kept a transaction birth stamp"));
-            }
-            if !cs.undo.is_empty() {
-                return Err(format!(
-                    "eager: core {i} undo log holds {} entries at quiescence",
-                    cs.undo.len()
-                ));
-            }
-            if cs.aborted {
-                return Err(format!("eager: core {i} has an undelivered abort flag"));
-            }
-        }
-        Ok(())
+        self.cores.iter().enumerate().try_for_each(|(i, cs)| {
+            cs.tx
+                .check_quiescent(self.name(), i, ("undo log", cs.undo.len()))
+        })
     }
 }
 

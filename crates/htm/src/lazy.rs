@@ -5,14 +5,12 @@ use retcon_mem::{AccessKind, CoreId, MemorySystem, WriteBuffer};
 
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
+use crate::tx::{tx_accessors, Tx};
 
 #[derive(Debug, Default)]
 struct CoreState {
-    active: bool,
-    birth: Option<u64>,
+    tx: Tx,
     wb: WriteBuffer,
-    aborted: bool,
-    stats: ProtocolStats,
 }
 
 /// A lazy (commit-time conflict detection) HTM: speculative stores are
@@ -39,14 +37,20 @@ impl<const N: usize> LazyTm<N> {
         }
     }
 
-    fn abort_victim(&mut self, victim: CoreId, mem: &mut MemorySystem<N>) {
-        let cs = &mut self.cores[victim.0];
-        debug_assert!(cs.active, "victim must be active");
-        cs.wb.discard();
-        mem.clear_spec(victim);
-        cs.active = false;
-        cs.aborted = true;
-        cs.stats.record_abort(AbortCause::Conflict);
+    /// Makes a store visible — a committing transaction's or a
+    /// non-transactional one. The writer wins: every transaction that
+    /// speculatively read the block aborts (ascending core order). Returns
+    /// the store's latency.
+    fn publish(&mut self, core: CoreId, addr: Addr, value: u64, mem: &mut MemorySystem<N>) -> u64 {
+        for victim in mem.conflict_mask_of(core, addr, AccessKind::Write) {
+            let cs = &mut self.cores[victim];
+            cs.wb.discard();
+            mem.clear_spec(CoreId(victim));
+            cs.tx.abort(AbortCause::Conflict, true);
+        }
+        let latency = mem.access(core, addr, AccessKind::Write, false);
+        mem.write_word(addr, value);
+        latency
     }
 }
 
@@ -56,15 +60,10 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
     }
 
     fn tx_begin(&mut self, core: CoreId, now: u64) {
-        let cs = &mut self.cores[core.0];
-        debug_assert!(!cs.active);
-        cs.active = true;
-        cs.birth.get_or_insert(now);
+        self.cores[core.0].tx.begin(now);
     }
 
-    fn tx_active(&self, core: CoreId) -> bool {
-        self.cores[core.0].active
-    }
+    tx_accessors!();
 
     fn read(
         &mut self,
@@ -75,7 +74,7 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        let active = self.cores[core.0].active;
+        let active = self.tx_active(core);
         if active {
             if let Some(v) = self.cores[core.0].wb.read(addr) {
                 return MemResult::Value {
@@ -104,45 +103,28 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        if self.cores[core.0].active {
+        if self.tx_active(core) {
             // Lazy version management: buffer locally, no coherence action.
             self.cores[core.0].wb.write(addr, value);
             return MemResult::Value { value, latency: 1 };
         }
-        // Non-transactional write: abort any speculative readers
-        // (ascending set iteration = ascending core order).
-        let conflicts = mem.conflict_mask_of(core, addr, AccessKind::Write);
-        for victim in conflicts {
-            self.abort_victim(CoreId(victim), mem);
-        }
-        let latency = mem.access(core, addr, AccessKind::Write, false);
-        mem.write_word(addr, value);
+        let latency = self.publish(core, addr, value, mem);
         MemResult::Value { value, latency }
     }
 
     fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
-        debug_assert!(self.cores[core.0].active);
         // Take the buffer so its entries can be drained while `self` aborts
         // victims; hand the allocation back afterwards (steady-state commits
         // allocate nothing).
         let wb = std::mem::take(&mut self.cores[core.0].wb);
         let mut latency = 0;
         for (addr, value) in wb.iter() {
-            // Committer wins: every transaction that speculatively read the
-            // block aborts.
-            let conflicts = mem.conflict_mask_of(core, addr, AccessKind::Write);
-            for victim in conflicts {
-                self.abort_victim(CoreId(victim), mem);
-            }
-            latency += mem.access(core, addr, AccessKind::Write, false);
-            mem.write_word(addr, value);
+            latency += self.publish(core, addr, value, mem);
         }
         let cs = &mut self.cores[core.0];
         cs.wb = wb;
         cs.wb.discard();
-        cs.active = false;
-        cs.birth = None;
-        cs.stats.commits += 1;
+        cs.tx.commit();
         mem.clear_spec(core);
         CommitResult::Committed {
             latency,
@@ -150,37 +132,11 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
         }
     }
 
-    fn take_aborted(&mut self, core: CoreId) -> bool {
-        std::mem::take(&mut self.cores[core.0].aborted)
-    }
-
-    fn abort_pending(&self, core: CoreId) -> bool {
-        self.cores[core.0].aborted
-    }
-
-    fn stats(&self, core: CoreId) -> &ProtocolStats {
-        &self.cores[core.0].stats
-    }
-
     fn check_quiescent(&self) -> Result<(), String> {
-        for (i, cs) in self.cores.iter().enumerate() {
-            if cs.active {
-                return Err(format!("lazy: core {i} still has an active transaction"));
-            }
-            if cs.birth.is_some() {
-                return Err(format!("lazy: core {i} kept a transaction birth stamp"));
-            }
-            if !cs.wb.is_empty() {
-                return Err(format!(
-                    "lazy: core {i} write buffer holds {} entries at quiescence",
-                    cs.wb.len()
-                ));
-            }
-            if cs.aborted {
-                return Err(format!("lazy: core {i} has an undelivered abort flag"));
-            }
-        }
-        Ok(())
+        self.cores.iter().enumerate().try_for_each(|(i, cs)| {
+            cs.tx
+                .check_quiescent("lazy", i, ("write buffer", cs.wb.len()))
+        })
     }
 }
 

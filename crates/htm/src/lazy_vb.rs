@@ -13,19 +13,17 @@ use retcon_mem::{AccessKind, CoreId, MemorySystem, WriteBuffer};
 
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
+use crate::tx::{tx_accessors, Tx};
 
 #[derive(Debug, Default)]
 struct CoreState {
-    active: bool,
-    birth: Option<u64>,
+    tx: Tx,
     wb: WriteBuffer,
     /// First-read value per word, in read order (the value log).
     rlog: Vec<(Addr, u64)>,
     /// Word -> first-read value, epoch-stamped (one array probe per read,
     /// O(1) per-transaction clear).
     rmap: EpochMap<u64>,
-    aborted: bool,
-    stats: ProtocolStats,
 }
 
 impl CoreState {
@@ -36,11 +34,11 @@ impl CoreState {
         }
     }
 
-    fn reset_tx(&mut self) {
+    /// Drops the transaction's buffered stores and value log.
+    fn discard_tx(&mut self) {
         self.wb.discard();
         self.rlog.clear();
         self.rmap.clear();
-        self.active = false;
     }
 }
 
@@ -91,15 +89,10 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
     }
 
     fn tx_begin(&mut self, core: CoreId, now: u64) {
-        let cs = &mut self.cores[core.0];
-        debug_assert!(!cs.active);
-        cs.active = true;
-        cs.birth.get_or_insert(now);
+        self.cores[core.0].tx.begin(now);
     }
 
-    fn tx_active(&self, core: CoreId) -> bool {
-        self.cores[core.0].active
-    }
+    tx_accessors!();
 
     fn read(
         &mut self,
@@ -111,24 +104,15 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
         _now: u64,
     ) -> MemResult {
         let cs = &mut self.cores[core.0];
-        if cs.active {
-            if let Some(v) = cs.wb.read(addr) {
-                return MemResult::Value {
-                    value: v,
-                    latency: 1,
-                };
-            }
-            if let Some(v) = cs.rmap.get(addr.0) {
-                // Snapshot semantics: repeated reads observe the logged
-                // value even if memory has moved on; validation decides at
-                // commit.
-                return MemResult::Value {
-                    value: v,
-                    latency: 1,
-                };
+        let active = cs.tx.is_active();
+        if active {
+            // Own buffered stores first, then the value log. Snapshot
+            // semantics: repeated reads observe the logged value even if
+            // memory has moved on; validation decides at commit.
+            if let Some(value) = cs.wb.read(addr).or_else(|| cs.rmap.get(addr.0)) {
+                return MemResult::Value { value, latency: 1 };
             }
         }
-        let active = self.cores[core.0].active;
         let latency = mem.access(core, addr, AccessKind::Read, false);
         let value = mem.read_word(addr);
         if active {
@@ -147,7 +131,7 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        if self.cores[core.0].active {
+        if self.tx_active(core) {
             self.cores[core.0].wb.write(addr, value);
             return MemResult::Value { value, latency: 1 };
         }
@@ -157,7 +141,6 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
     }
 
     fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
-        debug_assert!(self.cores[core.0].active);
         // Step 1: reacquire and revalidate every read word by value. The
         // log is taken (not cloned) and handed back below so steady-state
         // commits allocate nothing.
@@ -172,8 +155,8 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
             if mem.read_word(addr) != expected {
                 let cs = &mut self.cores[core.0];
                 cs.rlog = rlog;
-                cs.reset_tx();
-                cs.stats.record_abort(AbortCause::Validation);
+                cs.discard_tx();
+                cs.tx.abort(AbortCause::Validation, false);
                 mem.clear_spec(core);
                 return CommitResult::Abort;
             }
@@ -187,49 +170,23 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
         let cs = &mut self.cores[core.0];
         cs.wb = wb;
         cs.rlog = rlog;
-        cs.reset_tx();
-        cs.birth = None;
-        cs.stats.commits += 1;
+        cs.discard_tx();
+        cs.tx.commit();
         CommitResult::Committed {
             latency,
             reg_updates: RegUpdates::EMPTY,
         }
     }
 
-    fn take_aborted(&mut self, core: CoreId) -> bool {
-        std::mem::take(&mut self.cores[core.0].aborted)
-    }
-
-    fn abort_pending(&self, core: CoreId) -> bool {
-        self.cores[core.0].aborted
-    }
-
-    fn stats(&self, core: CoreId) -> &ProtocolStats {
-        &self.cores[core.0].stats
-    }
-
     fn check_quiescent(&self) -> Result<(), String> {
         for (i, cs) in self.cores.iter().enumerate() {
-            if cs.active {
-                return Err(format!("lazy-vb: core {i} still has an active transaction"));
-            }
-            if cs.birth.is_some() {
-                return Err(format!("lazy-vb: core {i} kept a transaction birth stamp"));
-            }
-            if !cs.wb.is_empty() {
-                return Err(format!(
-                    "lazy-vb: core {i} write buffer holds {} entries at quiescence",
-                    cs.wb.len()
-                ));
-            }
+            cs.tx
+                .check_quiescent("lazy-vb", i, ("write buffer", cs.wb.len()))?;
             if !cs.rlog.is_empty() {
                 return Err(format!(
                     "lazy-vb: core {i} value log holds {} entries at quiescence",
                     cs.rlog.len()
                 ));
-            }
-            if cs.aborted {
-                return Err(format!("lazy-vb: core {i} has an undelivered abort flag"));
             }
         }
         Ok(())

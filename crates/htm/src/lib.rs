@@ -43,6 +43,7 @@ mod protocol;
 mod result;
 mod retcon_tm;
 mod storm;
+mod tx;
 
 pub use any::AnyProtocol;
 pub use cm::{ConflictPolicy, Decision};

@@ -1,22 +1,22 @@
-//! The full RETCON protocol: the symbolic engine wired into coherence.
+//! The full RETCON protocol: the symbolic engine wired into coherence, on
+//! top of the §2 baseline ([`EagerTm`]).
 
-use retcon::{Engine, Repair, RetconConfig, RetconStats, StorePath};
+use retcon::{Engine, PrecommitCursor, Repair, RetconConfig, RetconStats, StorePath};
 use retcon_isa::table::EpochSet;
 use retcon_isa::{Addr, BinOp, BlockAddr, CmpOp, CoreSet, Reg};
-use retcon_mem::{AccessKind, CoreId, MemorySystem, UndoLog};
+use retcon_mem::{AccessKind, CoreId, MemorySystem};
 
-use crate::cm::{decide, Age, ConflictPolicy, Decision};
+use crate::cm::ConflictPolicy;
+use crate::eager::{EagerTm, Verdict};
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
-use crate::storm::{StallAction, StallStorm, WatchList, MAX_WATCHED_BLOCKS};
+use crate::storm::{StallAction, StallStorm, WatchList};
 
+/// What RETCON keeps per core beside the baseline's transaction state.
 #[derive(Debug)]
 struct CoreState {
-    active: bool,
-    birth: Option<u64>,
     start_cycle: u64,
     engine: Engine,
-    undo: UndoLog,
     /// Blocks accessed *plainly* (untracked) by the current transaction.
     /// Tracking decisions are sticky within a transaction: once a block has
     /// been read or written through the ordinary speculative path, its
@@ -26,14 +26,7 @@ struct CoreState {
     /// an unserializable commit. Such blocks stay plain until the
     /// transaction ends.
     plain_blocks: EpochSet,
-    aborted: bool,
-    stats: ProtocolStats,
     rstats: RetconStats,
-    /// Scratch: non-stealable conflicts handed to the contention manager
-    /// (reused across resolutions so conflict handling never allocates).
-    hard: Vec<(CoreId, Age)>,
-    /// Scratch: untracked blocks with buffered stores, reacquired at commit.
-    store_blocks: Vec<BlockAddr>,
     /// Scratch: the pre-commit repair output buffers.
     repair: Repair,
 }
@@ -41,30 +34,49 @@ struct CoreState {
 impl CoreState {
     fn new(cfg: RetconConfig) -> Self {
         CoreState {
-            active: false,
-            birth: None,
             start_cycle: 0,
             engine: Engine::new(cfg),
-            undo: UndoLog::new(),
             plain_blocks: EpochSet::new(),
-            aborted: false,
-            stats: ProtocolStats::default(),
             rstats: RetconStats::new(),
-            hard: Vec::new(),
-            store_blocks: Vec::new(),
             repair: Repair::default(),
         }
     }
+
+    /// Collapses the symbolic state when the transaction ends, committed
+    /// or aborted.
+    fn end_tx(&mut self) {
+        self.engine.reset();
+        self.plain_blocks.clear();
+    }
+
+    /// The tracking decision for a plain access to `addr` that is about to
+    /// complete: begins symbolic tracking of the block if this transaction
+    /// has not accessed it plainly before and the predictor has learned it
+    /// is conflict-prone. `insert` doubles as the membership test (one
+    /// lookup, not two) and gates the predictor lookup.
+    fn begins_tracking<const N: usize>(&mut self, addr: Addr, mem: &mut MemorySystem<N>) -> bool {
+        let block = addr.block();
+        if !(self.plain_blocks.insert(block.0) && self.engine.wants_tracking(addr)) {
+            return false;
+        }
+        self.plain_blocks.remove(block.0);
+        let memory = &*mem;
+        let ok = self.engine.begin_tracking(block, |w| memory.read_word(w));
+        debug_assert!(ok, "wants_tracking implies room");
+        // Tracked blocks are stealable: a conflict verdict input.
+        mem.bump_block_version(block);
+        true
+    }
 }
 
-/// Outcome of RETCON conflict resolution for a pending access.
-enum Resolve {
-    /// All conflicts resolved (stolen or victims aborted); proceed.
-    Proceed,
-    /// Requester must stall.
-    Stall,
-    /// Requester's transaction must abort.
-    AbortSelf,
+/// The access the pre-commit process acquires a block with, from the
+/// engine's written-bit hint.
+fn acquire_kind(write: bool) -> AccessKind {
+    if write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    }
 }
 
 /// The full RETCON hardware: the baseline eager HTM of §2 extended with the
@@ -121,8 +133,10 @@ enum Resolve {
 /// ```
 #[derive(Debug)]
 pub struct RetconTm<const N: usize = 1> {
-    _class: core::marker::PhantomData<[u64; N]>,
-    policy: ConflictPolicy,
+    /// Ages, undo logs, abort and the contention verdict: non-symbolic
+    /// accesses behave exactly like the baseline because they *are* the
+    /// baseline.
+    base: EagerTm<N>,
     cores: Vec<CoreState>,
 }
 
@@ -132,8 +146,7 @@ impl<const N: usize> RetconTm<N> {
     /// paper's Table 1 sizes).
     pub fn new(num_cores: usize, cfg: RetconConfig) -> Self {
         RetconTm {
-            _class: core::marker::PhantomData,
-            policy: ConflictPolicy::OldestWins,
+            base: EagerTm::new(num_cores, ConflictPolicy::OldestWins),
             cores: (0..num_cores).map(|_| CoreState::new(cfg)).collect(),
         }
     }
@@ -143,37 +156,10 @@ impl<const N: usize> RetconTm<N> {
         &self.cores[core.0].engine
     }
 
-    /// Mutable access to `core`'s engine (e.g. to pre-train the predictor in
-    /// tests).
-    pub fn engine_mut(&mut self, core: CoreId) -> &mut Engine {
-        &mut self.cores[core.0].engine
-    }
-
-    fn age(&self, core: CoreId) -> Option<Age> {
-        let cs = &self.cores[core.0];
-        if cs.active {
-            Some((cs.birth.expect("active tx has a birth"), core.0))
-        } else {
-            None
-        }
-    }
-
-    fn abort_core(
-        &mut self,
-        core: CoreId,
-        mem: &mut MemorySystem<N>,
-        cause: AbortCause,
-        remote: bool,
-    ) {
-        let cs = &mut self.cores[core.0];
-        debug_assert!(cs.active, "aborting an inactive transaction on {core}");
-        cs.undo.rollback(mem.memory_mut());
-        mem.clear_spec(core);
-        cs.engine.reset();
-        cs.plain_blocks.clear();
-        cs.active = false;
-        cs.aborted = remote;
-        cs.stats.record_abort(cause);
+    /// Aborts `core`'s own transaction for a RETCON-specific `cause`.
+    fn abort_self(&mut self, core: CoreId, mem: &mut MemorySystem<N>, cause: AbortCause) {
+        self.base.abort_core(core, mem, cause, false);
+        self.cores[core.0].end_tx();
     }
 
     /// Trains the predictor down on every block the overflowing transaction
@@ -182,185 +168,109 @@ impl<const N: usize> RetconTm<N> {
     /// overflow again, forever — the same pathology a constraint violation
     /// causes, handled the same way (§5.1's aggressive train-down).
     fn train_down_on_overflow(&mut self, core: CoreId) {
-        let blocks: Vec<_> = self.cores[core.0]
-            .engine
-            .precommit_blocks()
-            .into_iter()
-            .map(|(b, _)| b)
-            .collect();
-        let predictor = self.cores[core.0].engine.predictor_mut();
-        for b in blocks {
-            predictor.on_violation(b);
+        let engine = &mut self.cores[core.0].engine;
+        for i in 0..engine.ivb().len() {
+            let block = engine.ivb().entry_at(i).block();
+            engine.predictor_mut().on_violation(block);
         }
     }
 
-    /// Resolves the conflicts of a request by `core` to `addr`.
-    ///
-    /// Victims whose only speculative claim on the block is *symbolic
-    /// read-only tracking* lose the block without aborting (the RETCON
-    /// steal); remaining victims go through the §2 contention manager. Every
-    /// conflict trains the predictor on both sides, which is how blocks
-    /// *become* symbolic in the first place.
+    /// Offers a transactional store to the symbolic store buffer. `None`
+    /// sends it down the plain speculative path.
+    fn buffer_store(
+        &mut self,
+        core: CoreId,
+        src: Option<Reg>,
+        value: u64,
+        addr: Addr,
+        mem: &mut MemorySystem<N>,
+    ) -> Option<MemResult> {
+        match self.cores[core.0].engine.on_store(addr, src, value) {
+            StorePath::Buffered => Some(MemResult::Value { value, latency: 1 }),
+            StorePath::Overflow => {
+                self.train_down_on_overflow(core);
+                self.abort_self(core, mem, AbortCause::Overflow);
+                Some(MemResult::Abort)
+            }
+            StorePath::Normal => None,
+        }
+    }
+
+    /// The baseline verdict with RETCON's steal rule (§4.2): a victim whose
+    /// only speculative claim on `block` is *symbolic read-only tracking*
+    /// loses the block without aborting.
+    fn verdict(
+        &self,
+        core: CoreId,
+        block: BlockAddr,
+        conflicts: CoreSet<N>,
+        mem: &MemorySystem<N>,
+    ) -> Verdict<N> {
+        self.base.verdict(core, conflicts, |victim| {
+            self.cores[victim.0].engine.is_tracking(block) && !mem.spec_bits(victim, block).written
+        })
+    }
+
+    /// First half of every access, plain or commit-time: resolves whatever
+    /// conflicts `kind` on `addr` raises (`None` lets the access proceed).
+    /// Every conflict trains the predictor on both sides (which is how
+    /// blocks *become* symbolic in the first place), stealable victims lose
+    /// the block and keep running on their recorded initial values, and the
+    /// baseline carries out the contention manager's ruling on the rest.
     fn resolve(
         &mut self,
         core: CoreId,
         addr: Addr,
-        conflicts: CoreSet<N>,
+        kind: AccessKind,
         mem: &mut MemorySystem<N>,
-    ) -> Resolve {
+    ) -> Option<MemResult> {
+        let conflicts = mem.conflict_mask_of(core, addr, kind);
+        if conflicts.is_empty() {
+            return None;
+        }
         let block = addr.block();
-        // The non-stealable victims accumulate in the requester's reusable
-        // scratch buffer: conflict resolution runs on every contended
-        // access, so it must not allocate in steady state. `conflicts` is
-        // the conflicting-core set; ascending iteration reproduces the old
-        // `ConflictSet`'s ascending core order, and each victim's
-        // speculative bits are fetched only when the steal test needs them.
-        let mut hard = std::mem::take(&mut self.cores[core.0].hard);
-        hard.clear();
-        for victim_id in conflicts {
-            let victim_id = CoreId(victim_id);
-            // Both parties learn that this block is contended.
-            self.cores[victim_id.0]
-                .engine
-                .predictor_mut()
-                .on_conflict(block);
+        let verdict = self.verdict(core, block, conflicts, mem);
+        for victim in conflicts {
+            self.cores[victim].engine.predictor_mut().on_conflict(block);
             self.cores[core.0].engine.predictor_mut().on_conflict(block);
-            let victim = &self.cores[victim_id.0];
-            let stealable = victim.active
-                && victim.engine.is_tracking(block)
-                && !mem.spec_bits(victim_id, block).written;
-            if stealable {
-                mem.invalidate_block(victim_id, block);
-                self.cores[victim_id.0].engine.on_steal(block);
-            } else {
-                let age = self
-                    .age(victim_id)
-                    .expect("speculative bits imply an active tx");
-                hard.push((victim_id, age));
-            }
         }
-        let result = if hard.is_empty() {
-            Resolve::Proceed
-        } else {
-            match decide(self.policy, self.age(core), &hard) {
-                Decision::AbortVictims => {
-                    for &(v, _) in &hard {
-                        self.abort_core(v, mem, AbortCause::Conflict, true);
-                    }
-                    Resolve::Proceed
-                }
-                Decision::StallRequester => {
-                    self.cores[core.0].stats.stalls += 1;
-                    Resolve::Stall
-                }
-                Decision::AbortRequester => {
-                    self.abort_core(core, mem, AbortCause::Conflict, false);
-                    Resolve::AbortSelf
-                }
-            }
-        };
-        self.cores[core.0].hard = hard;
-        result
+        for victim in verdict.steal {
+            mem.invalidate_block(CoreId(victim), block);
+            self.cores[victim].engine.on_steal(block);
+        }
+        let cores = &mut self.cores;
+        self.base
+            .apply(core, &verdict, mem, |aborted| cores[aborted.0].end_tx())
     }
 
-    /// Read-only twin of [`RetconTm::resolve`]'s verdict: would a retry of
-    /// a conflicting access to `block` (conflict mask `mask`) take the
-    /// `StallRequester` path again with no steal? Steals mutate coherence
-    /// state, so any stealable victim declines — in steady state the steals
-    /// completed on the first stalled attempt and only hard victims remain.
-    /// Returns the set to train predictors on per retry. Victims go on the
-    /// stack: the dry run must not allocate (the scratch holds 64 victims;
-    /// wider conflicts decline certification and retry step-by-step).
-    fn storm_verdict(
-        &self,
-        core: CoreId,
-        block: BlockAddr,
-        mask: CoreSet<N>,
-        mem: &MemorySystem<N>,
-    ) -> Option<CoreSet<N>> {
-        let mut hard = [(CoreId(0), (0u64, 0usize)); 64];
-        let mut n = 0;
-        for victim_id in mask {
-            let victim_id = CoreId(victim_id);
-            let victim = &self.cores[victim_id.0];
-            let stealable = victim.active
-                && victim.engine.is_tracking(block)
-                && !mem.spec_bits(victim_id, block).written;
-            if stealable {
-                return None;
-            }
-            if n == hard.len() {
-                return None;
-            }
-            hard[n] = (victim_id, self.age(victim_id)?);
-            n += 1;
-        }
-        match decide(self.policy, self.age(core), &hard[..n]) {
-            Decision::StallRequester => Some(mask),
-            _ => None,
-        }
-    }
-
-    /// The commit-storm oracle: a read-only replica of [`Protocol::commit`]'s
-    /// acquisition walk, deciding whether a stalled commit's retry is a
-    /// fixed point. The walk visits tracked blocks in IVB order, then
-    /// untracked buffered-store blocks ascending and deduplicated (exactly
-    /// [`Engine::collect_precommit_store_blocks`]'s order, replicated on the
-    /// stack). Every block ahead of the stall must re-access as a plain L1
-    /// hit — the steady state the first stalled attempt established — and
-    /// goes into the storm's watch list; the first conflicted block must
-    /// re-stall per [`RetconTm::storm_verdict`]. Anything else (a possible
-    /// steal, a coherence transition, an oversized footprint, a walk that
-    /// would now run to completion) declines and the commit retries
-    /// step-by-step.
+    /// The commit-storm oracle: a read-only walk of [`Protocol::commit`]'s
+    /// acquisition order, deciding whether a stalled commit's retry is a
+    /// fixed point. Every block ahead of the stall must re-access as a
+    /// plain L1 hit — the steady state the first stalled attempt
+    /// established — and goes into the storm's watch list; the first
+    /// conflicted block must stall the commit again with nothing to steal.
+    /// Anything else (a possible steal, a coherence transition, an
+    /// oversized prefix, a walk that would now run to completion) declines
+    /// and the commit retries step-by-step.
     fn commit_storm(&self, core: CoreId, mem: &MemorySystem<N>) -> Option<StallStorm<N>> {
         let engine = &self.cores[core.0].engine;
-        let tracked = engine.ivb().len();
-        let mut stores = [BlockAddr(0); MAX_WATCHED_BLOCKS];
-        let mut n_stores = 0usize;
-        for e in engine.ssb().iter() {
-            let b = e.addr.block();
-            if engine.ivb().contains(b) {
-                continue;
-            }
-            match stores[..n_stores].binary_search_by_key(&b.0, |s| s.0) {
-                Ok(_) => {}
-                Err(pos) => {
-                    if n_stores == MAX_WATCHED_BLOCKS {
-                        return None;
-                    }
-                    stores.copy_within(pos..n_stores, pos + 1);
-                    stores[pos] = b;
-                    n_stores += 1;
-                }
-            }
-        }
+        let mut walk = PrecommitCursor::default();
         let mut watch = WatchList::EMPTY;
-        for i in 0..tracked + n_stores {
-            let (block, kind): (BlockAddr, AccessKind) = if i < tracked {
-                let e = engine.ivb().entry_at(i);
-                (
-                    e.block(),
-                    if e.is_written() {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                )
-            } else {
-                (stores[i - tracked], AccessKind::Write)
-            };
-            let mask = mem.conflict_mask_of(core, block.base(), kind);
-            if !mask.is_empty() {
-                let train_mask = self.storm_verdict(core, block, mask, mem)?;
-                return Some(StallStorm {
-                    train_mask,
-                    block,
-                    // Every earlier iteration passed the L1-hit check, so
-                    // the replayed prefix is exactly `i` hits long.
-                    prefix_hits: i as u32,
-                    watch,
-                });
+        while let Some((block, write)) = engine.next_precommit_block(&mut walk) {
+            let kind = acquire_kind(write);
+            let conflicts = mem.conflict_mask_of(core, block.base(), kind);
+            if !conflicts.is_empty() {
+                return self
+                    .verdict(core, block, conflicts, mem)
+                    .restalls()
+                    .then(|| StallStorm {
+                        train_mask: conflicts,
+                        block,
+                        // Every earlier step passed the L1-hit check, so
+                        // the replayed prefix is exactly the watch list.
+                        prefix_hits: watch.blocks().len() as u32,
+                        watch,
+                    });
             }
             if !mem.is_l1_hit(core, block, kind) || !watch.push(block) {
                 return None;
@@ -376,17 +286,15 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
     }
 
     fn tx_begin(&mut self, core: CoreId, now: u64) {
+        self.base.tx_begin(core, now);
         let cs = &mut self.cores[core.0];
-        debug_assert!(!cs.active);
-        cs.active = true;
-        cs.birth.get_or_insert(now);
         cs.start_cycle = now;
         cs.plain_blocks.clear();
         cs.engine.begin();
     }
 
     fn tx_active(&self, core: CoreId) -> bool {
-        self.cores[core.0].active
+        self.base.tx_active(core)
     }
 
     fn read(
@@ -398,7 +306,7 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        let active = self.cores[core.0].active;
+        let active = self.base.tx_active(core);
         if active {
             let cs = &mut self.cores[core.0];
             if let Some(r) = addr_reg {
@@ -410,36 +318,16 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
                 return MemResult::Value { value, latency: 1 };
             }
         }
-        let latency = match mem.plan_if_clean(core, addr, AccessKind::Read) {
-            Ok(plan) => mem.access_planned(&plan, active),
-            Err(conflicts) => {
-                match self.resolve(core, addr, conflicts, mem) {
-                    Resolve::Proceed => {}
-                    Resolve::Stall => return MemResult::Stall,
-                    Resolve::AbortSelf => return MemResult::Abort,
-                }
-                // Resolution (steal/abort) may have changed coherence
-                // state: classify now.
-                mem.access(core, addr, AccessKind::Read, active)
-            }
-        };
+        if let Some(result) = self.resolve(core, addr, AccessKind::Read, mem) {
+            return result;
+        }
+        let latency = mem.access(core, addr, AccessKind::Read, active);
         let value = mem.read_word(addr);
         if active {
-            let block = addr.block();
             let cs = &mut self.cores[core.0];
-            // `insert` doubles as the membership test (one hash lookup, not
-            // two) and the predictor is only consulted for blocks not
-            // already accessed plainly this transaction.
-            if cs.plain_blocks.insert(block.0) && cs.engine.wants_tracking(addr) {
-                cs.plain_blocks.remove(block.0);
-                let memory = &*mem;
-                let ok = cs.engine.begin_tracking(block, |w| memory.read_word(w));
-                debug_assert!(ok, "wants_tracking implies room");
+            if cs.begins_tracking(addr, mem) {
                 let v = cs.engine.finish_tracked_load(dst, addr);
                 debug_assert_eq!(v, value);
-                // The block just became symbolically tracked — a conflict
-                // verdict input (tracked blocks are stealable).
-                mem.bump_block_version(block);
             } else {
                 cs.engine.finish_memory_load(dst, value);
             }
@@ -457,128 +345,58 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         mem: &mut MemorySystem<N>,
         _now: u64,
     ) -> MemResult {
-        let active = self.cores[core.0].active;
+        let active = self.base.tx_active(core);
         if active {
             if let Some(r) = addr_reg {
                 self.cores[core.0].engine.concretize_addr_reg(r);
             }
-            match self.cores[core.0].engine.on_store(addr, src, value) {
-                StorePath::Buffered => return MemResult::Value { value, latency: 1 },
-                StorePath::Overflow => {
-                    self.train_down_on_overflow(core);
-                    self.abort_core(core, mem, AbortCause::Overflow, false);
-                    return MemResult::Abort;
-                }
-                StorePath::Normal => {}
+            if let Some(result) = self.buffer_store(core, src, value, addr, mem) {
+                return result;
             }
         }
-        let clean_plan = match mem.plan_if_clean(core, addr, AccessKind::Write) {
-            Ok(plan) => Some(plan),
-            Err(conflicts) => {
-                match self.resolve(core, addr, conflicts, mem) {
-                    Resolve::Proceed => {}
-                    Resolve::Stall => return MemResult::Stall,
-                    Resolve::AbortSelf => return MemResult::Abort,
-                }
-                None
-            }
-        };
-        if active {
-            let block = addr.block();
-            let cs = &mut self.cores[core.0];
-            // Store-initiated tracking: a *blind* write (the block was never
-            // accessed plainly by this transaction) to a block the predictor
-            // has learned is conflict-prone begins tracking too, so the
-            // store is buffered and reapplied at commit (this is how RETCON
-            // "implicitly provides selective lazy conflict detection",
-            // §5.1). Conflicts were resolved above, so memory holds no other
-            // core's uncommitted data for this block. As on the read path,
-            // `insert` doubles as the membership test and gates the
-            // predictor lookup.
-            if cs.plain_blocks.insert(block.0) && cs.engine.wants_tracking(addr) {
-                cs.plain_blocks.remove(block.0);
-                let memory = &*mem;
-                let ok = cs.engine.begin_tracking(block, |w| memory.read_word(w));
-                debug_assert!(ok, "wants_tracking implies room");
-                // Tracked blocks are stealable: a conflict verdict input.
-                mem.bump_block_version(block);
-                match cs.engine.on_store(addr, src, value) {
-                    StorePath::Buffered => return MemResult::Value { value, latency: 1 },
-                    StorePath::Overflow => {
-                        self.train_down_on_overflow(core);
-                        self.abort_core(core, mem, AbortCause::Overflow, false);
-                        return MemResult::Abort;
-                    }
-                    StorePath::Normal => unreachable!("stores to tracked blocks buffer"),
-                }
-            }
-            let cs = &mut self.cores[core.0];
-            cs.undo.record(mem.memory(), addr);
+        if let Some(result) = self.resolve(core, addr, AccessKind::Write, mem) {
+            return result;
         }
-        let latency = match clean_plan {
-            Some(plan) => mem.access_planned(&plan, active),
-            // Resolution may have changed coherence state: classify now.
-            None => mem.access(core, addr, AccessKind::Write, active),
-        };
-        mem.write_word(addr, value);
-        MemResult::Value { value, latency }
+        // Store-initiated tracking: a *blind* write (the block was never
+        // accessed plainly by this transaction) to a block the predictor
+        // has learned is conflict-prone begins tracking too, so the store
+        // is buffered and reapplied at commit (this is how RETCON
+        // "implicitly provides selective lazy conflict detection", §5.1).
+        // Conflicts were resolved above, so memory holds no other core's
+        // uncommitted data for this block.
+        if active && self.cores[core.0].begins_tracking(addr, mem) {
+            return self
+                .buffer_store(core, src, value, addr, mem)
+                .expect("stores to tracked blocks buffer");
+        }
+        self.base.plain_write(core, value, addr, mem)
     }
 
     fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, now: u64) -> CommitResult {
-        debug_assert!(self.cores[core.0].active);
+        debug_assert!(self.base.tx_active(core));
         let cfg = *self.cores[core.0].engine.config();
         let mut serial_latency = 0u64;
         let mut parallel_latency = 0u64;
 
-        // Figure 7, step 1 (acquisition): reacquire every tracked block —
-        // with write permission when commit-time stores target it (§4.4) —
-        // and acquire write permission for buffered stores to untracked
-        // blocks. Conflicts go through the normal contention manager; a
-        // stall reschedules the entire commit (partial acquisitions are
-        // harmless — the blocks are simply cached).
-        //
-        // Tracked blocks are visited by index straight out of the IVB (it
-        // cannot change mid-loop: resolution only ever mutates *other*
-        // cores unless it aborts us, and then we return immediately);
-        // untracked store blocks come from the reusable scratch buffer.
-        // Same visit order as the old collect-then-iterate, no per-commit
-        // allocation.
-        let tracked = self.cores[core.0].engine.ivb().len();
-        let mut store_blocks = std::mem::take(&mut self.cores[core.0].store_blocks);
-        self.cores[core.0]
-            .engine
-            .collect_precommit_store_blocks(&mut store_blocks);
-        for i in 0..tracked + store_blocks.len() {
-            let (block, kind): (BlockAddr, AccessKind) = if i < tracked {
-                let e = self.cores[core.0].engine.ivb().entry_at(i);
-                (
-                    e.block(),
-                    if e.is_written() {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                )
-            } else {
-                (store_blocks[i - tracked], AccessKind::Write)
-            };
-            let addr = block.base();
-            let conflicts = mem.conflict_mask_of(core, addr, kind);
-            if !conflicts.is_empty() {
-                let resolved = self.resolve(core, addr, conflicts, mem);
-                if !matches!(resolved, Resolve::Proceed) {
-                    self.cores[core.0].store_blocks = store_blocks;
-                    return match resolved {
-                        Resolve::Stall => CommitResult::Stall,
-                        _ => CommitResult::Abort,
-                    };
-                }
+        // Figure 7, step 1 (acquisition): reacquire every tracked block and
+        // acquire write permission for buffered stores to untracked blocks.
+        // Conflicts go through the normal contention manager; a stall
+        // reschedules the entire commit (partial acquisitions are harmless
+        // — the blocks are simply cached). The engine does not change under
+        // the walk: resolution only ever mutates *other* cores unless it
+        // aborts this one, which ends the walk.
+        let mut walk = PrecommitCursor::default();
+        while let Some((block, write)) = self.cores[core.0].engine.next_precommit_block(&mut walk) {
+            let (addr, kind) = (block.base(), acquire_kind(write));
+            match self.resolve(core, addr, kind, mem) {
+                None => {}
+                Some(MemResult::Stall) => return CommitResult::Stall,
+                Some(_) => return CommitResult::Abort,
             }
             let l = mem.access(core, addr, kind, true);
             serial_latency += l;
             parallel_latency = parallel_latency.max(l);
         }
-        self.cores[core.0].store_blocks = store_blocks;
         let mut latency = if cfg.parallel_reacquire {
             parallel_latency
         } else {
@@ -599,8 +417,8 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
             Err(v) => {
                 cs.engine.predictor_mut().on_violation(v.block);
                 cs.rstats.record_violation();
-                self.cores[core.0].repair = repair;
-                self.abort_core(core, mem, AbortCause::Validation, false);
+                cs.repair = repair;
+                self.abort_self(core, mem, AbortCause::Validation);
                 CommitResult::Abort
             }
             Ok(()) => {
@@ -619,19 +437,13 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
                 for &(r, v) in &repair.registers {
                     reg_updates.push(r, v);
                 }
-                let cs = &mut self.cores[core.0];
                 let mut snap = cs.engine.snapshot();
                 snap.commit_cycles = latency;
                 let lifetime = now.saturating_sub(cs.start_cycle) + latency;
                 cs.rstats.record_commit(snap, lifetime.max(1));
-                cs.undo.clear();
-                cs.engine.reset();
-                cs.plain_blocks.clear();
-                cs.active = false;
-                cs.birth = None;
-                cs.stats.commits += 1;
+                cs.end_tx();
                 cs.repair = repair;
-                mem.clear_spec(core);
+                self.base.retire(core, mem);
                 CommitResult::Committed {
                     latency,
                     reg_updates,
@@ -641,11 +453,11 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
     }
 
     fn take_aborted(&mut self, core: CoreId) -> bool {
-        std::mem::take(&mut self.cores[core.0].aborted)
+        self.base.take_aborted(core)
     }
 
     fn abort_pending(&self, core: CoreId) -> bool {
-        self.cores[core.0].aborted
+        self.base.abort_pending(core)
     }
 
     fn on_imm(&mut self, core: CoreId, dst: Reg) {
@@ -686,7 +498,7 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
     }
 
     fn stats(&self, core: CoreId) -> &ProtocolStats {
-        &self.cores[core.0].stats
+        self.base.stats(core)
     }
 
     fn stall_storm(
@@ -695,24 +507,16 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         action: StallAction,
         mem: &MemorySystem<N>,
     ) -> Option<StallStorm<N>> {
-        // An access retry is a fixed point exactly when `resolve` would
-        // take the StallRequester path again with no steal
-        // ([`RetconTm::storm_verdict`]); every retry trains both predictors
-        // per conflicting core, which the storm's `train_mask` carries. A
-        // commit retry additionally re-walks its conflict-free acquisition
-        // prefix, which [`RetconTm::commit_storm`] proves is a pure L1-hit
-        // replay before admitting the storm.
-        let (addr, kind) = match action {
-            StallAction::Read(a) => (a, AccessKind::Read),
-            StallAction::Write(a) => (a, AccessKind::Write),
-            StallAction::Commit => return self.commit_storm(core, mem),
+        // Every stalled retry trains both predictors per conflicting core,
+        // which the storm's `train_mask` carries. A commit retry
+        // additionally re-walks its conflict-free acquisition prefix.
+        let Some((addr, kind)) = action.access() else {
+            return self.commit_storm(core, mem);
         };
-        let mask = mem.conflict_mask_of(core, addr, kind);
-        if mask.is_empty() {
-            return None;
-        }
-        let train_mask = self.storm_verdict(core, addr.block(), mask, mem)?;
-        Some(StallStorm::access(train_mask, addr.block()))
+        let conflicts = mem.conflict_mask_of(core, addr, kind);
+        self.verdict(core, addr.block(), conflicts, mem)
+            .restalls()
+            .then(|| StallStorm::access(conflicts, addr.block()))
     }
 
     fn apply_stall_retries(
@@ -738,7 +542,7 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
                 .predictor_mut()
                 .on_conflicts(storm.block, n32);
         }
-        self.cores[core.0].stats.stalls += n;
+        self.base.apply_stall_retries(core, storm, n, mem);
         if storm.prefix_hits != 0 {
             mem.replay_l1_hits(core, n.saturating_mul(u64::from(storm.prefix_hits)));
         }
@@ -757,22 +561,10 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
     /// symbolic tag (a dangling tag would let a stale repair chain leak
     /// into the next transaction).
     fn check_quiescent(&self) -> Result<(), String> {
+        self.base
+            .check_quiescent()
+            .map_err(|e| format!("RetCon baseline, {e}"))?;
         for (i, cs) in self.cores.iter().enumerate() {
-            if cs.active {
-                return Err(format!("RetCon: core {i} still has an active transaction"));
-            }
-            if cs.birth.is_some() {
-                return Err(format!("RetCon: core {i} kept a transaction birth stamp"));
-            }
-            if !cs.undo.is_empty() {
-                return Err(format!(
-                    "RetCon: core {i} undo log holds {} entries at quiescence",
-                    cs.undo.len()
-                ));
-            }
-            if cs.aborted {
-                return Err(format!("RetCon: core {i} has an undelivered abort flag"));
-            }
             if cs.engine.in_tx() {
                 return Err(format!("RetCon: core {i} engine still in a transaction"));
             }

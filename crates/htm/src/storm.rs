@@ -45,6 +45,7 @@
 //! fast-forward).
 
 use retcon_isa::{Addr, BlockAddr, CoreSet};
+use retcon_mem::AccessKind;
 
 /// The stalled instruction a storm re-executes, as the simulator saw it:
 /// the resolved address of a load/store, or a transaction commit.
@@ -56,6 +57,17 @@ pub enum StallAction {
     Write(Addr),
     /// A transaction commit stalled.
     Commit,
+}
+
+impl StallAction {
+    /// The access a stalled load or store retries; `None` for a commit.
+    pub(crate) fn access(self) -> Option<(Addr, AccessKind)> {
+        match self {
+            StallAction::Read(a) => Some((a, AccessKind::Read)),
+            StallAction::Write(a) => Some((a, AccessKind::Write)),
+            StallAction::Commit => None,
+        }
+    }
 }
 
 /// Upper bound on the watched reacquisition prefix of a commit storm. A

@@ -363,44 +363,6 @@ impl<const N: usize> MemorySystem<N> {
         }
     }
 
-    /// [`plan`](Self::plan) with the conflict check hoisted first:
-    /// classification (the cache/directory walk) is skipped entirely when
-    /// the access conflicts, because its result would be discarded — after
-    /// conflict *resolution* protocols must re-classify via
-    /// [`access`](Self::access) anyway. Stall-retry loops call this once
-    /// per retry, so the skipped walk — and the conflict representation
-    /// being a bare [`CoreSet`] rather than a materialized
-    /// [`ConflictSet`] — is the dominant saving on contended runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the non-empty conflicting-core set when the access
-    /// conflicts (ascending iteration reproduces [`ConflictSet`]'s
-    /// ascending core order; per-victim [`spec_bits`](Self::spec_bits) are
-    /// fetched on demand by the protocols that need them).
-    #[inline]
-    pub fn plan_if_clean(
-        &self,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-    ) -> Result<AccessPlan, CoreSet<N>> {
-        let block = addr.block();
-        let mask = self.conflict_mask(core, block, kind);
-        if !mask.is_empty() {
-            return Err(mask);
-        }
-        let service = self.classify(core, block, kind);
-        Ok(AccessPlan {
-            latency: self.latency_of(service),
-            conflicts: ConflictSet::new(),
-            core,
-            addr,
-            kind,
-            service,
-        })
-    }
-
     /// The set of cores whose speculative bits conflict with `core`
     /// performing `kind` on `addr`'s block (the allocation- and
     /// struct-free form of [`conflict_set`](Self::conflict_set)).
@@ -728,13 +690,6 @@ impl<const N: usize> MemorySystem<N> {
     /// This core's accumulated statistics.
     pub fn stats(&self, core: CoreId) -> &MemStats {
         &self.stats[core.0]
-    }
-
-    /// Resets all statistics counters.
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            *s = MemStats::default();
-        }
     }
 
     /// The directory (read-only), for tests asserting coherence state.

@@ -417,12 +417,6 @@ impl<const N: usize> Machine<N> {
         &self.mem
     }
 
-    /// Mutable access to the shared memory system (workload setup and test
-    /// assertions).
-    pub fn mem_mut(&mut self) -> &mut MemorySystem<N> {
-        &mut self.mem
-    }
-
     /// The concurrency-control protocol.
     ///
     /// Returns the concrete [`AnyProtocol`] so callers reading counters
@@ -624,6 +618,18 @@ impl<const N: usize> Machine<N> {
         let (meta, meta_hi) = meta_rest.split_first_mut().expect("core index in range");
         let (payload_lo, payload_rest) = cert_payload.split_at_mut(c);
         let (payload, payload_hi) = payload_rest.split_first_mut().expect("core index in range");
+        // A stalled attempt, whichever instruction took it: charge the retry
+        // latency, then ask the protocol whether the retry is a fixed point
+        // the next pop may fast-forward.
+        macro_rules! stall {
+            ($action:expr, $arg:expr) => {{
+                core.stall(stall_retry + sched.observe_stall(c, core.now));
+                trace!(EventKind::Stall, core.now, $arg);
+                if fast_forward {
+                    certify_storm(protocol, mem, c, $action, meta, payload, cert_gen);
+                }
+            }};
+        }
         let program = &programs[c];
         // Current basic block's instruction slice, refreshed only on
         // control transfers: the straight-line fetch is one indexed load.
@@ -825,21 +831,7 @@ impl<const N: usize> Machine<N> {
                             core.pc = pc.next();
                             core.charge(in_tx, latency);
                         }
-                        MemResult::Stall => {
-                            core.stall(stall_retry + sched.observe_stall(c, core.now));
-                            trace!(EventKind::Stall, core.now, a.block().0);
-                            if fast_forward {
-                                certify_storm(
-                                    protocol,
-                                    mem,
-                                    c,
-                                    StallAction::Read(a),
-                                    meta,
-                                    payload,
-                                    cert_gen,
-                                );
-                            }
-                        }
+                        MemResult::Stall => stall!(StallAction::Read(a), a.block().0),
                         MemResult::Abort => {
                             core.restart_tx();
                             in_tx = false;
@@ -863,21 +855,7 @@ impl<const N: usize> Machine<N> {
                             core.pc = pc.next();
                             core.charge(in_tx, latency);
                         }
-                        MemResult::Stall => {
-                            core.stall(stall_retry + sched.observe_stall(c, core.now));
-                            trace!(EventKind::Stall, core.now, a.block().0);
-                            if fast_forward {
-                                certify_storm(
-                                    protocol,
-                                    mem,
-                                    c,
-                                    StallAction::Write(a),
-                                    meta,
-                                    payload,
-                                    cert_gen,
-                                );
-                            }
-                        }
+                        MemResult::Stall => stall!(StallAction::Write(a), a.block().0),
                         MemResult::Abort => {
                             core.restart_tx();
                             in_tx = false;
@@ -956,21 +934,7 @@ impl<const N: usize> Machine<N> {
                             }
                             trace!(EventKind::Commit, core.now, latency);
                         }
-                        CommitResult::Stall => {
-                            core.stall(stall_retry + sched.observe_stall(c, core.now));
-                            trace!(EventKind::Stall, core.now, 0); // commit-stall
-                            if fast_forward {
-                                certify_storm(
-                                    protocol,
-                                    mem,
-                                    c,
-                                    StallAction::Commit,
-                                    meta,
-                                    payload,
-                                    cert_gen,
-                                );
-                            }
-                        }
+                        CommitResult::Stall => stall!(StallAction::Commit, 0),
                         CommitResult::Abort => {
                             core.restart_tx();
                             in_tx = false;

@@ -35,7 +35,7 @@ fn usage() -> ExitCode {
     eprintln!("systems:   eager, eager-abort, lazy, lazy-vb, RetCon, RetCon-ideal, datm");
     eprintln!();
     eprintln!("--schedule-seed fuzzes the instruction interleaving (seeded, reproducible);");
-    eprintln!("omitting it keeps the deterministic min-heap schedule");
+    eprintln!("omitting it keeps the deterministic smallest-(clock, core) schedule");
     eprintln!();
     eprintln!("--cores up to 1024 (CoreSet size classes: 64/128/256/512/1024)");
     eprintln!("--shards N runs disjoint core ranges on host threads; the report is");

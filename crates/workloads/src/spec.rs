@@ -21,12 +21,6 @@ impl WorkloadSpec {
     pub fn num_cores(&self) -> usize {
         self.programs.len()
     }
-
-    /// Total dynamic transactions the workload will attempt (for sanity
-    /// checks; derived by the builder).
-    pub fn total_instructions_estimate(&self) -> usize {
-        self.programs.iter().map(|p| p.len()).sum()
-    }
 }
 
 /// A bump allocator for the simulated word address space.

@@ -8,8 +8,10 @@
 //! default deterministic schedule where the closed form is active.
 
 use proptest::prelude::*;
+use retcon_isa::{Addr, Operand, ProgramBuilder, Reg};
+use retcon_obs::{EventKind, RingTracer};
 use retcon_sim::SimConfig;
-use retcon_workloads::{machine_for, System, Workload};
+use retcon_workloads::{machine_for_sized, System, Workload, WorkloadSpec};
 
 const SYSTEMS: [System; 7] = [
     System::Eager,
@@ -31,27 +33,79 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
     ]
 }
 
-fn assert_ff_equivalent(workload: Workload, cores: usize, seed: u64) {
-    let spec = workload.build(cores, seed);
-    for system in SYSTEMS {
+/// Runs `spec` under each of `systems` at `CoreSet` size class `N` with
+/// fast-forward on and off and asserts equal reports. The fast-forwarded
+/// run is traced; returns, per system, how many storm fast-forwards the
+/// last core took.
+fn assert_ff_equivalent<const N: usize>(spec: &WorkloadSpec, systems: &[System]) -> Vec<usize> {
+    let cores = spec.num_cores();
+    let mut last_core_ffs = Vec::new();
+    for &system in systems {
         let mut reports = Vec::new();
         for ff in [true, false] {
-            let mut machine =
-                machine_for(&spec, system.protocol(cores), SimConfig::with_cores(cores));
+            let mut machine = machine_for_sized::<N>(
+                spec,
+                system.protocol_sized::<N>(cores),
+                SimConfig::with_cores(cores),
+            );
             machine.set_fast_forward(ff);
+            if ff {
+                machine.set_tracer(RingTracer::with_capacity(1 << 16));
+            }
             reports.push(machine.run().expect("run completes"));
+            if let Some(tracer) = machine.take_tracer() {
+                let ffs = tracer.events().filter(|e| {
+                    usize::from(e.core) == cores - 1 && e.event_kind() == Some(EventKind::StormFf)
+                });
+                last_core_ffs.push(ffs.count());
+            }
         }
         assert_eq!(
             reports[0],
             reports[1],
-            "{} on {} cores (seed {}) under {}: fast-forwarded and \
-             step-by-step reports differ",
-            workload.label(),
+            "{} on {} cores under {}: fast-forwarded and step-by-step reports differ",
+            spec.name,
             cores,
-            seed,
             system.label()
         );
     }
+    last_core_ffs
+}
+
+/// `readers` transactional readers of one block, each holding it for 2000
+/// cycles, and one *younger* transactional writer of the same block on the
+/// last core: the writer's store conflicts with every reader at once.
+fn wide_conflict(readers: usize) -> WorkloadSpec {
+    let reader = {
+        let mut b = ProgramBuilder::new();
+        b.tx_begin().imm(Reg(1), 0).load(Reg(2), Reg(1), 0);
+        b.work(2000).tx_commit().halt();
+        b.build().expect("reader program")
+    };
+    let mut b = ProgramBuilder::new();
+    b.work(50).tx_begin().imm(Reg(1), 0);
+    b.store(Operand::Imm(7), Reg(1), 0).tx_commit().halt();
+    let mut programs = vec![reader; readers];
+    programs.push(b.build().expect("writer program"));
+    WorkloadSpec {
+        name: "wide_conflict",
+        tapes: vec![Vec::new(); programs.len()],
+        programs,
+        init: vec![(Addr(0), 1)],
+    }
+}
+
+/// A conflict wider than one `CoreSet` word certifies like any other: the
+/// writer's storm against 95 older readers on a 2-word machine is
+/// fast-forwarded, not retried step by step.
+#[test]
+fn conflicts_wider_than_64_victims_still_fast_forward() {
+    let systems = [System::Eager, System::Retcon];
+    let ffs = assert_ff_equivalent::<2>(&wide_conflict(95), &systems);
+    assert!(
+        ffs.iter().all(|&n| n > 0),
+        "writer storm_ff events: {ffs:?}"
+    );
 }
 
 proptest! {
@@ -63,7 +117,7 @@ proptest! {
         cores in 2usize..=4,
         seed in 0u64..1000,
     ) {
-        assert_ff_equivalent(workload, cores, seed);
+        assert_ff_equivalent::<1>(&workload.build(cores, seed), &SYSTEMS);
     }
 }
 
@@ -73,5 +127,8 @@ proptest! {
 #[test]
 #[ignore]
 fn fast_forward_is_invisible_on_the_bench_shape() {
-    assert_ff_equivalent(Workload::Python { optimized: false }, 32, 1);
+    assert_ff_equivalent::<1>(
+        &Workload::Python { optimized: false }.build(32, 1),
+        &SYSTEMS,
+    );
 }
