@@ -18,17 +18,14 @@
 //! full-machine coverage of the `Dyn` adapter parity path beyond unit
 //! tests.
 
-use retcon_isa::table::BlockTable;
 use retcon_isa::{Addr, Reg};
-use retcon_mem::{AccessKind, CoreId, MemorySystem};
+use retcon_mem::{AccessKind, CoreId, Footprints, MemorySystem, SpecBits};
 
 use retcon_htm::{CommitResult, MemResult, Protocol, ProtocolStats, RegUpdates};
 
 #[derive(Debug, Default)]
 struct CoreState {
     active: bool,
-    /// Blocks this transaction owns for writing (released at commit).
-    owned: Vec<u64>,
     stats: ProtocolStats,
 }
 
@@ -37,8 +34,9 @@ struct CoreState {
 #[derive(Debug)]
 pub struct LostUpdateTm {
     cores: Vec<CoreState>,
-    /// Per-block bitmask of active cores holding write ownership.
-    writers: BlockTable<u64>,
+    /// The blocks each active transaction owns for writing (released at
+    /// commit).
+    owned: Footprints,
 }
 
 impl LostUpdateTm {
@@ -46,7 +44,7 @@ impl LostUpdateTm {
     pub fn new(num_cores: usize) -> Self {
         LostUpdateTm {
             cores: (0..num_cores).map(|_| CoreState::default()).collect(),
-            writers: BlockTable::new(),
+            owned: Footprints::new(num_cores),
         }
     }
 }
@@ -93,19 +91,14 @@ impl Protocol for LostUpdateTm {
     ) -> MemResult {
         if self.cores[core.0].active {
             let block = addr.block().0;
-            let me = 1u64 << core.0;
-            let holders = self.writers.get(block);
-            if holders & !me != 0 {
+            if !self.owned.other_writers(core.0, block).is_empty() {
                 // Another active transaction owns the block: wait for its
                 // commit. (Write-write conflicts are the only ones this
                 // protocol notices.)
                 self.cores[core.0].stats.stalls += 1;
                 return MemResult::Stall;
             }
-            if holders & me == 0 {
-                *self.writers.entry(block) |= me;
-                self.cores[core.0].owned.push(block);
-            }
+            self.owned.mark(core.0, block, SpecBits::WRITTEN);
         }
         let latency = mem.access(core, addr, AccessKind::Write, false);
         mem.write_word(addr, value);
@@ -113,13 +106,9 @@ impl Protocol for LostUpdateTm {
     }
 
     fn commit(&mut self, core: CoreId, _mem: &mut MemorySystem, _now: u64) -> CommitResult {
-        let me = 1u64 << core.0;
         let cs = &mut self.cores[core.0];
         debug_assert!(cs.active);
-        for &block in &cs.owned {
-            *self.writers.entry(block) &= !me;
-        }
-        cs.owned.clear();
+        self.owned.clear_core(core.0, |_| {});
         cs.active = false;
         cs.stats.commits += 1;
         CommitResult::Committed {
@@ -141,10 +130,10 @@ impl Protocol for LostUpdateTm {
             if cs.active {
                 return Err(format!("lost-update: core {i} still active"));
             }
-            if !cs.owned.is_empty() {
+            let held = self.owned.blocks(i).count();
+            if held != 0 {
                 return Err(format!(
-                    "lost-update: core {i} holds {} blocks at quiescence",
-                    cs.owned.len()
+                    "lost-update: core {i} holds {held} blocks at quiescence"
                 ));
             }
         }

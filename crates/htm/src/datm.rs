@@ -8,9 +8,9 @@
 //! second closes a cycle and forces an abort — the case RETCON's symbolic
 //! repair handles without any abort.
 //!
-//! This implementation tracks read/write sets at block granularity in the
-//! protocol itself (rather than in cache bits, whose invalidation semantics
-//! do not fit forwarding) and maintains the dependence graph with one
+//! This implementation keeps block-granular read/write sets in its own
+//! [`Footprints`] (not the memory system's: invalidation semantics do
+//! not fit forwarding) and maintains the dependence graph with one
 //! progress-guaranteeing restriction: dependences may only point from
 //! *older* to *younger* transactions. Forwarding from an older writer to a
 //! younger reader is allowed; an access that would create a younger→older
@@ -22,9 +22,8 @@
 //! would-be cycle, younger transaction aborts) is reproduced exactly.
 //! Commits wait for all predecessors, enforcing the dependence order.
 
-use retcon_isa::table::{BlockTable, EpochSet};
 use retcon_isa::{Addr, CoreSet, Reg};
-use retcon_mem::{AccessKind, CoreId, FxHashSet, MemorySystem, UndoLog};
+use retcon_mem::{AccessKind, CoreId, Footprints, FxHashSet, MemorySystem, SpecBits, UndoLog};
 
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
@@ -36,13 +35,6 @@ use retcon_isa::BlockAddr;
 struct CoreState {
     tx: Tx,
     undo: UndoLog,
-    read_set: EpochSet,
-    write_set: EpochSet,
-    /// Distinct blocks in `read_set`/`write_set`, in first-touch order —
-    /// the worklist for clearing this core's bits out of the shared
-    /// reader/writer masks at transaction end.
-    read_blocks: Vec<u64>,
-    write_blocks: Vec<u64>,
 }
 
 /// Simplified dependence-aware transactional memory (see module docs).
@@ -51,12 +43,8 @@ pub struct DatmLite<const N: usize = 1> {
     cores: Vec<CoreState>,
     /// Dependence edges `(pred, succ)`: `succ` must commit after `pred`.
     edges: FxHashSet<(usize, usize)>,
-    /// Per-block set of *active* cores whose read set holds the block
-    /// (the O(1) replacement for snooping every core's read set on every
-    /// access).
-    readers: BlockTable<CoreSet<N>>,
-    /// Per-block set of active cores whose write set holds the block.
-    writers: BlockTable<CoreSet<N>>,
+    /// The read and write sets of the active transactions.
+    sets: Footprints<N>,
     /// Scratch: the cascading-abort DFS worklist (reused across cascades
     /// so the abort path never allocates in steady state).
     cascade: Vec<usize>,
@@ -71,27 +59,10 @@ impl<const N: usize> DatmLite<N> {
         DatmLite {
             cores: (0..num_cores).map(|_| CoreState::default()).collect(),
             edges: FxHashSet::default(),
-            readers: BlockTable::new(),
-            writers: BlockTable::new(),
+            sets: Footprints::new(num_cores),
             cascade: Vec::new(),
             victims: Vec::new(),
         }
-    }
-
-    /// Drops every trace of `core`'s transaction footprint: its bits in the
-    /// shared reader/writer masks, then its sets and worklists.
-    fn clear_footprint(&mut self, core: usize) {
-        let cs = &mut self.cores[core];
-        for &b in &cs.read_blocks {
-            self.readers.entry(b).remove(core);
-        }
-        for &b in &cs.write_blocks {
-            self.writers.entry(b).remove(core);
-        }
-        cs.read_blocks.clear();
-        cs.write_blocks.clear();
-        cs.read_set.clear();
-        cs.write_set.clear();
     }
 
     fn age(&self, c: usize) -> (u64, usize) {
@@ -161,7 +132,7 @@ impl<const N: usize> DatmLite<N> {
         });
         for &v in &victims {
             self.cores[v].undo.rollback(mem.memory_mut());
-            self.clear_footprint(v);
+            self.sets.clear_core(v, |_| {});
             self.cores[v].tx.abort(AbortCause::Cycle, true);
             self.edges.retain(|&(p, s)| p != v && s != v);
         }
@@ -177,17 +148,6 @@ impl<const N: usize> DatmLite<N> {
         self.edges
             .iter()
             .any(|&(p, s)| s == core && self.cores[p].tx.is_active())
-    }
-
-    /// Sets of the *other* active cores whose write set (resp. only
-    /// read set) holds `block`. A core appearing in both sets counts as a
-    /// writer, exactly like the old per-core snoop; ascending iteration
-    /// of the sets reproduces its ascending core order.
-    #[inline]
-    fn writers_and_readers(&self, block: u64, except: usize) -> (CoreSet<N>, CoreSet<N>) {
-        let w = self.writers.get(block).without(except);
-        let r = self.readers.get(block).without(except).and_not(w);
-        (w, r)
     }
 }
 
@@ -215,21 +175,16 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         if self.tx_active(core) {
             // Forwarding: reading a block another transaction wrote creates
             // a dependence writer -> reader (we must commit after them).
-            let (writers, _) = self.writers_and_readers(block, core.0);
-            for w in writers {
+            for w in self.sets.other_writers(core.0, block) {
                 if !self.add_edge(w, core.0, mem, core.0) {
                     return MemResult::Abort;
                 }
             }
-            if self.tx_active(core) {
-                if self.cores[core.0].read_set.insert(block) {
-                    self.cores[core.0].read_blocks.push(block);
-                    self.readers.entry(block).insert(core.0);
-                }
-            } else {
+            if !self.tx_active(core) {
                 // Cascaded abort caught us.
                 return MemResult::Abort;
             }
+            self.sets.mark(core.0, block, SpecBits::READ);
         }
         let latency = mem.access(core, addr, AccessKind::Read, false);
         MemResult::Value {
@@ -253,7 +208,8 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
             // Anti- and output-dependences: prior readers and writers must
             // commit before us (writers first, then pure readers, each in
             // ascending core order, as the old per-core snoop produced).
-            let (writers, readers) = self.writers_and_readers(block, core.0);
+            let writers = self.sets.other_writers(core.0, block);
+            let readers = self.sets.other_holders(core.0, block).and_not(writers);
             for group in [writers, readers] {
                 for other in group {
                     if !self.add_edge(other, core.0, mem, core.0) {
@@ -264,10 +220,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
             if !self.tx_active(core) {
                 return MemResult::Abort;
             }
-            if self.cores[core.0].write_set.insert(block) {
-                self.cores[core.0].write_blocks.push(block);
-                self.writers.entry(block).insert(core.0);
-            }
+            self.sets.mark(core.0, block, SpecBits::WRITTEN);
             self.cores[core.0].undo.record(mem.memory(), addr);
         }
         let latency = mem.access(core, addr, AccessKind::Write, false);
@@ -286,7 +239,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
             return CommitResult::Stall;
         }
         self.cores[core.0].undo.clear();
-        self.clear_footprint(core.0);
+        self.sets.clear_core(core.0, |_| {});
         self.cores[core.0].tx.commit();
         self.edges.retain(|&(p, s)| p != core.0 && s != core.0);
         mem.clear_spec(core);
@@ -342,13 +295,10 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         for (i, cs) in self.cores.iter().enumerate() {
             cs.tx
                 .check_quiescent("datm", i, ("undo log", cs.undo.len()))?;
-            // The shared reader/writer masks are cleared through these
-            // worklists, so non-empty worklists mean leaked mask bits.
-            if !cs.read_blocks.is_empty() || !cs.write_blocks.is_empty() {
+            let held = self.sets.blocks(i).count();
+            if held != 0 {
                 return Err(format!(
-                    "datm: core {i} footprint worklists not drained ({} reads, {} writes)",
-                    cs.read_blocks.len(),
-                    cs.write_blocks.len()
+                    "datm: core {i} holds {held} blocks in its read/write sets at quiescence"
                 ));
             }
         }

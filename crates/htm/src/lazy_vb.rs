@@ -7,9 +7,8 @@
 //! false/silent sharing but does not allow commits where a value read has
 //! been changed remotely."*
 
-use retcon_isa::table::EpochMap;
 use retcon_isa::{Addr, BlockAddr, Reg};
-use retcon_mem::{AccessKind, CoreId, MemorySystem, WriteBuffer};
+use retcon_mem::{AccessKind, CoreId, MemorySystem, WordLog, WriteBuffer};
 
 use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
@@ -20,25 +19,14 @@ struct CoreState {
     tx: Tx,
     wb: WriteBuffer,
     /// First-read value per word, in read order (the value log).
-    rlog: Vec<(Addr, u64)>,
-    /// Word -> first-read value, epoch-stamped (one array probe per read,
-    /// O(1) per-transaction clear).
-    rmap: EpochMap<u64>,
+    rlog: WordLog,
 }
 
 impl CoreState {
-    #[inline]
-    fn log_read(&mut self, addr: Addr, value: u64) {
-        if self.rmap.insert_if_absent(addr.0, value) {
-            self.rlog.push((addr, value));
-        }
-    }
-
     /// Drops the transaction's buffered stores and value log.
     fn discard_tx(&mut self) {
         self.wb.discard();
         self.rlog.clear();
-        self.rmap.clear();
     }
 }
 
@@ -109,14 +97,14 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
             // Own buffered stores first, then the value log. Snapshot
             // semantics: repeated reads observe the logged value even if
             // memory has moved on; validation decides at commit.
-            if let Some(value) = cs.wb.read(addr).or_else(|| cs.rmap.get(addr.0)) {
+            if let Some(value) = cs.wb.read(addr).or_else(|| cs.rlog.get(addr)) {
                 return MemResult::Value { value, latency: 1 };
             }
         }
         let latency = mem.access(core, addr, AccessKind::Read, false);
         let value = mem.read_word(addr);
         if active {
-            self.cores[core.0].log_read(addr, value);
+            self.cores[core.0].rlog.insert_first(addr, || value);
         }
         MemResult::Value { value, latency }
     }
@@ -141,35 +129,28 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
     }
 
     fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
-        // Step 1: reacquire and revalidate every read word by value. The
-        // log is taken (not cloned) and handed back below so steady-state
-        // commits allocate nothing.
-        let rlog: Vec<(Addr, u64)> = std::mem::take(&mut self.cores[core.0].rlog);
+        let cs = &mut self.cores[core.0];
+        // Step 1: reacquire and revalidate every read word by value.
         let mut latency = 0;
         let mut acquired: Option<BlockAddr> = None;
-        for &(addr, expected) in &rlog {
+        let valid = cs.rlog.iter().all(|(addr, expected)| {
             if acquired != Some(addr.block()) {
                 latency += mem.access(core, addr, AccessKind::Read, false);
                 acquired = Some(addr.block());
             }
-            if mem.read_word(addr) != expected {
-                let cs = &mut self.cores[core.0];
-                cs.rlog = rlog;
-                cs.discard_tx();
-                cs.tx.abort(AbortCause::Validation, false);
-                mem.clear_spec(core);
-                return CommitResult::Abort;
-            }
+            mem.read_word(addr) == expected
+        });
+        if !valid {
+            cs.discard_tx();
+            cs.tx.abort(AbortCause::Validation, false);
+            mem.clear_spec(core);
+            return CommitResult::Abort;
         }
-        // Step 2: drain the write buffer (same take-and-return dance).
-        let wb = std::mem::take(&mut self.cores[core.0].wb);
-        for (addr, value) in wb.iter() {
+        // Step 2: drain the write buffer.
+        for (addr, value) in cs.wb.iter() {
             latency += mem.access(core, addr, AccessKind::Write, false);
             mem.write_word(addr, value);
         }
-        let cs = &mut self.cores[core.0];
-        cs.wb = wb;
-        cs.rlog = rlog;
         cs.discard_tx();
         cs.tx.commit();
         CommitResult::Committed {

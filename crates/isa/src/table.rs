@@ -1,10 +1,9 @@
 //! Dense-first keyed tables for the simulator hot paths.
 //!
 //! Every per-block or per-word structure on the access hot path (directory
-//! entries, conflict masks, speculative-permission unions, undo-log
-//! membership, tracking predictors, transaction footprints) used to be an
-//! `FxHashMap` — one hash per consultation, several consultations per
-//! simulated memory access. Workloads allocate addresses densely from zero
+//! entries, transaction footprints, word-log membership, tracking
+//! predictors) used to be an `FxHashMap` — one hash per consultation,
+//! several consultations per simulated memory access. Workloads allocate addresses densely from zero
 //! (`retcon_workloads::Alloc`), so block and word numbers are small: a
 //! direct-indexed `Vec` answers the common case with a bounds check and an
 //! array load, and only adversarial/sparse keys (large literals in tests)
@@ -35,6 +34,8 @@ const DENSE_KEYS: u64 = 1 << 21;
 pub struct BlockTable<T> {
     dense: Vec<T>,
     sparse: FxHashMap<u64, T>,
+    /// What [`get_ref`](BlockTable::get_ref) lends for an absent key.
+    absent: T,
 }
 
 impl<T: Copy + Default + PartialEq> BlockTable<T> {
@@ -43,17 +44,26 @@ impl<T: Copy + Default + PartialEq> BlockTable<T> {
         BlockTable {
             dense: Vec::new(),
             sparse: FxHashMap::default(),
+            absent: T::default(),
         }
     }
 
     /// The entry for `key`, by value (`T::default()` if absent).
     #[inline]
     pub fn get(&self, key: u64) -> T {
-        if key < DENSE_KEYS {
-            self.dense.get(key as usize).copied().unwrap_or_default()
+        *self.get_ref(key)
+    }
+
+    /// The entry for `key`, in place (a `T::default()` if absent). For wide
+    /// rows: [`get`](Self::get) copies the whole entry.
+    #[inline]
+    pub fn get_ref(&self, key: u64) -> &T {
+        let entry = if key < DENSE_KEYS {
+            self.dense.get(key as usize)
         } else {
-            self.sparse.get(&key).copied().unwrap_or_default()
-        }
+            self.sparse.get(&key)
+        };
+        entry.unwrap_or(&self.absent)
     }
 
     /// A mutable reference to the entry for `key`, created as
@@ -95,10 +105,9 @@ impl<T: Copy + Default + PartialEq> BlockTable<T> {
 
 /// A set of keys with O(1) bulk [`clear`](EpochSet::clear): dense slots are
 /// stamped with the epoch they were inserted in, so clearing is one
-/// increment (plus draining the rare sparse spill). The transaction
-/// footprint sets (undo membership, plainly-accessed blocks, DATM
-/// read/write sets) clear once per transaction — this removes both their
-/// per-access hashing and their per-transaction drain.
+/// increment (plus draining the rare sparse spill). A per-transaction set
+/// (RETCON's plainly-accessed blocks) clears once per transaction — this
+/// removes both its per-access hashing and its per-transaction drain.
 #[derive(Debug, Clone)]
 pub struct EpochSet {
     stamps: Vec<u32>,
@@ -292,6 +301,9 @@ mod tests {
         *t.entry(far) = 9;
         assert_eq!(t.get(3), 7);
         assert_eq!(t.get(far), 9);
+        assert_eq!(t.get_ref(3), &7);
+        assert_eq!(t.get_ref(far), &9);
+        assert_eq!(t.get_ref(far + 1), &0);
         assert_eq!(t.occupied(), 2);
         assert_eq!(t.clear_entry(3), 7);
         assert_eq!(t.clear_entry(far), 9);

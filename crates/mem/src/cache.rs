@@ -21,6 +21,18 @@ impl SpecBits {
         written: false,
     };
 
+    /// The read bit alone.
+    pub const READ: SpecBits = SpecBits {
+        read: true,
+        written: false,
+    };
+
+    /// The written bit alone.
+    pub const WRITTEN: SpecBits = SpecBits {
+        read: false,
+        written: true,
+    };
+
     /// `true` if either bit is set.
     #[inline]
     pub fn any(self) -> bool {

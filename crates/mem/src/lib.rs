@@ -16,11 +16,13 @@
 //!   together, with a two-phase API (`probe` then `access`) so concurrency
 //!   -control protocols can consult the contention manager between conflict
 //!   *detection* and conflict *resolution*;
-//! * [`UndoLog`] / [`WriteBuffer`] — eager and lazy version management;
-//! * a *permissions-only cache* in the spirit of OneTM (§2): speculative
-//!   read/write permissions survive cache eviction, so capacity never forces
-//!   an abort (the paper reports that this configuration "essentially
-//!   eliminates cache overflows entirely").
+//! * [`UndoLog`] / [`WriteBuffer`] — eager and lazy version management, both
+//!   over one [`WordLog`];
+//! * [`Footprints`] — each transaction's read/written bits per block, which
+//!   is also the *permissions-only cache* in the spirit of OneTM (§2):
+//!   speculative read/write permissions survive cache eviction, so capacity
+//!   never forces an abort (the paper reports that this configuration
+//!   "essentially eliminates cache overflows entirely").
 //!
 //! Latencies follow Table 1: L1 hit 1 cycle, private L2 hit 10 cycles,
 //! directory hop 20 cycles, DRAM lookup 100 cycles.
@@ -51,6 +53,7 @@
 mod cache;
 mod config;
 mod directory;
+mod footprint;
 mod memory;
 mod stats;
 mod system;
@@ -59,10 +62,11 @@ mod version;
 pub use cache::{CacheArray, CacheGeometry, SpecBits};
 pub use config::{LatencyModel, MemConfig};
 pub use directory::{DirState, Directory, MAX_CORES};
+pub use footprint::Footprints;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use memory::GlobalMemory;
 pub use retcon_isa::fx;
 pub use retcon_isa::table::{BlockTable, EpochMap, EpochSet};
 pub use stats::MemStats;
 pub use system::{AccessKind, AccessPlan, Conflict, ConflictSet, CoreId, MemorySystem, Probe};
-pub use version::{UndoLog, WriteBuffer};
+pub use version::{UndoLog, WordLog, WriteBuffer};

@@ -7,6 +7,7 @@ use retcon_isa::{Addr, BlockAddr, CoreSet};
 use crate::cache::{CacheArray, SpecBits};
 use crate::config::MemConfig;
 use crate::directory::Directory;
+use crate::footprint::Footprints;
 use crate::memory::GlobalMemory;
 use crate::stats::MemStats;
 use retcon_isa::table::BlockTable;
@@ -144,100 +145,68 @@ impl AccessPlan {
     }
 }
 
-/// Core sets holding speculative permissions on one block: the
-/// directory-side sharer/speculative summary that makes conflict detection
-/// O(1) instead of an O(num_cores) cache snoop. Sized per machine size
-/// class (`N = 1` keeps the historical two-`u64` layout).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SpecMask<const N: usize> {
-    /// Core `i` present: core `i` holds a speculative-read bit on the block.
-    readers: CoreSet<N>,
-    /// Core `i` present: core `i` holds a speculative-written bit on the
-    /// block.
-    writers: CoreSet<N>,
-}
-
-impl<const N: usize> SpecMask<N> {
-    #[inline]
-    fn is_empty(self) -> bool {
-        self.readers.is_empty() && self.writers.is_empty()
-    }
-}
-
-/// One core's authoritative speculative bits: a dense-first per-block table
-/// plus the list of blocks touched since the last
-/// [`clear_spec`](MemorySystem::clear_spec), so commit/abort clears walk
-/// only what the transaction marked (the table itself is never scanned).
-/// The list may hold a duplicate when a block was stolen mid-transaction
-/// and re-marked; cleared entries read back as `NONE` and are skipped.
-#[derive(Debug, Clone, Default)]
-struct SpecTable {
-    bits: BlockTable<SpecBits>,
-    touched: Vec<u64>,
-}
-
 /// The complete simulated memory system: architectural memory, per-core
 /// L1/L2 tag arrays, a directory, per-core permissions-only overflow caches,
 /// and latency/statistics accounting.
 ///
 /// # Protocol contract
 ///
-/// Concurrency-control protocols drive the system with a two-phase pattern:
+/// Concurrency-control protocols drive the system in three steps:
 ///
-/// 1. [`plan`](Self::plan) (or the allocating [`probe`](Self::probe) view) —
-///    returns the latency, the cache classification and any conflicting
-///    cores without changing state;
+/// 1. [`conflict_mask_of`](Self::conflict_mask_of) — the cores whose
+///    speculative bits conflict with the access, without changing state;
 /// 2. the protocol resolves each conflict (abort the victim and clear its
 ///    speculative bits via [`clear_spec`](Self::clear_spec), steal the block
 ///    via [`invalidate_block`](Self::invalidate_block), or stall the
 ///    requester);
-/// 3. [`access_planned`](Self::access_planned) — on the conflict-free fast
-///    path, performs the coherence transitions, cache fills/evictions and
-///    speculative-bit updates using the classification already computed in
-///    step 1; after a conflict *resolution* (which may change coherence
-///    state), [`access`](Self::access) re-classifies instead.
+/// 3. [`access`](Self::access) — classifies the access against the caches as
+///    they now stand (a resolution may have changed them) and performs the
+///    coherence transitions, cache fills/evictions and speculative-bit
+///    update.
 ///
 /// Calling `access` while another core still holds conflicting speculative
 /// bits is a protocol bug; debug builds panic on it.
 ///
+/// [`plan`](Self::plan) → [`access_planned`](Self::access_planned) is the
+/// same access with the classification carried in a token. No protocol uses
+/// it (DESIGN.md, "Probe-token handoff"); the benchmark's probes do.
+///
 /// # Speculative-permission bookkeeping
 ///
-/// Speculative read/written bits are kept three ways, each serving one
-/// consumer at O(1):
+/// Speculative read/written bits have one home and one hint:
 ///
-/// * per-core **union maps** (`spec`) — the authoritative bits per block,
-///   covering both cache-resident and overflowed ("permissions-only cache")
-///   state; this is what [`spec_bits`](Self::spec_bits) reads;
-/// * a global **per-block mask** (`masks`) — reader/writer core bitmasks
-///   consulted by conflict detection, replacing the per-core snoop loop;
-/// * **cache-line bits** — kept solely so LRU victim selection can prefer
-///   non-speculative lines; eviction migrates nothing (the union map already
-///   has the bits) and only counts a `spec_overflows` statistic.
+/// * [`Footprints`] (`spec`) — per block, the cores holding a read bit and
+///   those holding a written bit, covering both cache-resident and
+///   overflowed ("permissions-only cache") state. Conflict detection reads
+///   the row's sets; [`spec_bits`](Self::spec_bits) is two bit tests on the
+///   same row; commit and abort walk the core's touched-block list;
+/// * **cache-line bits** — a copy kept solely so LRU victim selection can
+///   prefer non-speculative lines; eviction migrates nothing (the
+///   footprint row already has the bits) and only counts a
+///   `spec_overflows` statistic.
 #[derive(Debug, Clone)]
 pub struct MemorySystem<const N: usize = 1> {
     mem: GlobalMemory,
     l1: Vec<CacheArray>,
     l2: Vec<CacheArray>,
     dir: Directory<N>,
-    /// Per-core authoritative speculative bits (cache + permissions-only
-    /// overflow united), keyed by block.
-    spec: Vec<SpecTable>,
-    /// Per-block reader/writer core masks (union of `spec` across cores).
-    masks: BlockTable<SpecMask<N>>,
+    /// Every core's speculative bits (cache + permissions-only overflow
+    /// united), per block.
+    spec: Footprints<N>,
     /// Per-block *conflict version*: a monotonic counter bumped whenever
     /// something that a conflict-resolution verdict on the block could
-    /// depend on changes — the block's mask ([`mark_spec`](Self::mark_spec)
-    /// growth, [`clear_spec`](Self::clear_spec) /
-    /// [`invalidate_block`](Self::invalidate_block) removal, and with it
-    /// every per-core [`SpecBits`] transition, since bits and masks mutate
-    /// in lockstep) — plus protocol-side events reported through
+    /// depend on changes — any core's [`SpecBits`] on the block
+    /// ([`mark_spec`](Self::mark_spec) growth, [`clear_spec`](Self::clear_spec)
+    /// / [`invalidate_block`](Self::invalidate_block) removal) — plus
+    /// protocol-side events reported through
     /// [`bump_block_version`](Self::bump_block_version) (RETCON beginning
     /// symbolic tracking of the block; DATM dependence-graph changes).
     /// Monotonicity is the point: a cached verdict stamped with the version
     /// it was derived at stays provably valid exactly while the version
     /// stands still, and can never be revalidated by accident after the
-    /// block's entry is cleared and repopulated. The simulator's stall
-    /// fast-forward is the consumer.
+    /// block's footprint row is cleared and repopulated — which is why the
+    /// counter is a table of its own and not a field of that row. The
+    /// simulator's stall fast-forward is the consumer.
     versions: BlockTable<u64>,
     /// Count of conflict-version bumps ever applied (any block): a global
     /// change detector over `versions`. A reader holding a sum of block
@@ -264,8 +233,7 @@ impl<const N: usize> MemorySystem<N> {
             l1: (0..num_cores).map(|_| CacheArray::new(cfg.l1)).collect(),
             l2: (0..num_cores).map(|_| CacheArray::new(cfg.l2)).collect(),
             dir: Directory::new(),
-            spec: (0..num_cores).map(|_| SpecTable::default()).collect(),
-            masks: BlockTable::new(),
+            spec: Footprints::new(num_cores),
             versions: BlockTable::new(),
             bump_epoch: 0,
             cfg,
@@ -344,7 +312,7 @@ impl<const N: usize> MemorySystem<N> {
     /// L1 or overflowed into its permissions-only cache.
     #[inline]
     pub fn spec_bits(&self, core: CoreId, block: BlockAddr) -> SpecBits {
-        self.spec[core.0].bits.get(block.0)
+        self.spec.bits(core.0, block.0)
     }
 
     /// Computes the latency, classification and conflict set of an access
@@ -368,7 +336,11 @@ impl<const N: usize> MemorySystem<N> {
     /// struct-free form of [`conflict_set`](Self::conflict_set)).
     #[inline]
     pub fn conflict_mask_of(&self, core: CoreId, addr: Addr, kind: AccessKind) -> CoreSet<N> {
-        self.conflict_mask(core, addr.block(), kind)
+        let block = addr.block().0;
+        match kind {
+            AccessKind::Read => self.spec.other_writers(core.0, block),
+            AccessKind::Write => self.spec.other_holders(core.0, block),
+        }
     }
 
     /// Computes the latency and conflict set of an access without performing
@@ -382,23 +354,11 @@ impl<const N: usize> MemorySystem<N> {
         }
     }
 
-    /// The set of cores whose speculative bits conflict with `core`
-    /// performing `kind` on `block`.
-    #[inline]
-    fn conflict_mask(&self, core: CoreId, block: BlockAddr, kind: AccessKind) -> CoreSet<N> {
-        let mask = self.masks.get(block.0);
-        let conflicting = match kind {
-            AccessKind::Read => mask.writers,
-            AccessKind::Write => mask.readers.union(mask.writers),
-        };
-        conflicting.without(core.0)
-    }
-
     /// `true` if `core` performing `kind` on `addr`'s block would conflict
     /// with at least one other core's speculative bits. O(1).
     #[inline]
     pub fn has_conflicts(&self, core: CoreId, addr: Addr, kind: AccessKind) -> bool {
-        !self.conflict_mask(core, addr.block(), kind).is_empty()
+        !self.conflict_mask_of(core, addr, kind).is_empty()
     }
 
     /// The cores whose speculative bits conflict with `core` performing
@@ -406,7 +366,7 @@ impl<const N: usize> MemorySystem<N> {
     pub fn conflict_set(&self, core: CoreId, addr: Addr, kind: AccessKind) -> ConflictSet {
         let block = addr.block();
         let mut out = ConflictSet::new();
-        for i in self.conflict_mask(core, block, kind) {
+        for i in self.conflict_mask_of(core, addr, kind) {
             out.push(Conflict {
                 core: CoreId(i),
                 bits: self.spec_bits(CoreId(i), block),
@@ -499,14 +459,8 @@ impl<const N: usize> MemorySystem<N> {
         // Speculative bit update.
         if speculative {
             let bits = match kind {
-                AccessKind::Read => SpecBits {
-                    read: true,
-                    written: false,
-                },
-                AccessKind::Write => SpecBits {
-                    read: false,
-                    written: true,
-                },
+                AccessKind::Read => SpecBits::READ,
+                AccessKind::Write => SpecBits::WRITTEN,
             };
             self.mark_spec(core, block, bits);
         }
@@ -578,50 +532,12 @@ impl<const N: usize> MemorySystem<N> {
             return;
         }
         // Cache-line bits drive LRU victim preference only; absence (the
-        // block was evicted) is fine — the union table below is
-        // authoritative.
+        // block was evicted) is fine — the footprint row is authoritative.
         self.l1[core.0].mark_spec(block, bits);
-        let tbl = &mut self.spec[core.0];
-        let entry = tbl.bits.entry(block.0);
-        let before = *entry;
-        entry.merge(bits);
-        let merged = *entry;
-        if !before.any() {
-            tbl.touched.push(block.0);
-        }
-        if merged != before {
+        if self.spec.mark(core.0, block.0, bits) {
             // The core's footprint on the block grew (new bit, or a read
             // upgraded to written): conflict verdicts may change.
-            *self.versions.entry(block.0) += 1;
-            self.bump_epoch += 1;
-        }
-        let mask = self.masks.entry(block.0);
-        if merged.read {
-            mask.readers.insert(core.0);
-        }
-        if merged.written {
-            mask.writers.insert(core.0);
-        }
-    }
-
-    /// Clears `core`'s bits from the per-block conflict mask.
-    fn clear_mask(&mut self, core: CoreId, block: u64) {
-        let mut mask = self.masks.get(block);
-        if mask.is_empty() {
-            return;
-        }
-        let before = mask;
-        mask.readers = mask.readers.without(core.0);
-        mask.writers = mask.writers.without(core.0);
-        if mask == before {
-            return;
-        }
-        *self.versions.entry(block) += 1;
-        self.bump_epoch += 1;
-        if mask.is_empty() {
-            self.masks.clear_entry(block);
-        } else {
-            *self.masks.entry(block) = mask;
+            self.bump_block_version(block);
         }
     }
 
@@ -635,8 +551,11 @@ impl<const N: usize> MemorySystem<N> {
             bits.merge(b);
         }
         self.l2[core.0].remove(block);
-        bits.merge(self.spec[core.0].bits.clear_entry(block.0));
-        self.clear_mask(core, block.0);
+        let held = self.spec.clear_block(core.0, block.0);
+        if held.any() {
+            self.bump_block_version(block);
+        }
+        bits.merge(held);
         self.dir.drop_holder(core, block);
         bits
     }
@@ -644,38 +563,23 @@ impl<const N: usize> MemorySystem<N> {
     /// Clears every speculative bit held by `core` (transaction commit or
     /// abort). Returns the number of blocks that had bits set.
     pub fn clear_spec(&mut self, core: CoreId) -> usize {
-        // Take the touched-block list so we can walk it while updating the
-        // caches and masks, then hand its (cleared) allocation back:
-        // steady-state commits and aborts allocate nothing. Entries whose
-        // bits were already stolen away read back as `NONE` and are
-        // skipped (they were cleared — and uncounted — at steal time).
-        let mut touched = std::mem::take(&mut self.spec[core.0].touched);
         let mut cleared = 0;
-        for &block in &touched {
-            let bits = self.spec[core.0].bits.clear_entry(block);
-            if !bits.any() {
-                continue;
-            }
+        self.spec.clear_core(core.0, |block| {
             cleared += 1;
             self.l1[core.0].clear_spec(BlockAddr(block));
-            self.clear_mask(core, block);
-        }
-        touched.clear();
-        self.spec[core.0].touched = touched;
+            *self.versions.entry(block) += 1;
+            self.bump_epoch += 1;
+        });
         cleared
     }
 
     /// Blocks on which `core` currently holds speculative bits, in ascending
     /// block order.
     pub fn spec_blocks(&self, core: CoreId) -> Vec<(BlockAddr, SpecBits)> {
-        let tbl = &self.spec[core.0];
-        let mut blocks: Vec<(BlockAddr, SpecBits)> = tbl
-            .touched
-            .iter()
-            .filter_map(|&b| {
-                let bits = tbl.bits.get(b);
-                bits.any().then_some((BlockAddr(b), bits))
-            })
+        let mut blocks: Vec<(BlockAddr, SpecBits)> = self
+            .spec
+            .blocks(core.0)
+            .map(|(b, bits)| (BlockAddr(b), bits))
             .collect();
         blocks.sort_by_key(|(b, _)| b.0);
         blocks.dedup();
@@ -733,8 +637,8 @@ impl<const N: usize> MemorySystem<N> {
     }
 
     /// Records that a speculative line was evicted. The permissions survive
-    /// in the union map (the OneTM-style permissions-only cache), so only
-    /// the statistic moves.
+    /// in the footprint row (the OneTM-style permissions-only cache), so
+    /// only the statistic moves.
     fn overflow_spec(&mut self, core: CoreId) {
         self.stats[core.0].spec_overflows += 1;
     }
@@ -903,14 +807,7 @@ mod tests {
         let mut m = ms(1);
         let a = Addr(0);
         m.access(C0, a, AccessKind::Read, true);
-        m.mark_spec(
-            C0,
-            a.block(),
-            SpecBits {
-                read: false,
-                written: true,
-            },
-        );
+        m.mark_spec(C0, a.block(), SpecBits::WRITTEN);
         let blocks = m.spec_blocks(C0);
         assert_eq!(blocks.len(), 1);
         assert!(blocks[0].1.read && blocks[0].1.written);

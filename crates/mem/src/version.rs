@@ -6,12 +6,78 @@
 //! model a zero-cycle rollback penalty"). The LazyTM variant of Figure 2 and
 //! the value-based `lazy-vb` configuration instead buffer stores locally
 //! until commit. Both mechanisms live here so every protocol in
-//! `retcon-htm` shares one tested implementation.
+//! `retcon-htm` shares one tested implementation — and both are the same
+//! structure underneath, a [`WordLog`], which `lazy-vb` also uses directly
+//! as its log of values read.
 
 use retcon_isa::table::EpochMap;
 use retcon_isa::Addr;
 
 use crate::memory::GlobalMemory;
+
+/// An insertion-ordered map from word address to value with an O(1)
+/// [`clear`](WordLog::clear): what a transaction remembers per word.
+#[derive(Debug, Clone, Default)]
+pub struct WordLog {
+    /// (address, value), in first-insertion order.
+    entries: Vec<(Addr, u64)>,
+    /// Word → index into `entries`; the epoch stamping makes membership one
+    /// array probe and the per-transaction clear O(1).
+    index: EpochMap<u32>,
+}
+
+impl WordLog {
+    /// Logs `value()` for `addr` unless the word is already logged (first
+    /// write wins; `value` is not evaluated then). Returns `true` if it was
+    /// logged.
+    #[inline]
+    pub fn insert_first(&mut self, addr: Addr, value: impl FnOnce() -> u64) -> bool {
+        let fresh = self
+            .index
+            .insert_if_absent(addr.0, self.entries.len() as u32);
+        if fresh {
+            self.entries.push((addr, value()));
+        }
+        fresh
+    }
+
+    /// Logs `value` for `addr`, replacing the word's value where it stands
+    /// if already logged (last write wins, first write fixes the order).
+    #[inline]
+    pub fn insert(&mut self, addr: Addr, value: u64) {
+        if !self.insert_first(addr, || value) {
+            let i = self.index.get(addr.0).expect("logged word is indexed");
+            self.entries[i as usize].1 = value;
+        }
+    }
+
+    /// The value logged for `addr`, if any.
+    #[inline]
+    pub fn get(&self, addr: Addr) -> Option<u64> {
+        self.index.get(addr.0).map(|i| self.entries[i as usize].1)
+    }
+
+    /// The logged `(address, value)` pairs in first-insertion order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Addr, u64)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// Empties the log.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.index.clear();
+    }
+
+    /// Number of distinct words logged.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` if nothing is logged.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
 
 /// An eager-version-management undo log.
 ///
@@ -36,11 +102,8 @@ use crate::memory::GlobalMemory;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
-    /// (address, pre-speculative value), in first-write order.
-    entries: Vec<(Addr, u64)>,
-    /// Word → index into `entries`; the epoch stamping makes membership one
-    /// array probe per write and the per-transaction clear O(1).
-    seen: EpochMap<u32>,
+    /// Word → pre-speculative value, in first-write order.
+    log: WordLog,
 }
 
 impl UndoLog {
@@ -53,19 +116,14 @@ impl UndoLog {
     /// write to it in the current transaction.
     #[inline]
     pub fn record(&mut self, mem: &GlobalMemory, addr: Addr) {
-        if self
-            .seen
-            .insert_if_absent(addr.0, self.entries.len() as u32)
-        {
-            self.entries.push((addr, mem.read(addr)));
-        }
+        self.log.insert_first(addr, || mem.read(addr));
     }
 
     /// Restores every logged word to its pre-speculative value and clears the
     /// log. Restoration happens in reverse order, though with first-write-only
     /// logging the order is immaterial.
     pub fn rollback(&mut self, mem: &mut GlobalMemory) {
-        for &(addr, value) in self.entries.iter().rev() {
+        for (addr, value) in self.log.iter().rev() {
             mem.write(addr, value);
         }
         self.clear();
@@ -73,23 +131,22 @@ impl UndoLog {
 
     /// Discards the log without restoring (used at commit).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.seen.clear();
+        self.log.clear();
     }
 
     /// Number of distinct words logged.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.log.len()
     }
 
     /// `true` if nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.log.is_empty()
     }
 
     /// The pre-speculative value recorded for `addr`, if any.
     pub fn old_value(&self, addr: Addr) -> Option<u64> {
-        self.seen.get(addr.0).map(|i| self.entries[i as usize].1)
+        self.log.get(addr)
     }
 }
 
@@ -115,8 +172,8 @@ impl UndoLog {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteBuffer {
-    words: EpochMap<u64>,
-    order: Vec<u64>,
+    /// Word → latest buffered value, in first-store order.
+    log: WordLog,
 }
 
 impl WriteBuffer {
@@ -128,47 +185,42 @@ impl WriteBuffer {
     /// Buffers a store of `value` to `addr`.
     #[inline]
     pub fn write(&mut self, addr: Addr, value: u64) {
-        if self.words.insert(addr.0, value) {
-            self.order.push(addr.0);
-        }
+        self.log.insert(addr, value);
     }
 
     /// The buffered value for `addr`, if the transaction has stored to it.
     #[inline]
     pub fn read(&self, addr: Addr) -> Option<u64> {
-        self.words.get(addr.0)
+        self.log.get(addr)
     }
 
     /// Writes every buffered store to memory (in first-store order) and
     /// clears the buffer.
     pub fn drain(&mut self, mem: &mut GlobalMemory) {
-        for &a in &self.order {
-            mem.write(Addr(a), self.words.get(a).expect("ordered word present"));
+        for (addr, value) in self.log.iter() {
+            mem.write(addr, value);
         }
         self.discard();
     }
 
     /// Clears the buffer without writing (abort).
     pub fn discard(&mut self) {
-        self.words.clear();
-        self.order.clear();
+        self.log.clear();
     }
 
     /// Number of distinct words buffered.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.log.len()
     }
 
     /// `true` if no stores are buffered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.log.is_empty()
     }
 
     /// Iterates over buffered `(address, value)` pairs in first-store order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        self.order
-            .iter()
-            .map(|&a| (Addr(a), self.words.get(a).expect("ordered word present")))
+        self.log.iter()
     }
 }
 

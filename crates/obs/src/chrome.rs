@@ -42,7 +42,7 @@ pub fn to_chrome_json(tracer: &RingTracer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Tracer};
+    use crate::event::EventKind;
 
     #[test]
     fn emits_instant_events_with_cores_as_threads() {

@@ -103,28 +103,6 @@ impl TraceEvent {
     }
 }
 
-/// The tracer seam: anything that can record transaction events.
-///
-/// The contract every implementation must honor: `record` takes what the
-/// simulator *already decided* and stores it somewhere the simulator
-/// never reads — a tracer cannot feed anything back. That is what makes
-/// "tracing on vs off" byte-identical by construction.
-pub trait Tracer {
-    /// Records one event.
-    fn record(&mut self, core: usize, kind: EventKind, at: u64, arg: u64);
-}
-
-/// The disabled tracer: a zero-sized no-op that monomorphizes away
-/// entirely — code generic over [`Tracer`] instantiated at `NoTrace`
-/// compiles to the untraced code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoTrace;
-
-impl Tracer for NoTrace {
-    #[inline(always)]
-    fn record(&mut self, _core: usize, _kind: EventKind, _at: u64, _arg: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

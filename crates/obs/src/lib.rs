@@ -6,11 +6,10 @@
 //! The crate is a leaf (no dependencies, not even on the simulator) so
 //! every other crate can thread it through without cycles. Its pieces:
 //!
-//! * [`event`] — the fixed-width [`TraceEvent`] schema, the [`Tracer`]
-//!   seam contract, and the [`NoTrace`] no-op (monomorphizes away).
-//! * [`ring`] — [`RingTracer`], the enabled implementation: one
-//!   preallocated ring buffer of events, drop-oldest on overflow, with a
-//!   deterministic stream hash for pinning event streams in tests.
+//! * [`event`] — the fixed-width [`TraceEvent`] schema.
+//! * [`ring`] — [`RingTracer`], the tracer: one preallocated ring buffer
+//!   of events, drop-oldest on overflow, with a deterministic stream hash
+//!   for pinning event streams in tests.
 //! * [`chrome`] — export to Chrome trace-event JSON (cores as threads),
 //!   loadable in `chrome://tracing` and Perfetto.
 //! * [`metrics`] — integer-only counters, gauges, and log2 histograms
@@ -37,6 +36,6 @@ pub mod metrics;
 pub mod phase;
 pub mod ring;
 
-pub use event::{EventKind, NoTrace, TraceEvent, Tracer};
+pub use event::{EventKind, TraceEvent};
 pub use metrics::{validate_exposition, Counter, Gauge, Log2Hist, Registry};
 pub use ring::RingTracer;

@@ -8,7 +8,7 @@
 //! assert `dropped() == 0` first: a stream hash only identifies a
 //! *complete* stream.
 
-use crate::event::{EventKind, TraceEvent, Tracer};
+use crate::event::{EventKind, TraceEvent};
 
 /// Default ring capacity (events). Sized from the heaviest traced shape
 /// in the suite: 32-core unoptimized `python` under RetCon emits ~1.6M
@@ -138,11 +138,13 @@ impl RingTracer {
             self.dropped += 1;
         }
     }
-}
 
-impl Tracer for RingTracer {
+    /// Records one event. The caller passes what the simulator *already
+    /// decided*, and the simulator never reads the ring — nothing can feed
+    /// back, which is what makes "tracing on vs off" byte-identical by
+    /// construction.
     #[inline]
-    fn record(&mut self, core: usize, kind: EventKind, at: u64, arg: u64) {
+    pub fn record(&mut self, core: usize, kind: EventKind, at: u64, arg: u64) {
         self.push(TraceEvent::new(core, kind, at, arg));
     }
 }

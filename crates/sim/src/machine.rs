@@ -601,7 +601,7 @@ impl<const N: usize> Machine<N> {
         // decision the simulator has already made, into memory
         // preallocated before the run. `None` (the default) is one
         // never-taken branch per event site, like `footprint`.
-        use retcon_obs::{EventKind, Tracer as _};
+        use retcon_obs::EventKind;
         macro_rules! trace {
             ($kind:expr, $at:expr, $arg:expr) => {
                 if let Some(t) = tracer.as_deref_mut() {

@@ -46,7 +46,7 @@
 
 use std::ops::Range;
 
-use retcon_obs::{EventKind, RingTracer, Tracer as _};
+use retcon_obs::{EventKind, RingTracer};
 
 use crate::machine::{Machine, SimError};
 use crate::report::SimReport;

@@ -55,7 +55,7 @@ pub use spec::{Alloc, WorkloadSpec};
 
 use retcon::RetconConfig;
 use retcon_isa::Instr;
-use retcon_obs::{EventKind, RingTracer, Tracer as _};
+use retcon_obs::{EventKind, RingTracer};
 use retcon_sim::{
     run_sharded, AnyProtocol, ConflictPolicy, DatmLite, EagerTm, LazyTm, LazyVbTm, Machine,
     RetconTm, ShardedOutcome, SimConfig, SimError, SimReport,
