@@ -92,19 +92,6 @@ impl IvbEntry {
 pub struct Ivb {
     entries: Vec<IvbEntry>,
     capacity: usize,
-    /// Presence filter: bit `block % 64` set for every tracked block. No
-    /// false negatives (entries are only removed by `clear`, which resets
-    /// it), so a clear bit short-circuits the miss path of every
-    /// `contains`/`get` without scanning — loads of untracked blocks are
-    /// the overwhelmingly common case.
-    filter: u64,
-}
-
-impl Ivb {
-    #[inline]
-    fn filter_bit(block: BlockAddr) -> u64 {
-        1u64 << (block.0 & 63)
-    }
 }
 
 impl Ivb {
@@ -113,7 +100,6 @@ impl Ivb {
         Ivb {
             entries: Vec::new(),
             capacity,
-            filter: 0,
         }
     }
 
@@ -135,22 +121,16 @@ impl Ivb {
     /// `true` if `block` is tracked.
     #[inline]
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.filter & Self::filter_bit(block) != 0 && self.entries.iter().any(|e| e.block == block)
+        self.entries.iter().any(|e| e.block == block)
     }
 
     /// The entry for `block`, if tracked.
     #[inline]
     pub fn get(&self, block: BlockAddr) -> Option<&IvbEntry> {
-        if self.filter & Self::filter_bit(block) == 0 {
-            return None;
-        }
         self.entries.iter().find(|e| e.block == block)
     }
 
     fn get_mut(&mut self, block: BlockAddr) -> Option<&mut IvbEntry> {
-        if self.filter & Self::filter_bit(block) == 0 {
-            return None;
-        }
         self.entries.iter_mut().find(|e| e.block == block)
     }
 
@@ -177,7 +157,6 @@ impl Ivb {
             written: false,
             lost: false,
         });
-        self.filter |= Self::filter_bit(block);
         true
     }
 
@@ -221,13 +200,6 @@ impl Ivb {
         }
     }
 
-    /// Records the commit-time value of `addr` (pre-commit step 1).
-    pub fn set_current(&mut self, addr: Addr, value: u64) {
-        if let Some(e) = self.get_mut(addr.block()) {
-            e.current[addr.offset_in_block() as usize] = value;
-        }
-    }
-
     /// The commit-time value of `addr`, if its block is tracked.
     pub fn current(&self, addr: Addr) -> Option<u64> {
         self.get(addr.block()).map(|e| e.current(addr))
@@ -267,7 +239,6 @@ impl Ivb {
     /// Forgets all entries (transaction end).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.filter = 0;
     }
 }
 
@@ -340,7 +311,7 @@ mod tests {
         let mut ivb = Ivb::new(4);
         ivb.allocate(blk(0), |_| 1);
         let w = Addr(3);
-        ivb.set_current(w, 42);
+        ivb.capture_currents(|a| if a == w { 42 } else { 1 });
         assert_eq!(ivb.current(w), Some(42));
         assert_eq!(ivb.initial(w), Some(1));
         assert_eq!(ivb.current(Addr(100)), None);

@@ -116,11 +116,6 @@ impl Predictor {
         let e = self.entry(block);
         e.required = e.conflicts.saturating_add(backoff);
     }
-
-    /// Number of blocks with recorded history.
-    pub fn tracked_history(&self) -> usize {
-        self.entries.occupied()
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +173,6 @@ mod tests {
         p.on_conflict(B);
         assert!(p.should_track(B));
         assert!(!p.should_track(BlockAddr(10)));
-        assert_eq!(p.tracked_history(), 1);
     }
 
     #[test]

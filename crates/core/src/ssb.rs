@@ -37,19 +37,6 @@ pub struct SsbEntry {
 pub struct Ssb {
     entries: Vec<SsbEntry>,
     capacity: usize,
-    /// Presence filter: bit `addr % 64` set for every buffered word.
-    /// `invalidate` leaves bits stale (a stale bit only costs a scan,
-    /// never a wrong answer); `clear` resets it. A clear bit
-    /// short-circuits the store-forward miss path — the common case for
-    /// every load not covered by this transaction's stores.
-    filter: u64,
-}
-
-impl Ssb {
-    #[inline]
-    fn filter_bit(addr: Addr) -> u64 {
-        1u64 << (addr.0 & 63)
-    }
 }
 
 /// Error returned when the buffer is full (the transaction must fall back to
@@ -64,7 +51,6 @@ impl Ssb {
         Ssb {
             entries: Vec::new(),
             capacity,
-            filter: 0,
         }
     }
 
@@ -91,36 +77,27 @@ impl Ssb {
         value: u64,
         sym: Option<SymValue>,
     ) -> Result<(), SsbOverflow> {
-        if self.filter & Self::filter_bit(addr) != 0 {
-            if let Some(e) = self.entries.iter_mut().find(|e| e.addr == addr) {
-                e.value = value;
-                e.sym = sym;
-                return Ok(());
-            }
+        if let Some(e) = self.entries.iter_mut().find(|e| e.addr == addr) {
+            e.value = value;
+            e.sym = sym;
+            return Ok(());
         }
         if self.entries.len() >= self.capacity {
             return Err(SsbOverflow);
         }
         self.entries.push(SsbEntry { addr, value, sym });
-        self.filter |= Self::filter_bit(addr);
         Ok(())
     }
 
     /// The buffered store to `addr`, if any (store-to-load forwarding).
     #[inline]
     pub fn lookup(&self, addr: Addr) -> Option<&SsbEntry> {
-        if self.filter & Self::filter_bit(addr) == 0 {
-            return None;
-        }
         self.entries.iter().find(|e| e.addr == addr)
     }
 
     /// Removes the entry for `addr` (a non-symbolic store overwrote it).
     /// Returns `true` if an entry was removed.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        if self.filter & Self::filter_bit(addr) == 0 {
-            return false;
-        }
         match self.entries.iter().position(|e| e.addr == addr) {
             Some(i) => {
                 self.entries.remove(i);
@@ -138,7 +115,6 @@ impl Ssb {
     /// Forgets all entries (transaction end).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.filter = 0;
     }
 }
 

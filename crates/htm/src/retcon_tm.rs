@@ -2,9 +2,8 @@
 //! top of the §2 baseline ([`EagerTm`]).
 
 use retcon::{Engine, PrecommitCursor, Repair, RetconConfig, RetconStats, StorePath};
-use retcon_isa::table::EpochSet;
 use retcon_isa::{Addr, BinOp, BlockAddr, CmpOp, CoreSet, Reg};
-use retcon_mem::{AccessKind, CoreId, MemorySystem};
+use retcon_mem::{AccessKind, CoreId, FxHashSet, MemorySystem};
 
 use crate::cm::ConflictPolicy;
 use crate::eager::{EagerTm, Verdict};
@@ -25,7 +24,7 @@ struct CoreState {
     /// would let a steal invalidate that value without any constraint —
     /// an unserializable commit. Such blocks stay plain until the
     /// transaction ends.
-    plain_blocks: EpochSet,
+    plain_blocks: FxHashSet<u64>,
     rstats: RetconStats,
     /// Scratch: the pre-commit repair output buffers.
     repair: Repair,
@@ -36,7 +35,7 @@ impl CoreState {
         CoreState {
             start_cycle: 0,
             engine: Engine::new(cfg),
-            plain_blocks: EpochSet::new(),
+            plain_blocks: FxHashSet::default(),
             rstats: RetconStats::new(),
             repair: Repair::default(),
         }
@@ -59,7 +58,7 @@ impl CoreState {
         if !(self.plain_blocks.insert(block.0) && self.engine.wants_tracking(addr)) {
             return false;
         }
-        self.plain_blocks.remove(block.0);
+        self.plain_blocks.remove(&block.0);
         let memory = &*mem;
         let ok = self.engine.begin_tracking(block, |w| memory.read_word(w));
         debug_assert!(ok, "wants_tracking implies room");

@@ -1,31 +1,28 @@
-//! Dense-first keyed tables for the simulator hot paths.
-//!
-//! Every per-block or per-word structure on the access hot path (directory
-//! entries, transaction footprints, word-log membership, tracking
-//! predictors) used to be an `FxHashMap` — one hash per consultation,
-//! several consultations per simulated memory access. Workloads allocate addresses densely from zero
-//! (`retcon_workloads::Alloc`), so block and word numbers are small: a
-//! direct-indexed `Vec` answers the common case with a bounds check and an
-//! array load, and only adversarial/sparse keys (large literals in tests)
-//! fall back to a hash map.
+//! Keyed tables for the simulator hot paths.
 //!
 //! Two shapes cover the consumers:
 //!
-//! * [`BlockTable`] — a persistent table where `T::default()` means
-//!   "absent" (a cleared entry and a missing entry are indistinguishable,
-//!   which matches how every consumer already treated its map);
-//! * [`EpochSet`] / [`EpochMap`] — *per-transaction* membership with O(1)
-//!   bulk clear: entries are stamped with the current epoch and `clear`
-//!   just increments it, so the per-transaction footprint structures never
-//!   pay a drain loop or a rehash.
+//! * [`BlockTable`] — a persistent block-keyed table where `T::default()`
+//!   means "absent" (a cleared entry and a missing entry are
+//!   indistinguishable, which matches how every consumer treats it).
+//!   Workloads allocate addresses densely from zero
+//!   (`retcon_workloads::Alloc`), so block numbers are small: a
+//!   direct-indexed `Vec` answers the common case with a bounds check and
+//!   an array load, and only sparse keys (large literals in tests) fall
+//!   back to a hash map. Directory entries, footprint rows, conflict
+//!   versions and the tracking predictor live here for the whole run.
+//! * [`EpochMap`] — a *per-transaction* map, cleared at every commit and
+//!   abort: a plain Fx map, since a dense window sized by the highest key
+//!   a core ever touched would outlive every transaction that touched it.
 
-use crate::fx::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 
-/// Keys below this use the direct-indexed dense storage (matches the dense
-/// page window of the simulated memory: 16 MiB = 2^18 64-byte blocks or
-/// 2^21 words — block-keyed tables stay well under the word bound). The
-/// dense vector grows on demand up to the highest key actually touched, so
-/// small workloads stay small.
+use crate::fx::FxHashMap;
+
+/// Keys below this use the direct-indexed dense storage (the dense page
+/// window of the simulated memory is 16 MiB = 2^18 64-byte blocks, well
+/// under this bound). The dense vector grows on demand up to the highest
+/// key actually touched, so small workloads stay small.
 const DENSE_KEYS: u64 = 1 << 21;
 
 /// A block-keyed table: dense direct-indexed storage for low keys, sparse
@@ -94,124 +91,24 @@ impl<T: Copy + Default + PartialEq> BlockTable<T> {
             self.sparse.remove(&key).unwrap_or_default()
         }
     }
-
-    /// Number of non-default entries (diagnostics; scans the table).
-    pub fn occupied(&self) -> usize {
-        let d = T::default();
-        self.dense.iter().filter(|&&v| v != d).count()
-            + self.sparse.values().filter(|&&v| v != d).count()
-    }
 }
 
-/// A set of keys with O(1) bulk [`clear`](EpochSet::clear): dense slots are
-/// stamped with the epoch they were inserted in, so clearing is one
-/// increment (plus draining the rare sparse spill). A per-transaction set
-/// (RETCON's plainly-accessed blocks) clears once per transaction — this
-/// removes both its per-access hashing and its per-transaction drain.
-#[derive(Debug, Clone)]
-pub struct EpochSet {
-    stamps: Vec<u32>,
-    epoch: u32,
-    sparse: FxHashSet<u64>,
-}
-
-impl Default for EpochSet {
-    fn default() -> Self {
-        EpochSet::new()
-    }
-}
-
-impl EpochSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        EpochSet {
-            stamps: Vec::new(),
-            // Epoch 0 is reserved as "never stamped".
-            epoch: 1,
-            sparse: FxHashSet::default(),
-        }
-    }
-
-    /// Inserts `key`; returns `true` if it was not already present.
-    #[inline]
-    pub fn insert(&mut self, key: u64) -> bool {
-        if key < DENSE_KEYS {
-            let i = key as usize;
-            if self.stamps.len() <= i {
-                self.stamps.resize(i + 1, 0);
-            }
-            let slot = &mut self.stamps[i];
-            let fresh = *slot != self.epoch;
-            *slot = self.epoch;
-            fresh
-        } else {
-            self.sparse.insert(key)
-        }
-    }
-
-    /// `true` if `key` is present.
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        if key < DENSE_KEYS {
-            self.stamps.get(key as usize) == Some(&self.epoch)
-        } else {
-            self.sparse.contains(&key)
-        }
-    }
-
-    /// Removes `key`; returns `true` if it was present.
-    #[inline]
-    pub fn remove(&mut self, key: u64) -> bool {
-        if key < DENSE_KEYS {
-            match self.stamps.get_mut(key as usize) {
-                Some(slot) if *slot == self.epoch => {
-                    *slot = 0;
-                    true
-                }
-                _ => false,
-            }
-        } else {
-            self.sparse.remove(&key)
-        }
-    }
-
-    /// Empties the set in O(1) (amortized: the stamp array is zeroed only
-    /// when the 32-bit epoch wraps).
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-        if !self.sparse.is_empty() {
-            self.sparse.clear();
-        }
-    }
-}
-
-/// An [`EpochSet`] carrying a value per present key.
-#[derive(Debug, Clone)]
+/// A per-transaction map from key to value: an `FxHashMap` whose
+/// [`clear`](EpochMap::clear) keeps its allocation, so a core reuses one
+/// table across all its transactions. The name is kept because
+/// `benchmark/` times it (`isa.epochmap_insert_clear_ns`); the
+/// epoch-stamped dense design it replaced is in DESIGN.md "Tried and
+/// rejected".
+#[derive(Debug, Clone, Default)]
 pub struct EpochMap<V> {
-    stamps: Vec<u32>,
-    values: Vec<V>,
-    epoch: u32,
-    sparse: FxHashMap<u64, V>,
+    map: FxHashMap<u64, V>,
 }
 
-impl<V: Copy + Default> Default for EpochMap<V> {
-    fn default() -> Self {
-        EpochMap::new()
-    }
-}
-
-impl<V: Copy + Default> EpochMap<V> {
+impl<V: Copy> EpochMap<V> {
     /// An empty map.
     pub fn new() -> Self {
         EpochMap {
-            stamps: Vec::new(),
-            values: Vec::new(),
-            epoch: 1,
-            sparse: FxHashMap::default(),
+            map: FxHashMap::default(),
         }
     }
 
@@ -220,23 +117,12 @@ impl<V: Copy + Default> EpochMap<V> {
     /// need).
     #[inline]
     pub fn insert_if_absent(&mut self, key: u64, value: V) -> bool {
-        if key < DENSE_KEYS {
-            let i = key as usize;
-            if self.stamps.len() <= i {
-                self.stamps.resize(i + 1, 0);
-                self.values.resize(i + 1, V::default());
+        match self.map.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(value);
+                true
             }
-            if self.stamps[i] == self.epoch {
-                return false;
-            }
-            self.stamps[i] = self.epoch;
-            self.values[i] = value;
-            true
-        } else if let std::collections::hash_map::Entry::Vacant(e) = self.sparse.entry(key) {
-            e.insert(value);
-            true
-        } else {
-            false
+            Entry::Occupied(_) => false,
         }
     }
 
@@ -245,46 +131,18 @@ impl<V: Copy + Default> EpochMap<V> {
     /// needs).
     #[inline]
     pub fn insert(&mut self, key: u64, value: V) -> bool {
-        if key < DENSE_KEYS {
-            let i = key as usize;
-            if self.stamps.len() <= i {
-                self.stamps.resize(i + 1, 0);
-                self.values.resize(i + 1, V::default());
-            }
-            let fresh = self.stamps[i] != self.epoch;
-            self.stamps[i] = self.epoch;
-            self.values[i] = value;
-            fresh
-        } else {
-            self.sparse.insert(key, value).is_none()
-        }
+        self.map.insert(key, value).is_none()
     }
 
     /// The value for `key`, if present.
     #[inline]
     pub fn get(&self, key: u64) -> Option<V> {
-        if key < DENSE_KEYS {
-            let i = key as usize;
-            if self.stamps.get(i) == Some(&self.epoch) {
-                Some(self.values[i])
-            } else {
-                None
-            }
-        } else {
-            self.sparse.get(&key).copied()
-        }
+        self.map.get(&key).copied()
     }
 
-    /// Empties the map in O(1) (amortized; see [`EpochSet::clear`]).
+    /// Empties the map, keeping its allocation.
     pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-        if !self.sparse.is_empty() {
-            self.sparse.clear();
-        }
+        self.map.clear();
     }
 }
 
@@ -304,55 +162,37 @@ mod tests {
         assert_eq!(t.get_ref(3), &7);
         assert_eq!(t.get_ref(far), &9);
         assert_eq!(t.get_ref(far + 1), &0);
-        assert_eq!(t.occupied(), 2);
         assert_eq!(t.clear_entry(3), 7);
         assert_eq!(t.clear_entry(far), 9);
         assert_eq!(t.get(3), 0);
         assert_eq!(t.get(far), 0);
-        assert_eq!(t.occupied(), 0);
         // Clearing an untouched key is a no-op.
         assert_eq!(t.clear_entry(DENSE_KEYS * 2), 0);
     }
 
     #[test]
-    fn block_table_default_entries_do_not_count_as_occupied() {
+    fn block_table_default_entries_read_as_absent() {
         let mut t: BlockTable<u64> = BlockTable::new();
         *t.entry(100) = 0; // grows the dense vec but stays default
-        assert_eq!(t.occupied(), 0);
+        assert_eq!(t.get(100), 0);
+        assert_eq!(t.get(99), 0);
+        assert_eq!(t.clear_entry(100), 0);
     }
 
     #[test]
-    fn epoch_set_insert_contains_remove_clear() {
-        let far = DENSE_KEYS + 5;
-        let mut s = EpochSet::new();
-        assert!(s.insert(4));
-        assert!(!s.insert(4));
-        assert!(s.insert(far));
-        assert!(s.contains(4) && s.contains(far));
-        assert!(!s.contains(5));
-        assert!(s.remove(4));
-        assert!(!s.remove(4));
-        assert!(!s.contains(4));
-        s.clear();
-        assert!(!s.contains(far));
-        // Post-clear the same keys insert as fresh.
-        assert!(s.insert(4));
-        assert!(s.insert(far));
-    }
-
-    #[test]
-    fn epoch_set_survives_many_clears() {
-        let mut s = EpochSet::new();
+    fn epoch_map_insert_reports_fresh_keys_across_clears() {
+        let mut m: EpochMap<u64> = EpochMap::new();
         for round in 0..100u64 {
-            assert!(s.insert(round % 7));
-            assert!(!s.insert(round % 7));
-            s.clear();
+            assert!(m.insert(round % 7, round));
+            assert!(!m.insert(round % 7, round + 1));
+            assert_eq!(m.get(round % 7), Some(round + 1));
+            m.clear();
         }
     }
 
     #[test]
     fn epoch_map_first_write_wins() {
-        let far = DENSE_KEYS + 9;
+        let far = 1 << 40;
         let mut m: EpochMap<u64> = EpochMap::new();
         assert!(m.insert_if_absent(3, 10));
         assert!(!m.insert_if_absent(3, 20));

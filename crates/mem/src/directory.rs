@@ -260,11 +260,6 @@ impl<const N: usize> Directory<N> {
             }
         }
     }
-
-    /// Number of blocks with a non-`Uncached` entry.
-    pub fn tracked_blocks(&self) -> usize {
-        self.entries.occupied()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +286,6 @@ mod tests {
         assert_eq!(d.state(B), DirState::Uncached);
         assert!(d.victims(C0, B, true).is_empty());
         assert_eq!(d.victims_mask(C0, B, true), CoreSet::EMPTY);
-        assert_eq!(d.tracked_blocks(), 0);
     }
 
     #[test]
@@ -356,7 +350,7 @@ mod tests {
         assert!(d.state(B).holds(C1));
         d.drop_holder(C1, B);
         assert_eq!(d.state(B), DirState::Uncached);
-        assert_eq!(d.tracked_blocks(), 0);
+        assert!(!d.holds(C0, B) && !d.holds(C1, B));
 
         d.grant_write(C2, B);
         d.drop_holder(C2, B);

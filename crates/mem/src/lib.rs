@@ -66,7 +66,7 @@ pub use footprint::Footprints;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use memory::GlobalMemory;
 pub use retcon_isa::fx;
-pub use retcon_isa::table::{BlockTable, EpochMap, EpochSet};
+pub use retcon_isa::table::{BlockTable, EpochMap};
 pub use stats::MemStats;
 pub use system::{AccessKind, AccessPlan, Conflict, ConflictSet, CoreId, MemorySystem, Probe};
 pub use version::{UndoLog, WordLog, WriteBuffer};

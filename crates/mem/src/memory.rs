@@ -50,8 +50,6 @@ pub struct GlobalMemory {
     dense: Vec<Option<Box<[u64; PAGE_WORDS]>>>,
     /// Sparse fallback for page numbers at or above [`DENSE_PAGES`].
     sparse: FxHashMap<u64, Box<[u64; PAGE_WORDS]>>,
-    /// Number of words currently holding a nonzero value.
-    nonzero: usize,
 }
 
 impl GlobalMemory {
@@ -91,10 +89,7 @@ impl GlobalMemory {
                 self.sparse.get_mut(&pno)
             };
             if let Some(page) = page {
-                if page[idx] != 0 {
-                    page[idx] = 0;
-                    self.nonzero -= 1;
-                }
+                page[idx] = 0;
             }
         } else {
             let page = if pno < DENSE_PAGES {
@@ -107,16 +102,8 @@ impl GlobalMemory {
                     .entry(pno)
                     .or_insert_with(|| Box::new([0u64; PAGE_WORDS]))
             };
-            if page[idx] == 0 {
-                self.nonzero += 1;
-            }
             page[idx] = value;
         }
-    }
-
-    /// Number of words holding a nonzero value.
-    pub fn nonzero_words(&self) -> usize {
-        self.nonzero
     }
 
     /// The populated `(page number, page)` pairs, in arbitrary order.
@@ -178,7 +165,7 @@ mod tests {
         mem.write(Addr(6), 43);
         assert_eq!(mem.read(Addr(5)), 42);
         assert_eq!(mem.read(Addr(6)), 43);
-        assert_eq!(mem.nonzero_words(), 2);
+        assert_eq!(mem.iter().count(), 2);
     }
 
     #[test]
@@ -187,7 +174,7 @@ mod tests {
         mem.write(Addr(5), 42);
         mem.write(Addr(5), 0);
         assert_eq!(mem.read(Addr(5)), 0);
-        assert_eq!(mem.nonzero_words(), 0);
+        assert_eq!(mem.iter().count(), 0);
         // Writing zero to a never-written word allocates nothing.
         mem.write(Addr(1 << 40), 0);
         assert_eq!(mem.read(Addr(1 << 40)), 0);
@@ -230,7 +217,7 @@ mod tests {
         mem.write(Addr(boundary), 8);
         assert_eq!(mem.read(Addr(boundary - 1)), 7);
         assert_eq!(mem.read(Addr(boundary)), 8);
-        assert_eq!(mem.nonzero_words(), 2);
+        assert_eq!(mem.iter().count(), 2);
     }
 
     #[test]
@@ -238,7 +225,6 @@ mod tests {
         let mut mem = GlobalMemory::new();
         mem.write(Addr(3), 1);
         mem.write(Addr(3), 2);
-        assert_eq!(mem.nonzero_words(), 1);
-        assert_eq!(mem.read(Addr(3)), 2);
+        assert_eq!(mem.iter().collect::<Vec<_>>(), vec![(Addr(3), 2)]);
     }
 }

@@ -15,14 +15,14 @@ use retcon_isa::Addr;
 
 use crate::memory::GlobalMemory;
 
-/// An insertion-ordered map from word address to value with an O(1)
-/// [`clear`](WordLog::clear): what a transaction remembers per word.
+/// An insertion-ordered map from word address to value whose
+/// [`clear`](WordLog::clear) keeps its allocations: what a transaction
+/// remembers per word.
 #[derive(Debug, Clone, Default)]
 pub struct WordLog {
     /// (address, value), in first-insertion order.
     entries: Vec<(Addr, u64)>,
-    /// Word → index into `entries`; the epoch stamping makes membership one
-    /// array probe and the per-transaction clear O(1).
+    /// Word → index into `entries`.
     index: EpochMap<u32>,
 }
 

@@ -271,7 +271,8 @@ enum LogOp {
     Clear,
 }
 
-/// Two of them above `EpochMap`'s dense window (2^21 keys).
+/// Small, adjacent and far-apart words: two sit above 2^21, beyond any
+/// dense window a word index might be given.
 const WORDS: [u64; 6] = [0, 1, 8, 9, (1 << 21) + 3, (1 << 30) + 7];
 
 fn log_op() -> impl Strategy<Value = LogOp> {

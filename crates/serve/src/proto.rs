@@ -41,7 +41,7 @@
 use retcon_lab::RunKey;
 use retcon_lab::RunRecord;
 use retcon_sim::json::Json;
-use retcon_workloads::{System, Workload};
+use retcon_workloads::{System, Workload, MAX_SIM_CORES};
 
 /// A sweep request: the cross-product matrix plus a client-chosen id
 /// that multiplexes concurrent sweeps on one connection.
@@ -122,8 +122,8 @@ impl SweepRequest {
         let mut cores = Vec::new();
         for v in json.req_arr("cores")? {
             let n = v.as_u64().ok_or("cores: non-integer entry")?;
-            if !(1..=64).contains(&n) {
-                return Err(format!("cores value {n} outside 1..=64"));
+            if !(1..=MAX_SIM_CORES as u64).contains(&n) {
+                return Err(format!("cores value {n} outside 1..={MAX_SIM_CORES}"));
             }
             cores.push(n as usize);
         }
@@ -385,7 +385,18 @@ mod tests {
             .unwrap_err()
             .contains("unknown workload"));
         let zero = r#"{"type":"sweep","id":1,"workloads":["counter"],"systems":["eager"],"cores":[0],"seeds":[1]}"#;
-        assert!(Request::parse_line(zero).unwrap_err().contains("1..=64"));
+        assert!(Request::parse_line(zero).unwrap_err().contains("1..=1024"));
+        let wide = r#"{"type":"sweep","id":1,"workloads":["counter"],"systems":["eager"],"cores":[1025],"seeds":[1]}"#;
+        assert!(Request::parse_line(wide)
+            .unwrap_err()
+            .contains("1025 outside 1..=1024"));
+        // Past the 64 cores of a one-word mask, up to the widest class.
+        for cores in [65, 128, 1024] {
+            let line = format!(
+                r#"{{"type":"sweep","id":1,"workloads":["counter"],"systems":["eager"],"cores":[{cores}],"seeds":[1]}}"#
+            );
+            assert!(Request::parse_line(&line).is_ok(), "{cores} cores refused");
+        }
         let empty = r#"{"type":"sweep","id":1,"workloads":["counter"],"systems":[],"cores":[1],"seeds":[1]}"#;
         assert!(Request::parse_line(empty)
             .unwrap_err()

@@ -155,18 +155,11 @@ pub struct Machine<const N: usize = 1> {
     /// slice across the mutable per-core state it updates.
     programs: Vec<Program>,
     /// Whether stall-retry storms may be fast-forwarded analytically (see
-    /// [`CertPayload`]). On by default; equivalence tests disable it to
-    /// compare against step-by-step retry execution.
+    /// [`Cert`]). On by default; equivalence tests disable it to compare
+    /// against step-by-step retry execution.
     fast_forward: bool,
-    /// Hot half of the per-core storm-certificate store: one compact
-    /// entry per core, scanned in full by the peer clamp on every skip —
-    /// 32 cores fit in a handful of cache lines, where scanning the fat
-    /// [`CertPayload`] array would touch a cache line (or several) per
-    /// peer.
-    cert_meta: Vec<CertMeta>,
-    /// Cold half of the store (see [`CertPayload`]): indexed by core,
-    /// meaningful only where `cert_meta` is not [`CertState::Empty`].
-    cert_payload: Vec<CertPayload<N>>,
+    /// Each core's storm certificate, indexed by core.
+    certs: Vec<Cert<N>>,
     /// Incremented on every certificate lifecycle transition (certify,
     /// drop, stale-mark): together with [`MemorySystem::bump_epoch`] it
     /// keys [`Machine::clamp_cache`].
@@ -218,7 +211,7 @@ impl ClampCache {
 enum CertState {
     /// No certificate: the core's last attempt was not a certified stall.
     Empty,
-    /// Certified and valid as of `CertMeta::epoch`.
+    /// Certified and valid as of `Cert::epoch`.
     Fresh,
     /// Certified but the version sum has moved. Memoised: versions are
     /// monotonic, so once the sum has moved it never moves back and the
@@ -228,27 +221,8 @@ enum CertState {
     Stale,
 }
 
-/// Hot per-core certificate metadata, kept small so the per-skip clamp
-/// scan over all cores stays within a few cache lines.
-#[derive(Debug, Clone, Copy)]
-struct CertMeta {
-    state: CertState,
-    /// [`MemorySystem::bump_epoch`] at the last successful validation: an
-    /// O(1) fast path — no block version anywhere has moved since, so the
-    /// sum cannot have. On an epoch miss the sum is re-walked; a match
-    /// restamps the epoch, a mismatch means the certificate is stale.
-    epoch: u64,
-}
-
-impl CertMeta {
-    const EMPTY: CertMeta = CertMeta {
-        state: CertState::Empty,
-        epoch: 0,
-    };
-}
-
-/// A validated stall-storm verdict, cached per core so retries can be
-/// charged without re-executing the stalled instruction.
+/// A core's storm certificate: a validated stall-storm verdict, cached so
+/// retries can be charged without re-executing the stalled instruction.
 ///
 /// When an access stalls, the protocol's
 /// [`stall_storm`](AnyProtocol::stall_storm) dry run certifies (or
@@ -282,17 +256,25 @@ impl CertMeta {
 /// retries against 1.7 M retired instructions, and each skipped retry
 /// saves a full conflict-mask/contention-manager/predictor walk.
 #[derive(Debug, Clone, Copy)]
-struct CertPayload<const N: usize = 1> {
-    /// The certified per-retry side effects.
+struct Cert<const N: usize = 1> {
+    state: CertState,
+    /// [`MemorySystem::bump_epoch`] at the last successful validation: an
+    /// O(1) fast path — no block version anywhere has moved since, so the
+    /// sum cannot have. On an epoch miss the sum is re-walked; a match
+    /// restamps the epoch, a mismatch means the certificate is stale.
+    epoch: u64,
+    /// The certified per-retry side effects; meaningful only while `state`
+    /// is not [`CertState::Empty`].
     storm: StallStorm<N>,
     /// [`storm_version_sum`] over `storm.block` and the watched prefix at
     /// certification time; the certificate is valid while it is unchanged.
     version: u64,
 }
 
-impl<const N: usize> CertPayload<N> {
-    /// Placeholder for [`CertState::Empty`] slots.
-    const EMPTY: CertPayload<N> = CertPayload {
+impl<const N: usize> Cert<N> {
+    const EMPTY: Cert<N> = Cert {
+        state: CertState::Empty,
+        epoch: 0,
         storm: StallStorm::access(CoreSet::EMPTY, BlockAddr(0)),
         version: 0,
     };
@@ -346,8 +328,7 @@ impl<const N: usize> Machine<N> {
             mem: MemorySystem::new(cfg.mem, cfg.num_cores),
             protocol: protocol.into(),
             cores: programs.iter().map(|p| Core::new(p.entry())).collect(),
-            cert_meta: vec![CertMeta::EMPTY; programs.len()],
-            cert_payload: vec![CertPayload::EMPTY; programs.len()],
+            certs: vec![Cert::EMPTY; programs.len()],
             cert_gen: 0,
             footprint: None,
             tracer: None,
@@ -470,8 +451,8 @@ impl<const N: usize> Machine<N> {
         // Certificates describe "the core's next pop repeats this stall" —
         // a statement about one schedule's trajectory. Drop them between
         // runs so a different schedule starts clean.
-        for m in &mut self.cert_meta {
-            m.state = CertState::Empty;
+        for cert in &mut self.certs {
+            cert.state = CertState::Empty;
         }
         self.cert_gen += 1;
         let clocks: Vec<u64> = self.cores.iter().map(|c| c.now).collect();
@@ -498,7 +479,7 @@ impl<const N: usize> Machine<N> {
                         c,
                         core.now,
                         !core.halted && !core.at_barrier,
-                        self.cert_meta[c].state != CertState::Empty,
+                        self.certs[c].state != CertState::Empty,
                     );
                 }
                 None => {
@@ -589,8 +570,7 @@ impl<const N: usize> Machine<N> {
             protocol,
             cores,
             programs,
-            cert_meta,
-            cert_payload,
+            certs,
             cert_gen,
             clamp_cache,
             footprint,
@@ -614,10 +594,8 @@ impl<const N: usize> Machine<N> {
         // core's state is mutably borrowed.
         let (cores_lo, cores_rest) = cores.split_at_mut(c);
         let (core, cores_hi) = cores_rest.split_first_mut().expect("core index in range");
-        let (meta_lo, meta_rest) = cert_meta.split_at_mut(c);
-        let (meta, meta_hi) = meta_rest.split_first_mut().expect("core index in range");
-        let (payload_lo, payload_rest) = cert_payload.split_at_mut(c);
-        let (payload, payload_hi) = payload_rest.split_first_mut().expect("core index in range");
+        let (certs_lo, certs_rest) = certs.split_at_mut(c);
+        let (cert, certs_hi) = certs_rest.split_first_mut().expect("core index in range");
         // A stalled attempt, whichever instruction took it: charge the retry
         // latency, then ask the protocol whether the retry is a fixed point
         // the next pop may fast-forward.
@@ -626,7 +604,7 @@ impl<const N: usize> Machine<N> {
                 core.stall(stall_retry + sched.observe_stall(c, core.now));
                 trace!(EventKind::Stall, core.now, $arg);
                 if fast_forward {
-                    certify_storm(protocol, mem, c, $action, meta, payload, cert_gen);
+                    certify_storm(protocol, mem, c, $action, cert, cert_gen);
                 }
             }};
         }
@@ -673,11 +651,11 @@ impl<const N: usize> Machine<N> {
                                                        // block's version need not have moved when *this* core was
                                                        // the victim (its speculative bits may not cover that
                                                        // block). Drop the certificate; a fresh stall re-certifies.
-                meta.state = CertState::Empty;
+                cert.state = CertState::Empty;
                 *cert_gen += 1;
                 continue;
             }
-            // Stall-storm fast-forward (see [`CertPayload`]): while the
+            // Stall-storm fast-forward (see [`Cert`]): while the
             // cached verdict's version sum stands still, the next attempt
             // of the instruction under `pc` provably stalls again with the
             // certified side effects — charge the retries the bound and
@@ -686,11 +664,11 @@ impl<const N: usize> Machine<N> {
             // the sum moves; the loop top above performs the real
             // bound/limit/abort exits exactly as per-retry execution would.
             if fast_forward && stall_retry > 0 {
-                let valid = meta.state == CertState::Fresh
-                    && (meta.epoch == mem.bump_epoch() || {
-                        let revalidated = storm_version_sum(mem, &payload.storm) == payload.version;
+                let valid = cert.state == CertState::Fresh
+                    && (cert.epoch == mem.bump_epoch() || {
+                        let revalidated = storm_version_sum(mem, &cert.storm) == cert.version;
                         if revalidated {
-                            meta.epoch = mem.bump_epoch();
+                            cert.epoch = mem.bump_epoch();
                         }
                         revalidated
                     });
@@ -718,17 +696,8 @@ impl<const N: usize> Machine<N> {
                                     clamp_cache.stale_min
                                 } else {
                                     let mut sm = None;
-                                    clamp_stale_peers(
-                                        mem, meta_lo, payload_lo, cores_lo, 0, &mut sm,
-                                    );
-                                    clamp_stale_peers(
-                                        mem,
-                                        meta_hi,
-                                        payload_hi,
-                                        cores_hi,
-                                        c + 1,
-                                        &mut sm,
-                                    );
+                                    clamp_stale_peers(mem, certs_lo, cores_lo, 0, &mut sm);
+                                    clamp_stale_peers(mem, certs_hi, cores_hi, c + 1, &mut sm);
                                     *clamp_cache = ClampCache {
                                         epoch: mem.bump_epoch(),
                                         gen: *cert_gen,
@@ -772,13 +741,13 @@ impl<const N: usize> Machine<N> {
                             core.stall(stall_retry + sched.observe_stall(c, core.now));
                             1
                         };
-                        protocol.apply_stall_retries(core_id, &payload.storm, n, mem);
+                        protocol.apply_stall_retries(core_id, &cert.storm, n, mem);
                         trace!(EventKind::StormFf, core.now, n);
                         stepped = true;
                         continue;
                     }
                 } else {
-                    meta.state = CertState::Empty;
+                    cert.state = CertState::Empty;
                     *cert_gen += 1;
                 }
             }
@@ -963,33 +932,29 @@ impl<const N: usize> Machine<N> {
 /// Dry-runs the stall the core just took through the protocol's
 /// [`stall_storm`](AnyProtocol::stall_storm) oracle and, when the oracle
 /// certifies a stable storm, stamps the verdict with its current
-/// [`storm_version_sum`]. The result is the core's certificate
-/// ([`CertMeta`] + [`CertPayload`]): as long as the sum still matches
-/// when the core is next popped, a retry is provably a fixed point and
-/// `run_core` charges it analytically instead of re-executing the
-/// instruction.
+/// [`storm_version_sum`]. The result is the core's [`Cert`]: as long as
+/// the sum still matches when the core is next popped, a retry is
+/// provably a fixed point and `run_core` charges it analytically instead
+/// of re-executing the instruction.
 fn certify_storm<const N: usize>(
     protocol: &AnyProtocol<N>,
     mem: &MemorySystem<N>,
     c: usize,
     action: StallAction,
-    meta: &mut CertMeta,
-    payload: &mut CertPayload<N>,
+    cert: &mut Cert<N>,
     cert_gen: &mut u64,
 ) {
     *cert_gen += 1;
     match protocol.stall_storm(CoreId(c), action, mem) {
         Some(storm) => {
-            *payload = CertPayload {
+            *cert = Cert {
+                state: CertState::Fresh,
+                epoch: mem.bump_epoch(),
                 version: storm_version_sum(mem, &storm),
                 storm,
             };
-            *meta = CertMeta {
-                state: CertState::Fresh,
-                epoch: mem.bump_epoch(),
-            };
         }
-        None => meta.state = CertState::Empty,
+        None => cert.state = CertState::Empty,
     }
 }
 
@@ -1013,17 +978,15 @@ fn certify_storm<const N: usize>(
 /// certificate, and later callers must still observe the staleness.
 fn clamp_stale_peers<const N: usize>(
     mem: &MemorySystem<N>,
-    metas: &mut [CertMeta],
-    payloads: &[CertPayload<N>],
+    certs: &mut [Cert<N>],
     cores: &[Core],
     base: usize,
     limit: &mut Option<(u64, usize)>,
 ) {
     let epoch = mem.bump_epoch();
-    for (off, peer) in metas.iter_mut().enumerate() {
+    for (off, peer) in certs.iter_mut().enumerate() {
         if peer.state == CertState::Fresh && peer.epoch != epoch {
-            let p = &payloads[off];
-            if storm_version_sum(mem, &p.storm) == p.version {
+            if storm_version_sum(mem, &peer.storm) == peer.version {
                 peer.epoch = epoch;
             } else {
                 peer.state = CertState::Stale;

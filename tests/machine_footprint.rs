@@ -2,7 +2,9 @@
 //! its run touches, not for the 4 352 sets per core the Table 1 hierarchy
 //! has. Ceilings sit between the slab-backed tag arrays' numbers and the
 //! eager `Vec<Vec<Line>>` layout they replaced (EXPERIMENTS.md, "Machine
-//! footprint"), so a per-set cost creeping back fails here first.
+//! footprint"), so a per-set cost creeping back fails here first. One run's
+//! peak live heap is pinned the same way, so a per-transaction table that
+//! grows with the address space instead of the footprint fails here too.
 //!
 //! Bytes are what the program requested from the allocator (counted by the
 //! vendored `alloc-counter`), not resident pages: exact and host-independent.
@@ -38,6 +40,29 @@ fn scaling_xl_machine_bytes<const N: usize>(cores: usize) -> u64 {
 /// allocations inside these windows.
 #[test]
 fn machine_footprint_stays_within_budget() {
+    // Peak live heap first: `peak_live_bytes` is a high-water mark over the
+    // whole process, so nothing bigger may have been built before. 34.3 MiB
+    // when each core's undo log, write buffer and value log indexed words
+    // through a dense array grown to the highest word it ever logged.
+    let vacation = Workload::Vacation {
+        optimized: false,
+        resizable: false,
+    }
+    .build(32, 42);
+    let mut machine = machine_for_sized::<1>(
+        &vacation,
+        System::LazyVb.protocol_sized::<1>(32),
+        SimConfig::with_cores(32),
+    );
+    machine.run().expect("vacation@32 completes under lazy-vb");
+    drop(machine);
+    let peak = alloc_counter::peak_live_bytes();
+    println!("vacation@32 lazy-vb run: peak live heap {peak} bytes");
+    assert!(
+        peak <= 8 * MIB,
+        "a vacation@32 lazy-vb run peaked at {peak} live heap bytes (> 8 MiB)"
+    );
+
     // The EXPERIMENTS.md table (`--nocapture` shows it). 1024 cores, the
     // 16-word CoreSet class: 105.5 MiB with eager sets.
     let by_cores = [

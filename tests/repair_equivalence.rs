@@ -8,15 +8,28 @@
 //! locations — loads, add/sub (and occasionally untrackable) arithmetic,
 //! branches, stores — execute them through the RETCON engine against
 //! *initial* values, steal every block, and repair against *final* values.
+//! The engine is driven through the calls `RetconTm` makes: fused
+//! `transactional_load`, then `begin_tracking` + `finish_tracked_load` on a
+//! miss; `on_store`, then store-initiated tracking on a plain store; and
+//! `validate_and_repair_into` into one reused `Repair`, as each core's
+//! commit reuses its own.
 //! Whenever the engine accepts the commit, the repaired outputs must equal
 //! the outputs of an oracle interpreter that re-executes the same program
 //! directly against the final values. Whenever the oracle's control flow
 //! would have differed, the engine must have rejected the commit.
 
+use std::cell::RefCell;
+
 use proptest::prelude::*;
 
-use retcon::{Engine, LoadPath, RetconConfig, StorePath};
+use retcon::{Engine, Repair, RetconConfig, StorePath};
 use retcon_isa::{Addr, BinOp, CmpOp, Reg};
+
+thread_local! {
+    /// The repair buffers every case commits into: stale output from an
+    /// earlier case must never leak into a later one.
+    static REPAIR: RefCell<Repair> = RefCell::new(Repair::default());
+}
 
 /// One step of a generated transaction.
 #[derive(Debug, Clone)]
@@ -117,10 +130,12 @@ fn engine_run(
         match *s {
             Step::Load { dst, loc } => {
                 let addr = loc_addr(loc);
-                let value = match eng.load_path(addr) {
-                    LoadPath::StoreForward { .. } => eng.finish_forwarded_load(Reg(dst), addr),
-                    LoadPath::InitialValue { .. } => eng.finish_tracked_load(Reg(dst), addr),
-                    LoadPath::Memory => {
+                let value = match eng.transactional_load(Reg(dst), addr) {
+                    Some(value) => value,
+                    None => {
+                        // A memory load; with the threshold at 0 the
+                        // predictor asks to track every block.
+                        assert!(eng.wants_tracking(addr));
                         assert!(eng.begin_tracking(addr.block(), |_| initial[loc as usize]));
                         eng.finish_tracked_load(Reg(dst), addr)
                     }
@@ -136,15 +151,20 @@ fn engine_run(
             }
             Step::Store { src, loc } => {
                 let addr = loc_addr(loc);
-                // Store-initiated tracking (as the protocol does for blind
-                // writes): a store can precede any load of the block.
-                if !eng.is_tracking(addr.block()) {
-                    assert!(eng.begin_tracking(addr.block(), |_| initial[loc as usize]));
-                }
-                match eng.on_store(addr, Some(Reg(src)), regs[src as usize]) {
+                let value = regs[src as usize];
+                match eng.on_store(addr, Some(Reg(src)), value) {
                     StorePath::Buffered => {}
-                    StorePath::Normal => unreachable!("all locations are tracked"),
                     StorePath::Overflow => return None,
+                    StorePath::Normal => {
+                        // Store-initiated tracking of a blind write: a
+                        // store can precede any load of the block.
+                        assert!(eng.begin_tracking(addr.block(), |_| initial[loc as usize]));
+                        match eng.on_store(addr, Some(Reg(src)), value) {
+                            StorePath::Buffered => {}
+                            StorePath::Overflow => return None,
+                            StorePath::Normal => unreachable!("stores to tracked blocks buffer"),
+                        }
+                    }
                 }
             }
         }
@@ -153,25 +173,30 @@ fn engine_run(
     for i in 0..NUM_LOCS as u8 {
         eng.on_steal(loc_addr(i).block());
     }
-    let repair = eng
-        .validate_and_repair(|w| {
-            let loc = (w.0 / 8) as usize;
-            if w.offset_in_block() == 0 && loc < NUM_LOCS {
-                fin[loc]
-            } else {
-                0
-            }
-        })
+    REPAIR.with(|repair| {
+        let mut repair = repair.borrow_mut();
+        eng.validate_and_repair_into(
+            |w| {
+                let loc = (w.0 / 8) as usize;
+                if w.offset_in_block() == 0 && loc < NUM_LOCS {
+                    fin[loc]
+                } else {
+                    0
+                }
+            },
+            &mut repair,
+        )
         .ok()?;
-    // Apply the repair.
-    let mut mem = *fin;
-    for (addr, value) in repair.stores {
-        mem[(addr.0 / 8) as usize] = value;
-    }
-    for (reg, value) in repair.registers {
-        regs[reg.index()] = value;
-    }
-    Some((regs, mem))
+        // Apply the repair.
+        let mut mem = *fin;
+        for &(addr, value) in &repair.stores {
+            mem[(addr.0 / 8) as usize] = value;
+        }
+        for &(reg, value) in &repair.registers {
+            regs[reg.index()] = value;
+        }
+        Some((regs, mem))
+    })
 }
 
 proptest! {

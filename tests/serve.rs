@@ -191,6 +191,19 @@ fn staggered_overlap_hits_the_store() {
     shutdown(addr, handle);
 }
 
+/// Machines wider than one 64-core mask word are served too, and stay
+/// byte-identical to the offline runner.
+#[test]
+fn wide_machines_are_served_byte_identical() {
+    let (addr, handle) = spawn_server(2);
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let req = sweep(1, &[Workload::ScalingXl], &[System::Retcon], &[128]);
+    let served = client.sweep(&req).expect("128-core sweep");
+    assert_eq!(served.misses, 1);
+    assert_eq!(to_lines(&served.records), to_lines(&offline(&req)));
+    shutdown(addr, handle);
+}
+
 /// The same duplicate-heavy load pushed through different connection
 /// interleavings always executes each distinct key once.
 #[test]
