@@ -218,7 +218,7 @@ impl Schedule for TraceSchedule {
         Some(Decision::new(core, Bound::Step))
     }
 
-    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool, _storming: bool) {
+    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool) {
         self.runnable[core] = runnable.then_some(now);
     }
 
@@ -259,7 +259,7 @@ mod tests {
         let d = s.next_core(&LocalPeek).unwrap();
         assert_eq!(d.core, 2, "unique minimum, not a choice point");
         assert!(s.log().is_empty());
-        s.core_yielded(2, 4, true, false);
+        s.core_yielded(2, 4, true);
         let d = s.next_core(&LocalPeek).unwrap();
         assert_eq!(d.core, 0, "tie defaults to lowest id");
         assert_eq!(s.log().len(), 1);
@@ -284,9 +284,9 @@ mod tests {
         let mut s = TraceSchedule::new(&ChoiceTrace::parse("0.1.0").unwrap(), 0);
         s.begin(&[0, 0]);
         let d = s.next_core(&LocalPeek).unwrap();
-        s.core_yielded(d.core, 1, false, false);
+        s.core_yielded(d.core, 1, false);
         let d = s.next_core(&LocalPeek).unwrap();
-        s.core_yielded(d.core, 2, false, false);
+        s.core_yielded(d.core, 2, false);
         assert!(s.next_core(&LocalPeek).is_none());
         assert!(s.diverged(), "unconsumed prescription means a bad pairing");
     }
@@ -297,7 +297,7 @@ mod tests {
         s.begin(&[0, 0, 0]);
         let d = s.next_core(&LocalPeek).unwrap();
         assert_eq!(d.core, 2, "first choice point takes prescribed index 2");
-        s.core_yielded(2, 5, true, false);
+        s.core_yielded(2, 5, true);
         let d = s.next_core(&LocalPeek).unwrap();
         assert_eq!(d.core, 1, "second choice point takes prescribed index 1");
         assert_eq!(s.full_trace().to_string(), "2.1");

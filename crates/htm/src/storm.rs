@@ -1,13 +1,13 @@
 //! Stall-storm descriptions for the simulator's analytic fast-forward.
 //!
-//! On heavily contended runs the simulator spends most of its work
-//! re-executing *stall retries*: a core whose access lost a conflict waits
-//! the retry latency and re-issues the same instruction, which loses the
-//! same conflict against the same frozen masks, over and over, until the
-//! scheduler hands control to another core (32-core `python`/RetCon retires
-//! 1.7 M instructions but executes 4.5 M retries). Within one scheduler
-//! batch no other core runs, so the storm's per-retry outcome is a fixed
-//! point — the simulator can *compute* the storm instead of simulating it.
+//! On heavily contended runs most of the simulated work is *stall
+//! retries*: a core whose access lost a conflict waits the retry latency
+//! and re-issues the same instruction, which loses the same conflict
+//! against the same frozen masks, over and over, until another core
+//! changes the blocks the verdict depends on (32-core `python`/RetCon
+//! retires 1.7 M instructions but executes 4.5 M retries). Until then each
+//! retry's outcome is a fixed point — the simulator can *compute* the storm
+//! instead of simulating it.
 //!
 //! [`Protocol::stall_storm`](crate::Protocol::stall_storm) is the read-only
 //! dry run: "if the stalled instruction were retried right now, would it
@@ -34,15 +34,22 @@
 //! depends on the prefix blocks *staying* conflict-free and resident, and
 //! each skipped retry must replay the prefix's cache-hit statistics.
 //!
+//! # Lifecycle
+//!
 //! The dry run's verdict stays valid as long as its inputs do: every input
 //! is covered by the version counters of the contended block and the
 //! watched prefix
-//! ([`MemorySystem::block_version`](retcon_mem::MemorySystem::block_version)).
-//! The counters are monotonic, so their *sum* stands still exactly when
-//! every one of them does — the simulator caches the storm stamped with
-//! that sum and replays it across scheduler batches without consulting the
-//! protocol again until the sum moves (see the simulator's stall
-//! fast-forward).
+//! ([`MemorySystem::block_version`](retcon_mem::MemorySystem::block_version)),
+//! and the stalled core's own transaction, which only a remote abort can
+//! end. Under the default schedule the stalled core *parks* on exactly
+//! those blocks ([`MemorySystem::park`](retcon_mem::MemorySystem::park)):
+//! it leaves the run queue, and the first version bump of one of them — or
+//! a remote abort clearing its speculative bits — wakes it. The waker's
+//! scheduling key bounds the retries polling would have run meanwhile;
+//! they are charged at once and the core re-executes the instruction for
+//! real. Under jittered or single-stepping schedules the storm is instead
+//! charged one retry per scheduling decision, re-checked against the
+//! versions each time.
 
 use retcon_isa::{Addr, BlockAddr, CoreSet};
 use retcon_mem::AccessKind;

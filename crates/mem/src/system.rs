@@ -10,6 +10,7 @@ use crate::directory::Directory;
 use crate::footprint::Footprints;
 use crate::memory::GlobalMemory;
 use crate::stats::MemStats;
+use retcon_isa::fx::FxHashMap;
 use retcon_isa::table::BlockTable;
 
 /// Identifier of a simulated core.
@@ -145,6 +146,64 @@ impl AccessPlan {
     }
 }
 
+/// Per-block *conflict version*: a monotonic counter bumped whenever
+/// something that a conflict-resolution verdict on the block could depend on
+/// changes — any core's [`SpecBits`] on the block
+/// ([`mark_spec`](MemorySystem::mark_spec) growth,
+/// [`clear_spec`](MemorySystem::clear_spec) /
+/// [`invalidate_block`](MemorySystem::invalidate_block) removal) — plus
+/// protocol-side events reported through
+/// [`bump_block_version`](MemorySystem::bump_block_version) (RETCON beginning
+/// symbolic tracking of the block; DATM dependence-graph changes).
+/// Monotonicity is the point: a cached verdict stamped with the version it
+/// was derived at stays provably valid exactly while the version stands
+/// still, and can never be revalidated by accident after the block's
+/// footprint row is cleared and repopulated — which is why the counter is a
+/// table of its own and not a field of that row. The simulator's stall
+/// fast-forward is the consumer, and parks cores on the versions.
+#[derive(Debug, Clone, Default)]
+struct Versions<const N: usize> {
+    /// Per block, the version in the high 48 bits and, in the low 16, how
+    /// many parked cores watch the block: one word, so a bump is one add
+    /// and, when nobody waits on the block, one test.
+    table: BlockTable<u64>,
+    /// The parked cores waiting on each block.
+    waiters: FxHashMap<u64, CoreSet<N>>,
+    parked: CoreSet<N>,
+    /// Parked cores woken since the last
+    /// [`take_woken`](MemorySystem::take_woken).
+    woken: CoreSet<N>,
+    /// `!woken.is_empty()`, as one flag the simulator tests per access.
+    wake_pending: bool,
+    /// Count of conflict-version bumps ever applied (any block): a global
+    /// change detector over `table`. A reader holding a sum of block
+    /// versions knows the sum is unchanged while this epoch is unchanged —
+    /// the O(1) fast path the simulator's stall fast-forward takes before
+    /// re-walking a certificate's watched blocks.
+    epoch: u64,
+}
+
+/// One version step in a [`Versions::table`] word; the bits below count watchers.
+const VERSION_ONE: u64 = 1 << 16;
+
+impl<const N: usize> Versions<N> {
+    #[inline]
+    fn bump(&mut self, block: u64) {
+        let v = self.table.entry(block);
+        *v += VERSION_ONE;
+        if *v % VERSION_ONE != 0 {
+            self.wake_waiters(block);
+        }
+        self.epoch += 1;
+    }
+
+    #[inline(never)]
+    fn wake_waiters(&mut self, block: u64) {
+        self.woken |= self.waiters[&block];
+        self.wake_pending = true;
+    }
+}
+
 /// The complete simulated memory system: architectural memory, per-core
 /// L1/L2 tag arrays, a directory, per-core permissions-only overflow caches,
 /// and latency/statistics accounting.
@@ -193,27 +252,8 @@ pub struct MemorySystem<const N: usize = 1> {
     /// Every core's speculative bits (cache + permissions-only overflow
     /// united), per block.
     spec: Footprints<N>,
-    /// Per-block *conflict version*: a monotonic counter bumped whenever
-    /// something that a conflict-resolution verdict on the block could
-    /// depend on changes — any core's [`SpecBits`] on the block
-    /// ([`mark_spec`](Self::mark_spec) growth, [`clear_spec`](Self::clear_spec)
-    /// / [`invalidate_block`](Self::invalidate_block) removal) — plus
-    /// protocol-side events reported through
-    /// [`bump_block_version`](Self::bump_block_version) (RETCON beginning
-    /// symbolic tracking of the block; DATM dependence-graph changes).
-    /// Monotonicity is the point: a cached verdict stamped with the version
-    /// it was derived at stays provably valid exactly while the version
-    /// stands still, and can never be revalidated by accident after the
-    /// block's footprint row is cleared and repopulated — which is why the
-    /// counter is a table of its own and not a field of that row. The
-    /// simulator's stall fast-forward is the consumer.
-    versions: BlockTable<u64>,
-    /// Count of conflict-version bumps ever applied (any block): a global
-    /// change detector over `versions`. A reader holding a sum of block
-    /// versions knows the sum is unchanged while this epoch is unchanged —
-    /// the O(1) fast path the simulator's stall fast-forward takes before
-    /// re-walking a certificate's watched blocks.
-    bump_epoch: u64,
+    /// Per-block conflict versions, and the cores parked on them.
+    versions: Versions<N>,
     cfg: MemConfig,
     stats: Vec<MemStats>,
 }
@@ -234,8 +274,7 @@ impl<const N: usize> MemorySystem<N> {
             l2: (0..num_cores).map(|_| CacheArray::new(cfg.l2)).collect(),
             dir: Directory::new(),
             spec: Footprints::new(num_cores),
-            versions: BlockTable::new(),
-            bump_epoch: 0,
+            versions: Versions::default(),
             cfg,
             stats: vec![MemStats::default(); num_cores],
         }
@@ -504,7 +543,7 @@ impl<const N: usize> MemorySystem<N> {
     /// conflict-resolution verdict on the block is unchanged.
     #[inline]
     pub fn block_version(&self, block: BlockAddr) -> u64 {
-        self.versions.get(block.0)
+        self.versions.table.get(block.0) / VERSION_ONE
     }
 
     /// Records a protocol-side event that conflict verdicts on `block` may
@@ -513,8 +552,53 @@ impl<const N: usize> MemorySystem<N> {
     /// changes).
     #[inline]
     pub fn bump_block_version(&mut self, block: BlockAddr) {
-        *self.versions.entry(block.0) += 1;
-        self.bump_epoch += 1;
+        self.versions.bump(block.0);
+    }
+
+    /// Parks `core` on `blocks`: the next conflict-version bump of any of
+    /// them, or a [`clear_spec`](Self::clear_spec) of `core` (its
+    /// transaction aborted), adds it to the wake set.
+    pub fn park(&mut self, core: CoreId, blocks: impl IntoIterator<Item = BlockAddr>) {
+        let v = &mut self.versions;
+        v.parked.insert(core.0);
+        for b in blocks {
+            if v.waiters.entry(b.0).or_default().insert(core.0) {
+                *v.table.entry(b.0) += 1;
+            }
+        }
+    }
+
+    /// Undoes [`park`](Self::park) over the same `blocks`; a no-op for a
+    /// core not parked.
+    pub fn unpark(&mut self, core: CoreId, blocks: impl IntoIterator<Item = BlockAddr>) {
+        let v = &mut self.versions;
+        v.parked.remove(core.0);
+        for b in blocks {
+            if v.waiters
+                .get_mut(&b.0)
+                .is_some_and(|set| set.remove(core.0))
+            {
+                *v.table.entry(b.0) -= 1;
+            }
+        }
+    }
+
+    /// The cores parked and not yet unparked.
+    pub fn parked(&self) -> &CoreSet<N> {
+        &self.versions.parked
+    }
+
+    /// `true` if a parked core was woken since the last
+    /// [`take_woken`](Self::take_woken): one flag.
+    pub fn wake_pending(&self) -> bool {
+        self.versions.wake_pending
+    }
+
+    /// The parked cores woken since the last call (they stay parked until
+    /// [`unpark`](Self::unpark)ed).
+    pub fn take_woken(&mut self) -> CoreSet<N> {
+        self.versions.wake_pending = false;
+        std::mem::take(&mut self.versions.woken)
     }
 
     /// The global conflict-version epoch: increments whenever *any* block's
@@ -522,7 +606,7 @@ impl<const N: usize> MemorySystem<N> {
     /// [`block_version`](Self::block_version) is unchanged.
     #[inline]
     pub fn bump_epoch(&self) -> u64 {
-        self.bump_epoch
+        self.versions.epoch
     }
 
     /// Sets speculative bits on a block the core already caches (or tracks in
@@ -561,14 +645,19 @@ impl<const N: usize> MemorySystem<N> {
     }
 
     /// Clears every speculative bit held by `core` (transaction commit or
-    /// abort). Returns the number of blocks that had bits set.
+    /// abort), waking `core` if it is parked. Returns the number of blocks
+    /// that had bits set.
     pub fn clear_spec(&mut self, core: CoreId) -> usize {
+        let v = &mut self.versions;
+        if v.parked.contains(core.0) {
+            v.woken.insert(core.0);
+            v.wake_pending = true;
+        }
         let mut cleared = 0;
         self.spec.clear_core(core.0, |block| {
             cleared += 1;
             self.l1[core.0].clear_spec(BlockAddr(block));
-            *self.versions.entry(block) += 1;
-            self.bump_epoch += 1;
+            self.versions.bump(block);
         });
         cleared
     }
@@ -855,6 +944,27 @@ mod tests {
         let cores: Vec<usize> = set.iter().map(|c| c.core.0).collect();
         assert_eq!(cores, vec![0, 1, 2, 3, 4, 5, 6], "ascending core order");
         assert_eq!(set.to_vec().len(), 7);
+    }
+
+    #[test]
+    fn parked_cores_wake_on_a_watched_bump_or_their_own_clear() {
+        let mut m = ms(3);
+        let (a, b) = (BlockAddr(0), BlockAddr(1));
+        m.park(C1, [a, b, a]);
+        assert!(m.parked().contains(1) && !m.wake_pending());
+        m.bump_block_version(BlockAddr(2)); // unwatched
+        assert!(!m.wake_pending());
+        m.bump_block_version(b);
+        assert_eq!(m.take_woken(), CoreSet::solo(1));
+        assert!(!m.wake_pending(), "taking clears the flag");
+        m.clear_spec(C0); // another core's clear
+        assert!(!m.wake_pending());
+        m.clear_spec(C1);
+        assert_eq!(m.take_woken(), CoreSet::solo(1));
+        m.unpark(C1, [a, b, a]);
+        assert!(m.parked().is_empty());
+        m.bump_block_version(a);
+        assert!(!m.wake_pending(), "unparked cores are not woken");
     }
 
     #[test]

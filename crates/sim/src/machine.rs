@@ -8,9 +8,7 @@ use retcon_mem::{CoreId, MemorySystem};
 
 use crate::config::SimConfig;
 use crate::report::{CoreReport, SimReport, TimeBreakdown};
-use crate::schedule::{
-    Bound, CoreAction, Decision, DeterministicMin, Schedule, SchedulePeek, SeededFuzz,
-};
+use crate::schedule::{Bound, CoreAction, DeterministicMin, Schedule, SchedulePeek, SeededFuzz};
 use crate::tape::InputTape;
 
 /// Errors a simulation run can report.
@@ -160,10 +158,8 @@ pub struct Machine<const N: usize = 1> {
     fast_forward: bool,
     /// Each core's storm certificate, indexed by core.
     certs: Vec<Cert<N>>,
-    /// Incremented on every certificate lifecycle transition (certify,
-    /// drop, stale-mark): together with [`MemorySystem::bump_epoch`] it
-    /// keys [`Machine::clamp_cache`].
-    cert_gen: u64,
+    /// The parked storms that train each core's conflict predictor.
+    trainers: Trainers<N>,
     /// When enabled (sharded execution), the set of block ids this
     /// machine's cores touched through the protocol's read/write path.
     /// `None` keeps the hot path branch-free-in-practice (a never-taken,
@@ -177,33 +173,6 @@ pub struct Machine<const N: usize = 1> {
     /// reads it back, which is what keeps traced and untraced runs
     /// byte-identical.
     tracer: Option<Box<retcon_obs::RingTracer>>,
-    /// Memoised result of the stale-peer scan (see [`clamp_stale_peers`]):
-    /// valid while no block version moved and no certificate changed
-    /// state. Storm pops cluster between real batches, so within a
-    /// cluster only the first pop pays the scan. Reusing a cached clamp
-    /// is always sound — a conservative (lower) bound merely charges a
-    /// storm in more pops; the retries charged per pop never change the
-    /// simulated outcome, only how they are batched.
-    clamp_cache: ClampCache,
-}
-
-/// See [`Machine::clamp_cache`].
-#[derive(Debug, Clone, Copy)]
-struct ClampCache {
-    /// [`MemorySystem::bump_epoch`] when the scan ran.
-    epoch: u64,
-    /// [`Machine::cert_gen`] when the scan ran.
-    gen: u64,
-    /// The scan's result: the smallest stale-certificate peer key, if any.
-    stale_min: Option<(u64, usize)>,
-}
-
-impl ClampCache {
-    const INVALID: ClampCache = ClampCache {
-        epoch: u64::MAX,
-        gen: u64::MAX,
-        stale_min: None,
-    };
 }
 
 /// Lifecycle of a core's storm certificate.
@@ -211,14 +180,8 @@ impl ClampCache {
 enum CertState {
     /// No certificate: the core's last attempt was not a certified stall.
     Empty,
-    /// Certified and valid as of `Cert::epoch`.
+    /// Certified; valid while its version sum stands still.
     Fresh,
-    /// Certified but the version sum has moved. Memoised: versions are
-    /// monotonic, so once the sum has moved it never moves back and the
-    /// certificate is stale for good. The owning core's next pop clears
-    /// it; until then every fast-forwarding peer must clamp at this
-    /// core's key (it re-executes for real when popped).
-    Stale,
 }
 
 /// A core's storm certificate: a validated stall-storm verdict, cached so
@@ -240,21 +203,26 @@ enum CertState {
 /// without a bump (remote writes must resolve the conflict its
 /// speculative bits raise), RETCON tracking transitions and DATM
 /// dependence-graph changes bump explicitly, and the stalled core's own
-/// architectural and engine state are frozen while it stalls (remote
-/// aborts are handled by the loop's `take_aborted` check, which precedes
-/// the fast-forward). Versions are monotonic, so the sum stands still
-/// exactly when every summand does, and a stale certificate left behind
-/// after the core moves on can never be revalidated by accident.
+/// architectural and engine state are frozen while it stalls (a remote
+/// abort clears its speculative bits, see below). Versions are monotonic,
+/// so the sum stands still exactly when every summand does, and a stale
+/// certificate left behind after the core moves on can never be
+/// revalidated by accident.
 ///
-/// While the version stands still, the interpreter replays the storm
-/// analytically at the top of the batch loop: it charges as many retries
-/// as the scheduling [`Bound`] and cycle limit admit in closed form and
-/// applies the per-retry side effects in bulk through
-/// [`apply_stall_retries`](AnyProtocol::apply_stall_retries), skipping
-/// the protocol's read/write/commit path entirely. On contended runs this
-/// is the hot path: a 32-core `python`/RetCon run executes 4.5 M stall
-/// retries against 1.7 M retired instructions, and each skipped retry
-/// saves a full conflict-mask/contention-manager/predictor walk.
+/// # Parking
+///
+/// Under a jitter-free schedule that always runs the `(clock, id)`
+/// minimum, a freshly certified core *parks* ([`MemorySystem::park`]) on
+/// the contended block and the watched prefix, and leaves the runnable
+/// set. A bump of one of those versions, or a remote abort clearing its
+/// speculative bits, wakes it: it is charged in closed form the retries
+/// polling would have run before the waking instruction
+/// ([`Peers::charge`]) and re-executes for real. RETCON predictors that
+/// its retries train are brought up to date before they are read
+/// ([`Trainers`]). Other schedules poll: one certified retry per
+/// iteration, through [`Schedule::observe_stall`], still skipping the
+/// protocol's read/write/commit path. DESIGN.md § Fast-forward has the
+/// argument that both equal step-by-step execution.
 #[derive(Debug, Clone, Copy)]
 struct Cert<const N: usize = 1> {
     state: CertState,
@@ -329,10 +297,9 @@ impl<const N: usize> Machine<N> {
             protocol: protocol.into(),
             cores: programs.iter().map(|p| Core::new(p.entry())).collect(),
             certs: vec![Cert::EMPTY; programs.len()],
-            cert_gen: 0,
+            trainers: Trainers::default(),
             footprint: None,
             tracer: None,
-            clamp_cache: ClampCache::INVALID,
             programs,
             cfg,
             fast_forward: true,
@@ -448,13 +415,17 @@ impl<const N: usize> Machine<N> {
                 .validate()
                 .map_err(|error| SimError::InvalidProgram { core: i, error })?;
         }
-        // Certificates describe "the core's next pop repeats this stall" —
-        // a statement about one schedule's trajectory. Drop them between
-        // runs so a different schedule starts clean.
-        for cert in &mut self.certs {
+        // Certificates describe "the core's next attempt repeats this stall" —
+        // a statement about one schedule's trajectory. Drop them (and unpark
+        // whoever a failed run left parked) so a different schedule starts
+        // clean.
+        for (c, cert) in self.certs.iter_mut().enumerate() {
+            self.mem.unpark(CoreId(c), watched(&cert.storm));
             cert.state = CertState::Empty;
         }
-        self.cert_gen += 1;
+        self.mem.take_woken();
+        self.trainers.by_core.clear();
+        self.trainers.parked = 0;
         let clocks: Vec<u64> = self.cores.iter().map(|c| c.now).collect();
         sched.begin(&clocks);
         loop {
@@ -464,23 +435,24 @@ impl<const N: usize> Machine<N> {
                 protocol: &self.protocol,
             });
             match decision {
-                Some(Decision {
-                    core: c,
-                    bound,
-                    storm_bound,
-                }) => {
+                Some(d) => {
+                    let c = d.core;
                     debug_assert!(
                         !self.cores[c].halted && !self.cores[c].at_barrier,
                         "schedule decided an unrunnable core {c}"
                     );
-                    self.run_core(c, bound, storm_bound, sched)?;
+                    self.run_core(c, d.bound, sched)?;
                     let core = &self.cores[c];
-                    sched.core_yielded(
-                        c,
-                        core.now,
-                        !core.halted && !core.at_barrier,
-                        self.certs[c].state != CertState::Empty,
-                    );
+                    let runnable =
+                        !core.halted && !core.at_barrier && !self.mem.parked().contains(c);
+                    sched.core_yielded(c, core.now, runnable);
+                }
+                // No runnable core, yet some sleep in a storm: nothing is
+                // left to wake them, and polling would retry to the limit.
+                None if !self.mem.parked().is_empty() => {
+                    return Err(SimError::CycleLimit {
+                        limit: self.cfg.max_cycles,
+                    });
                 }
                 None => {
                     // No runnable core: either everyone halted, or every
@@ -538,8 +510,10 @@ impl<const N: usize> Machine<N> {
     /// Executes instructions on core `c` until its [`Bound`] expires: its
     /// `(clock, id)` reaches a [`Bound::Until`] key (the smallest key among
     /// the other runnable cores), one instruction attempt completes under
-    /// [`Bound::Step`], it parks at a barrier, or it halts. [`Bound::Free`]
-    /// means no other core is runnable.
+    /// [`Bound::Step`], it parks at a barrier or in a certified stall storm
+    /// (see [`Cert`]), or it halts. [`Bound::Free`] means no other core is
+    /// runnable. A parked core woken by this batch is queued at its new
+    /// key, which tightens `bound`.
     ///
     /// # Equivalence with single-stepping
     ///
@@ -554,14 +528,18 @@ impl<const N: usize> Machine<N> {
     fn run_core<S: Schedule + ?Sized>(
         &mut self,
         c: usize,
-        bound: Bound,
-        storm_bound: Bound,
+        mut bound: Bound,
         sched: &mut S,
     ) -> Result<(), SimError> {
         let core_id = CoreId(c);
         let max_cycles = self.cfg.max_cycles;
         let stall_retry = self.cfg.stall_retry;
-        let fast_forward = self.fast_forward;
+        let fast_forward = self.fast_forward && stall_retry > 0;
+        // A certified storm parks only where a wake can charge exactly what
+        // polling would have run: no jitter, and the `(clock, id)` minimum
+        // decided in batches.
+        let park = fast_forward && sched.stall_jitter_free() && bound != Bound::Step;
+        let num_cores = self.cores.len();
         // Hoist the per-instruction borrows out of the loop: the protocol,
         // the memory system and this core's interpreter state are disjoint
         // fields, resolved once per batch instead of per instruction.
@@ -571,8 +549,7 @@ impl<const N: usize> Machine<N> {
             cores,
             programs,
             certs,
-            cert_gen,
-            clamp_cache,
+            trainers,
             footprint,
             tracer,
             ..
@@ -589,22 +566,47 @@ impl<const N: usize> Machine<N> {
                 }
             };
         }
-        // Split borrows around `c`: the fast-forward clamp below must read
-        // peer cores' clocks and revalidate peer certificates while this
-        // core's state is mutably borrowed.
         let (cores_lo, cores_rest) = cores.split_at_mut(c);
         let (core, cores_hi) = cores_rest.split_first_mut().expect("core index in range");
         let (certs_lo, certs_rest) = certs.split_at_mut(c);
         let (cert, certs_hi) = certs_rest.split_first_mut().expect("core index in range");
+        let mut peers = Peers {
+            c,
+            cores: (cores_lo, cores_hi),
+            certs: (certs_lo, certs_hi),
+            trainers,
+            stall_retry,
+        };
+        // The clock this core's current instruction started at: the key
+        // `(at, c)` of whatever it bumps.
+        let mut at: u64;
+        // Before this core accesses memory: the parked storms that train its
+        // predictor catch up to its key (see [`Trainers`]).
+        macro_rules! flush_trainers {
+            () => {
+                if peers.trainers.parked != 0 {
+                    peers.flush_trainers(protocol, mem, tracer.as_deref_mut(), core.now);
+                }
+            };
+        }
         // A stalled attempt, whichever instruction took it: charge the retry
-        // latency, then ask the protocol whether the retry is a fixed point
-        // the next pop may fast-forward.
+        // latency, then ask the protocol whether the retry is a fixed point.
+        // A certified one parks the core, unless a remote abort is already
+        // waiting for it.
         macro_rules! stall {
             ($action:expr, $arg:expr) => {{
                 core.stall(stall_retry + sched.observe_stall(c, core.now));
                 trace!(EventKind::Stall, core.now, $arg);
                 if fast_forward {
-                    certify_storm(protocol, mem, c, $action, cert, cert_gen);
+                    certify_storm(protocol, mem, c, $action, cert);
+                    if park && cert.state == CertState::Fresh && !protocol.abort_pending(core_id) {
+                        if mem.wake_pending() {
+                            peers.wake(protocol, mem, tracer.as_deref_mut(), sched, (at, c));
+                        }
+                        mem.park(core_id, watched(&cert.storm));
+                        peers.trainers.add(c, cert.storm.train_mask, num_cores);
+                        return Ok(());
+                    }
                 }
             }};
         }
@@ -652,104 +654,31 @@ impl<const N: usize> Machine<N> {
                                                        // the victim (its speculative bits may not cover that
                                                        // block). Drop the certificate; a fresh stall re-certifies.
                 cert.state = CertState::Empty;
-                *cert_gen += 1;
                 continue;
             }
-            // Stall-storm fast-forward (see [`Cert`]): while the
-            // cached verdict's version sum stands still, the next attempt
-            // of the instruction under `pc` provably stalls again with the
-            // certified side effects — charge the retries the bound and
-            // cycle limit admit in closed form instead of re-executing the
-            // access. Falls through (and drops the certificate) the moment
-            // the sum moves; the loop top above performs the real
-            // bound/limit/abort exits exactly as per-retry execution would.
-            if fast_forward && stall_retry > 0 {
-                let valid = cert.state == CertState::Fresh
-                    && (cert.epoch == mem.bump_epoch() || {
-                        let revalidated = storm_version_sum(mem, &cert.storm) == cert.version;
-                        if revalidated {
-                            cert.epoch = mem.bump_epoch();
-                        }
-                        revalidated
-                    });
-                if valid {
-                    {
-                        let n = if sched.stall_jitter_free() {
-                            // Retries until the bound expires (the checks
-                            // above guarantee target > now) or the cycle
-                            // limit is exceeded (the final retry may
-                            // overshoot it; the loop top then errors).
-                            let k_bound = if matches!(storm_bound, Bound::Step) {
-                                1
-                            } else {
-                                // The relaxed storm bound may only be ridden
-                                // past peers that are provably still storming:
-                                // clamp it at the earliest stale-certificate
-                                // peer (see `clamp_stale_peers`). The scan
-                                // result is memoised across pops: storm pops
-                                // cluster between real batches, and within a
-                                // cluster neither the epoch nor the
-                                // certificate set changes.
-                                let stale_min = if clamp_cache.epoch == mem.bump_epoch()
-                                    && clamp_cache.gen == *cert_gen
-                                {
-                                    clamp_cache.stale_min
-                                } else {
-                                    let mut sm = None;
-                                    clamp_stale_peers(mem, certs_lo, cores_lo, 0, &mut sm);
-                                    clamp_stale_peers(mem, certs_hi, cores_hi, c + 1, &mut sm);
-                                    *clamp_cache = ClampCache {
-                                        epoch: mem.bump_epoch(),
-                                        gen: *cert_gen,
-                                        stale_min: sm,
-                                    };
-                                    sm
-                                };
-                                let limit = match (storm_bound, stale_min) {
-                                    (Bound::Until(t, i), Some(sk)) => Some(sk.min((t, i))),
-                                    (Bound::Until(t, i), None) => Some((t, i)),
-                                    (_, sk) => sk,
-                                };
-                                match limit {
-                                    Some((b_clock, b_id)) => {
-                                        let target = if c >= b_id {
-                                            b_clock
-                                        } else {
-                                            b_clock.saturating_add(1)
-                                        };
-                                        (target - core.now).div_ceil(stall_retry)
-                                    }
-                                    None => u64::MAX,
-                                }
-                            };
-                            let k_limit = (max_cycles - core.now) / stall_retry + 1;
-                            let n = k_bound.min(k_limit).max(1);
-                            match n.checked_mul(stall_retry) {
-                                Some(charge) => {
-                                    core.stall(charge);
-                                    n
-                                }
-                                None => {
-                                    core.stall(stall_retry);
-                                    1
-                                }
-                            }
-                        } else {
-                            // Jittered schedules must observe every charge:
-                            // one retry per iteration keeps their draws (and
-                            // trace hashes) identical to real execution.
-                            core.stall(stall_retry + sched.observe_stall(c, core.now));
-                            1
-                        };
-                        protocol.apply_stall_retries(core_id, &cert.storm, n, mem);
-                        trace!(EventKind::StormFf, core.now, n);
-                        stepped = true;
-                        continue;
+            // A polled storm (see [`Cert`]): while the cached verdict's
+            // version sum stands still, the next attempt of the instruction
+            // under `pc` provably stalls again with the certified side
+            // effects — charge it without re-executing the access, one retry
+            // per iteration so a jittered schedule's draws (and trace
+            // hashes) stay identical to real execution. Falls through (and
+            // drops the certificate) the moment the sum moves.
+            if fast_forward && cert.state == CertState::Fresh {
+                let valid = cert.epoch == mem.bump_epoch() || {
+                    let revalidated = storm_version_sum(mem, &cert.storm) == cert.version;
+                    if revalidated {
+                        cert.epoch = mem.bump_epoch();
                     }
-                } else {
-                    cert.state = CertState::Empty;
-                    *cert_gen += 1;
+                    revalidated
+                };
+                if valid {
+                    core.stall(stall_retry + sched.observe_stall(c, core.now));
+                    protocol.apply_stall_retries(core_id, &cert.storm, 1, mem);
+                    trace!(EventKind::StormFf, core.now, 1);
+                    stepped = true;
+                    continue;
                 }
+                cert.state = CertState::Empty;
             }
             debug_assert_eq!(
                 in_tx,
@@ -764,6 +693,7 @@ impl<const N: usize> Machine<N> {
             let instr = *instrs
                 .get(pc.index)
                 .expect("validated program cannot run off the end");
+            at = core.now;
             match instr {
                 Instr::Imm { dst, value } => {
                     protocol.on_imm(core_id, dst);
@@ -794,6 +724,7 @@ impl<const N: usize> Machine<N> {
                     if let Some(fp) = footprint.as_mut() {
                         fp.insert(a.block().0);
                     }
+                    flush_trainers!();
                     match protocol.read(core_id, dst, a, Some(addr), mem, core.now) {
                         MemResult::Value { value, latency } => {
                             core.regs[dst.index()] = value;
@@ -819,6 +750,7 @@ impl<const N: usize> Machine<N> {
                         Operand::Reg(r) => Some(r),
                         Operand::Imm(_) => None,
                     };
+                    flush_trainers!();
                     match protocol.write(core_id, src_reg, value, a, Some(addr), mem, core.now) {
                         MemResult::Value { latency, .. } => {
                             core.pc = pc.next();
@@ -877,6 +809,7 @@ impl<const N: usize> Machine<N> {
                     core.charge(in_tx, 1);
                 }
                 Instr::TxCommit => {
+                    flush_trainers!();
                     match protocol.commit(core_id, mem, core.now) {
                         CommitResult::Committed {
                             latency,
@@ -925,6 +858,16 @@ impl<const N: usize> Machine<N> {
                 }
             }
             stepped = true;
+            // Release whoever this instruction woke, and stop the batch at
+            // the first released key.
+            if mem.wake_pending() {
+                let key = peers.wake(protocol, mem, tracer.as_deref_mut(), sched, (at, c));
+                bound = match bound {
+                    Bound::Until(t, i) if (t, i) < key => bound,
+                    Bound::Step => bound,
+                    _ => Bound::Until(key.0, key.1),
+                };
+            }
         }
     }
 }
@@ -933,18 +876,15 @@ impl<const N: usize> Machine<N> {
 /// [`stall_storm`](AnyProtocol::stall_storm) oracle and, when the oracle
 /// certifies a stable storm, stamps the verdict with its current
 /// [`storm_version_sum`]. The result is the core's [`Cert`]: as long as
-/// the sum still matches when the core is next popped, a retry is
-/// provably a fixed point and `run_core` charges it analytically instead
-/// of re-executing the instruction.
+/// the sum stands still, a retry is provably a fixed point and is charged
+/// analytically instead of re-executing the instruction.
 fn certify_storm<const N: usize>(
     protocol: &AnyProtocol<N>,
     mem: &MemorySystem<N>,
     c: usize,
     action: StallAction,
     cert: &mut Cert<N>,
-    cert_gen: &mut u64,
 ) {
-    *cert_gen += 1;
     match protocol.stall_storm(CoreId(c), action, mem) {
         Some(storm) => {
             *cert = Cert {
@@ -958,45 +898,130 @@ fn certify_storm<const N: usize>(
     }
 }
 
-/// Tightens `limit` — the clock/core key a fast-forwarding core may charge
-/// up to — by the keys of peers whose storm certificates have gone stale.
-///
-/// The storm-bound relaxation lets a certified core charge past *other
-/// storming cores'* keys because skipped storm retries commute: they only
-/// add to saturating predictor counters, stall counters and cache stats,
-/// none of which a skip (or the oracle's verdict) reads. That argument
-/// needs every passed peer to still be storming when its key comes up. A
-/// peer whose certificate went stale (its version sum moved — e.g. this
-/// very core's real actions earlier in the batch bumped a watched block)
-/// will *re-execute* at its key, so charging past it would reorder real
-/// work. Clamping at the earliest stale peer restores the frozen window:
-/// nothing real runs before the clamped target, peer validity cannot
-/// change inside it, and the induction over storming cores goes through.
-///
-/// Fresh peers are restamped with the current epoch (pure memoisation);
-/// stale peers are left untouched — their own next pop drops the
-/// certificate, and later callers must still observe the staleness.
-fn clamp_stale_peers<const N: usize>(
-    mem: &MemorySystem<N>,
-    certs: &mut [Cert<N>],
-    cores: &[Core],
-    base: usize,
-    limit: &mut Option<(u64, usize)>,
-) {
-    let epoch = mem.bump_epoch();
-    for (off, peer) in certs.iter_mut().enumerate() {
-        if peer.state == CertState::Fresh && peer.epoch != epoch {
-            if storm_version_sum(mem, &peer.storm) == peer.version {
-                peer.epoch = epoch;
-            } else {
-                peer.state = CertState::Stale;
+/// The blocks a storm's certificate depends on: the contended block and
+/// the watched prefix.
+fn watched<const N: usize>(storm: &StallStorm<N>) -> impl Iterator<Item = BlockAddr> + '_ {
+    std::iter::once(storm.block).chain(storm.watch.blocks().iter().copied())
+}
+
+/// Per core `e`, the parked cores whose storms train `e`'s conflict
+/// predictor (`StallStorm::train_mask` contains `e`): before `e` accesses
+/// memory those storms are charged up to its key, so the predictor it reads
+/// has seen every retry that precedes it.
+#[derive(Debug, Default)]
+struct Trainers<const N: usize> {
+    /// Indexed by core; empty until the first training storm parks.
+    by_core: Vec<CoreSet<N>>,
+    /// Parked storms with a non-empty train mask: the one test an access
+    /// pays while none is parked.
+    parked: usize,
+}
+
+impl<const N: usize> Trainers<N> {
+    /// Parked core `w`'s storm trains the cores of `mask`.
+    fn add(&mut self, w: usize, mask: CoreSet<N>, num_cores: usize) {
+        if !mask.is_empty() {
+            self.by_core.resize(num_cores, CoreSet::EMPTY);
+            for e in mask {
+                self.by_core[e].insert(w);
+            }
+            self.parked += 1;
+        }
+    }
+}
+
+/// The cores a batch does not run, split around the running core `c` so
+/// that waking or charging a parked one can move its clock while `c`'s
+/// state is borrowed. Its methods are the rare paths of parking, kept out
+/// of line so that each `run_core` instance carries them once.
+struct Peers<'a, const N: usize> {
+    c: usize,
+    cores: (&'a mut [Core], &'a mut [Core]),
+    certs: (&'a [Cert<N>], &'a [Cert<N>]),
+    trainers: &'a mut Trainers<N>,
+    stall_retry: u64,
+}
+
+impl<const N: usize> Peers<'_, N> {
+    fn get(&mut self, w: usize) -> (&mut Core, &StallStorm<N>) {
+        if w < self.c {
+            (&mut self.cores.0[w], &self.certs.0[w].storm)
+        } else {
+            let i = w - self.c - 1;
+            (&mut self.cores.1[i], &self.certs.1[i].storm)
+        }
+    }
+
+    /// Charges parked core `w` the certified retries it owes before the key
+    /// `(clock, id)`: exactly those whose own `(clock, w)` key sorts below
+    /// it, which polling would have run (each stalling identically) before
+    /// the instruction at that key. Leaves `w` at its next retry's clock and
+    /// applies the retries' side effects.
+    #[inline(never)]
+    fn charge(
+        &mut self,
+        protocol: &mut AnyProtocol<N>,
+        mem: &mut MemorySystem<N>,
+        tracer: Option<&mut retcon_obs::RingTracer>,
+        w: usize,
+        (clock, id): (u64, usize),
+    ) {
+        let stall_retry = self.stall_retry;
+        let (core, storm) = self.get(w);
+        let target = if w > id { clock } else { clock + 1 };
+        let n = target.saturating_sub(core.now).div_ceil(stall_retry);
+        if n != 0 {
+            core.stall(n * stall_retry);
+            protocol.apply_stall_retries(CoreId(w), storm, n, mem);
+            if let Some(t) = tracer {
+                t.record(w, retcon_obs::EventKind::StormFf, core.now, n);
             }
         }
-        if peer.state == CertState::Stale {
-            let key = (cores[off].now, base + off);
-            if limit.map_or(true, |l| key < l) {
-                *limit = Some(key);
+    }
+
+    /// Releases every parked core the instruction at `key` woke: charges
+    /// what it owes before `key`, unparks it and queues it at its new
+    /// clock. Returns the smallest released key.
+    #[inline(never)]
+    fn wake<S: Schedule + ?Sized>(
+        &mut self,
+        protocol: &mut AnyProtocol<N>,
+        mem: &mut MemorySystem<N>,
+        mut tracer: Option<&mut retcon_obs::RingTracer>,
+        sched: &mut S,
+        key: (u64, usize),
+    ) -> (u64, usize) {
+        let mut first = (u64::MAX, usize::MAX);
+        for w in mem.take_woken() {
+            self.charge(protocol, mem, tracer.as_deref_mut(), w, key);
+            let (core, storm) = self.get(w);
+            mem.unpark(CoreId(w), watched(storm));
+            let (now, mask) = (core.now, storm.train_mask);
+            if !mask.is_empty() {
+                for e in mask {
+                    self.trainers.by_core[e].remove(w);
+                }
+                self.trainers.parked -= 1;
             }
+            sched.core_released(w, now);
+            first = first.min((now, w));
+        }
+        first
+    }
+
+    /// Charges the parked storms that train the running core's predictor
+    /// up to its key `(now, c)`; they stay parked.
+    #[inline(never)]
+    fn flush_trainers(
+        &mut self,
+        protocol: &mut AnyProtocol<N>,
+        mem: &mut MemorySystem<N>,
+        mut tracer: Option<&mut retcon_obs::RingTracer>,
+        now: u64,
+    ) {
+        let key = (now, self.c);
+        for w in self.trainers.by_core[self.c] {
+            self.charge(protocol, mem, tracer.as_deref_mut(), w, key);
         }
     }
 }

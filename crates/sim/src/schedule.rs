@@ -52,27 +52,12 @@ pub struct Decision {
     pub core: usize,
     /// How far it may run before yielding back to the schedule.
     pub bound: Bound,
-    /// How far a *certified stall storm* may be charged before yielding —
-    /// `bound` relaxed past other storming cores. Skipped storm retries of
-    /// different cores commute (they only add to saturating predictor
-    /// counters, stall counters and cache statistics, none of which a
-    /// skipped retry reads), so a core fast-forwarding a certified storm
-    /// may charge past the keys of other cores that are themselves inside
-    /// certified storms — but never past a core that would execute a real
-    /// instruction. Policies without a storm/active split (every policy
-    /// except [`DeterministicMin`]) set this equal to `bound`, which
-    /// disables the relaxation.
-    pub storm_bound: Bound,
 }
 
 impl Decision {
-    /// A decision with no storm relaxation (`storm_bound == bound`).
+    /// Runs `core` within `bound`.
     pub fn new(core: usize, bound: Bound) -> Decision {
-        Decision {
-            core,
-            bound,
-            storm_bound: bound,
-        }
+        Decision { core, bound }
     }
 }
 
@@ -132,10 +117,11 @@ pub trait SchedulePeek {
 ///
 /// Lifecycle: `begin` once with every core's starting clock, then
 /// repeatedly `next_core` → (machine runs the decided core) →
-/// `core_yielded`. Cores parked at a barrier leave the runnable set
+/// `core_yielded`. Cores parked at a barrier, or — under a jitter-free
+/// policy — asleep in a certified stall storm, leave the runnable set
 /// (`runnable = false`) and re-enter through `core_released` when the
-/// machine releases the barrier. `observe_stall` is consulted on every
-/// stall charge and may add jitter cycles.
+/// machine releases the barrier or wakes them. `observe_stall` is consulted
+/// on every stall charge and may add jitter cycles.
 pub trait Schedule {
     /// Starts a run: `clocks[i]` is core `i`'s current clock; every core is
     /// runnable.
@@ -146,17 +132,13 @@ pub trait Schedule {
     fn next_core(&mut self, peek: &dyn SchedulePeek) -> Option<Decision>;
 
     /// The previously-decided core stopped at clock `now`; it re-enters the
-    /// runnable set unless `runnable` is false (halted or at a barrier).
-    /// `storming` reports whether the core yielded holding a certified
-    /// stall-storm verdict (see [`Decision::storm_bound`]): its next
-    /// attempts are provably stall retries until remote state moves, so a
-    /// policy may class it apart from cores about to execute real
-    /// instructions. The flag is advisory — treating every core as
-    /// non-storming is always correct.
-    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool, storming: bool);
+    /// runnable set unless `runnable` is false (halted, at a barrier, or
+    /// parked in a stall storm).
+    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool);
 
-    /// `core` was released from a barrier at clock `now` and is runnable
-    /// again.
+    /// `core` was released from a barrier, or woken from a stall storm, at
+    /// clock `now` and is runnable again. A wake happens while the decided
+    /// core runs, at a key above that core's.
     fn core_released(&mut self, core: usize, now: u64);
 
     /// A stall of the configured retry latency is being charged to `core`
@@ -168,13 +150,15 @@ pub trait Schedule {
 
     /// `true` only if [`observe_stall`](Schedule::observe_stall) is
     /// stateless and always returns zero, so skipping its calls cannot be
-    /// observed. The machine's stall fast-forward consults this: a
-    /// jitter-free schedule gets the pure closed form (no `observe_stall`
-    /// calls for the fast-forwarded retries), while any other schedule is
-    /// still consulted exactly once per charged retry — jittered schedules
-    /// like [`SeededFuzz`] draw from their RNG on every charge, and
-    /// dropping or reordering draws would change the schedule. The
-    /// conservative default keeps unknown schedules jitter-faithful.
+    /// observed, and the policy always decides the runnable minimum
+    /// `(clock, id)`. The machine's stall fast-forward consults this: under
+    /// a jitter-free schedule that batches ([`Bound::Until`]/[`Bound::Free`])
+    /// a certified storm parks and is charged in closed form when woken,
+    /// while any other schedule is still consulted exactly once per charged
+    /// retry — jittered schedules like [`SeededFuzz`] draw from their RNG on
+    /// every charge, and dropping or reordering draws would change the
+    /// schedule. The conservative default keeps unknown schedules
+    /// jitter-faithful.
     fn stall_jitter_free(&self) -> bool {
         false
     }
@@ -206,11 +190,9 @@ const EMPTY: Key = (u64::MAX, usize::MAX);
 /// non-empty slot) is scanned circularly from the last popped clock.
 ///
 /// **Precondition** (checked by `debug_assert!`): every pushed clock is at
-/// least `base`, the clock of the last pop — here or, through
-/// [`advance`](Self::advance), in a sibling queue popped in the same
-/// global-minimum order. Then `base` never decreases, every wheel key
-/// stays inside `[base, base + WHEEL)`, and two wheel keys share a slot
-/// only if they share a clock. Keys at or beyond `base + WHEEL` go to
+/// least `base`, the clock of the last pop. Then `base` never decreases,
+/// every wheel key stays inside `[base, base + WHEEL)`, and two wheel keys
+/// share a slot only if they share a clock. Keys at or beyond `base + WHEEL` go to
 /// `far` and are never migrated: the minimum is `min(wheel minimum,
 /// far.peek())`, both O(1) to read, so a far key is simply popped from
 /// the heap when its turn comes.
@@ -297,14 +279,6 @@ impl MonotoneQueue {
         self.min = self.near_min.min(far_min);
     }
 
-    /// A sibling queue popped `clock`, the minimum over both: no key here
-    /// is below it, so the window may start there.
-    #[inline]
-    fn advance(&mut self, clock: u64) {
-        debug_assert!(self.base <= clock && clock <= self.min.0);
-        self.base = clock;
-    }
-
     /// Clears the wheel's minimum `(clock, id)` and returns the next one.
     /// `id` was the lowest bit of its slot, so the slot's remaining ids are
     /// all above it; only when the slot runs dry is `occupied` consulted.
@@ -383,35 +357,26 @@ pub struct ScheduleStats {
 /// `(clock, id)`, batching until the next key. Byte-for-byte the
 /// historical `Machine::run` scheduler.
 ///
-/// Runnable cores live in two queues by the `storming` yield flag: cores
-/// about to execute real instructions in `ready`, cores inside certified
-/// stall storms in `storming`. Selection order is unchanged (the global
-/// minimum across both), so the split is invisible to execution order; its
-/// sole effect is the relaxed [`Decision::storm_bound`], which stops at
-/// the earliest *ready* key only. On heavily contended runs most runnable
-/// cores are storming in lockstep, and without the split every storm
-/// charge is clamped to a single retry by the next storming neighbour's
-/// key — the relaxation lets one pop charge a storm clear across all of
-/// them, collapsing the scheduler round-trips that dominate such runs.
-///
 /// The policy is consulted about once per simulated instruction (cores
 /// advance in lock-step, so a batch is rarely longer), which is why the
-/// queues are O(1) timing wheels and not binary heaps.
+/// queue is an O(1) timing wheel and not a binary heap. Cores asleep in a
+/// certified stall storm are not in it at all: the machine parks them
+/// (`runnable = false`) and releases them when a watched block moves.
 ///
 /// # Precondition: monotone pushes
 ///
 /// `core_yielded` and `core_released` must report clocks at or above the
 /// clock of the last decision. [`Machine::run_with`](crate::Machine::run_with)
 /// guarantees it: the decided key is the global minimum, a yielding core's
-/// clock has only grown from it, and a barrier releases at the maximum
-/// parked clock. The one exception is allowed for: a release while *no*
-/// core is runnable may restart below the last decision (the last runner
-/// halted above every parked core). Debug builds assert the precondition;
+/// clock has only grown from it, a woken core is charged up to the running
+/// core's key, and a barrier releases at the maximum parked clock. The one
+/// exception is allowed for: a release while *no* core is runnable may
+/// restart below the last decision (the last runner halted above every
+/// parked core). Debug builds assert the precondition;
 /// a policy for arbitrary push orders must bring its own queue.
 #[derive(Debug, Default)]
 pub struct DeterministicMin {
-    ready: MonotoneQueue,
-    storming: MonotoneQueue,
+    queue: MonotoneQueue,
     stats: ScheduleStats,
 }
 
@@ -427,15 +392,10 @@ impl DeterministicMin {
         self.stats
     }
 
-    /// Queues `core` at `clock`, among the storming cores or the ready.
+    /// Queues `core` at `clock`.
     #[inline]
-    fn push(&mut self, storming: bool, clock: u64, core: usize) {
-        let queue = if storming {
-            &mut self.storming
-        } else {
-            &mut self.ready
-        };
-        let near = queue.push(clock, core);
+    fn push(&mut self, clock: u64, core: usize) {
+        let near = self.queue.push(clock, core);
         self.stats.near_pushes += u64::from(near);
         self.stats.far_pushes += u64::from(!near);
     }
@@ -444,60 +404,43 @@ impl DeterministicMin {
 impl Schedule for DeterministicMin {
     fn begin(&mut self, clocks: &[u64]) {
         let base = clocks.iter().copied().min().unwrap_or(0);
-        self.ready.reset(clocks.len(), base);
-        self.storming.reset(clocks.len(), base);
+        self.queue.reset(clocks.len(), base);
         self.stats = ScheduleStats::default();
         for (core, &clock) in clocks.iter().enumerate() {
-            self.push(false, clock, core);
+            self.push(clock, core);
         }
     }
 
     fn next_core(&mut self, _peek: &dyn SchedulePeek) -> Option<Decision> {
-        // Both arms spelled out: picking the two queues through `&mut`
-        // bindings first cost ~2 ns a decision (`cost_per_decision_probe`).
-        let (_, core) = if self.storming.min < self.ready.min {
-            let key = self.storming.min;
-            self.storming.pop();
-            self.ready.advance(key.0);
-            key
-        } else {
-            let key = self.ready.min;
-            if key == EMPTY {
-                return None; // and `storming`, whose minimum is no smaller
-            }
-            self.ready.pop();
-            self.storming.advance(key.0);
-            key
-        };
+        if self.queue.min == EMPTY {
+            return None;
+        }
+        let (_, core) = self.queue.min;
+        self.queue.pop();
         self.stats.pops += 1;
-        let until = |key: Key| match key {
+        let bound = match self.queue.min {
             EMPTY => Bound::Free,
             (clock, id) => Bound::Until(clock, id),
         };
-        Some(Decision {
-            core,
-            bound: until(self.ready.min.min(self.storming.min)),
-            storm_bound: until(self.ready.min),
-        })
+        Some(Decision::new(core, bound))
     }
 
-    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool, storming: bool) {
+    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool) {
         if runnable {
-            self.push(storming, now, core);
+            self.push(now, core);
         }
     }
 
     fn core_released(&mut self, core: usize, now: u64) {
-        if now < self.ready.base {
+        if now < self.queue.base {
             // The last runner halted above every parked core, so this
             // barrier releases below the last decision. Nothing is queued
             // (a barrier releases only when no core is runnable), and an
             // empty wheel may restart anywhere.
-            debug_assert!(self.ready.min == EMPTY && self.storming.min == EMPTY);
-            self.ready.base = now;
-            self.storming.base = now;
+            debug_assert!(self.queue.min == EMPTY);
+            self.queue.base = now;
         }
-        self.push(false, now, core);
+        self.push(now, core);
     }
 
     fn stall_jitter_free(&self) -> bool {
@@ -640,7 +583,7 @@ impl Schedule for SeededFuzz {
         Some(Decision::new(core, Bound::Step))
     }
 
-    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool, _storming: bool) {
+    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool) {
         self.runnable[core] = runnable.then_some(now);
     }
 
@@ -679,7 +622,7 @@ mod tests {
         let d = s.next_core(&NoPeek).unwrap();
         assert_eq!(d.core, 1);
         assert_eq!(d.bound, Bound::Until(5, 0));
-        s.core_yielded(1, 9, true, false);
+        s.core_yielded(1, 9, true);
         let d = s.next_core(&NoPeek).unwrap();
         assert_eq!(d.core, 0, "tie broken by id");
         assert_eq!(d.bound, Bound::Until(5, 2));
@@ -691,10 +634,10 @@ mod tests {
         s.begin(&[0, 3]);
         let d = s.next_core(&NoPeek).unwrap();
         assert_eq!(d.core, 0);
-        s.core_yielded(0, 10, false, false); // halted
+        s.core_yielded(0, 10, false); // halted
         let d = s.next_core(&NoPeek).unwrap();
         assert_eq!((d.core, d.bound), (1, Bound::Free));
-        s.core_yielded(1, 11, false, false);
+        s.core_yielded(1, 11, false);
         assert!(s.next_core(&NoPeek).is_none());
     }
 
@@ -709,7 +652,7 @@ mod tests {
                 assert!(d.core < 2, "core 2 is outside the window");
                 assert_eq!(d.bound, Bound::Step);
                 picks.push(d.core);
-                s.core_yielded(d.core, 9, true, false);
+                s.core_yielded(d.core, 9, true);
             }
             (picks, s.trace_hash())
         };

@@ -1,7 +1,7 @@
 //! Optimized ≡ obvious: the timing-wheel `DeterministicMin` must take the
-//! same decisions — core, `bound`, `storm_bound`, and the final `None` —
-//! as the two-`BinaryHeap` policy it replaced, over random traces that obey
-//! the monotone-push precondition. CI also runs this suite with
+//! same decisions — core, `bound`, and the final `None` — as a plain
+//! `BinaryHeap` of `(clock, id)` keys, over random traces that obey the
+//! monotone-push precondition. CI also runs this suite with
 //! `--release`, the codegen that ships.
 
 mod common;
@@ -36,34 +36,34 @@ impl SchedulePeek for NoPeek {
 /// Both policies driven in lock-step; every answer compared.
 struct Pair {
     wheel: DeterministicMin,
-    heaps: RefMinHeap,
+    heap: RefMinHeap,
 }
 
 impl Pair {
     fn begin(clocks: &[u64]) -> Pair {
         let mut pair = Pair {
             wheel: DeterministicMin::new(),
-            heaps: RefMinHeap::default(),
+            heap: RefMinHeap::default(),
         };
         pair.wheel.begin(clocks);
-        pair.heaps.begin(clocks);
+        pair.heap.begin(clocks);
         pair
     }
 
     fn next_core(&mut self, step: usize) -> Option<usize> {
-        let (got, want) = (self.wheel.next_core(&NoPeek), self.heaps.next_core(&NoPeek));
+        let (got, want) = (self.wheel.next_core(&NoPeek), self.heap.next_core(&NoPeek));
         assert_eq!(got, want, "decision {step}");
         got.map(|d| d.core)
     }
 
-    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool, storming: bool) {
-        self.wheel.core_yielded(core, now, runnable, storming);
-        self.heaps.core_yielded(core, now, runnable, storming);
+    fn core_yielded(&mut self, core: usize, now: u64, runnable: bool) {
+        self.wheel.core_yielded(core, now, runnable);
+        self.heap.core_yielded(core, now, runnable);
     }
 
     fn core_released(&mut self, core: usize, now: u64) {
         self.wheel.core_released(core, now);
-        self.heaps.core_released(core, now);
+        self.heap.core_released(core, now);
     }
 }
 
@@ -71,7 +71,7 @@ impl Pair {
 /// minimum by construction, so "the popped core re-enters at its own clock
 /// plus a delta" and "parked cores release at their maximum, no lower than
 /// the last popped clock" are exactly what `Machine::run_with` does — plus
-/// releases while other cores are still runnable, which the trait allows.
+/// releases while other cores are still runnable, as a storm wake does.
 fn drive(cores: usize, seed: u64) {
     let mut rng = TestRng::from_seed(seed);
     // Each trace draws from its own subset of the deltas, so lock-step
@@ -111,7 +111,7 @@ fn drive(cores: usize, seed: u64) {
         let fate = if step >= budget { 0 } else { rng.below(16) };
         let runnable = fate >= 2;
         parked[core] = fate == 1;
-        pair.core_yielded(core, clocks[core], runnable, rng.below(2) == 0);
+        pair.core_yielded(core, clocks[core], runnable);
 
         // Now and then, release a random subset of the parked cores while
         // others are runnable.
@@ -142,7 +142,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn wheel_decides_exactly_as_the_two_heaps(seed in any::<u64>()) {
+    fn wheel_decides_exactly_as_the_heap(seed in any::<u64>()) {
         for cores in CORES {
             drive(cores, seed ^ cores as u64);
         }
@@ -156,17 +156,17 @@ proptest! {
 fn release_below_the_last_decision_restarts_the_window() {
     let mut pair = Pair::begin(&[0, 0]);
     assert_eq!(pair.next_core(0), Some(0));
-    pair.core_yielded(0, 500, true, false);
+    pair.core_yielded(0, 500, true);
     assert_eq!(pair.next_core(1), Some(1));
-    pair.core_yielded(1, 10, false, false); // parked
+    pair.core_yielded(1, 10, false); // parked
     assert_eq!(pair.next_core(2), Some(0));
-    pair.core_yielded(0, 1000, false, false); // halted
+    pair.core_yielded(0, 1000, false); // halted
     assert_eq!(pair.next_core(3), None);
     pair.core_released(1, 10);
     assert_eq!(pair.next_core(4), Some(1));
-    pair.core_yielded(1, 10 + W + 5, true, true);
+    pair.core_yielded(1, 10 + W + 5, true);
     assert_eq!(pair.next_core(5), Some(1));
-    pair.core_yielded(1, 2000, false, false);
+    pair.core_yielded(1, 2000, false);
     assert_eq!(pair.next_core(6), None);
 }
 
@@ -189,16 +189,16 @@ fn cost_per_decision_probe() {
             for _ in 0..steps {
                 let core = schedule.next_core(&NoPeek).expect("nobody halts").core;
                 clocks[core] += 1 + rng.below(4);
-                schedule.core_yielded(core, clocks[core], true, false);
+                schedule.core_yielded(core, clocks[core], true);
             }
             best = best.min(start.elapsed().as_secs_f64());
         }
         best * 1e9 / steps as f64
     }
-    println!("{:>6} {:>14} {:>14}", "cores", "two heaps, ns", "wheel, ns");
+    println!("{:>6} {:>14} {:>14}", "cores", "heap, ns", "wheel, ns");
     for cores in [8, 32, 128, 1024] {
-        let heaps = lock_step(&mut RefMinHeap::default(), cores, 2_000_000);
+        let heap = lock_step(&mut RefMinHeap::default(), cores, 2_000_000);
         let wheel = lock_step(&mut DeterministicMin::new(), cores, 2_000_000);
-        println!("{cores:>6} {heaps:>14.1} {wheel:>14.1}");
+        println!("{cores:>6} {heap:>14.1} {wheel:>14.1}");
     }
 }

@@ -3,7 +3,7 @@
 
 use retcon_workloads::{run, System, Workload};
 
-/// `RefMinHeap`, the two-`BinaryHeap` policy the default schedule replaced.
+/// `RefMinHeap`, the default policy as one plain `BinaryHeap`.
 #[path = "../crates/sim/tests/common/mod.rs"]
 mod common;
 
@@ -129,7 +129,7 @@ fn different_seeds_differ() {
 }
 
 /// Runs two fresh machines — one under the timing-wheel default behind
-/// `Machine::run`, one under the two-`BinaryHeap` reference through
+/// `Machine::run`, one under the `BinaryHeap` reference through
 /// `run_with` — and asserts equal reports.
 fn assert_default_schedule_matches_reference(
     machine: impl Fn() -> retcon_sim::Machine,

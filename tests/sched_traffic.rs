@@ -67,31 +67,35 @@ impl Row {
 #[test]
 fn pops_per_instruction_and_far_share_are_pinned() {
     let python = Workload::Python { optimized: false };
-    // (label, measured row, pops per instruction as the two-heap policy
-    // took them: a stalled retry is a pop but retires nothing, hence > 1)
+    // (label, measured row, pinned pops per instruction). A storm parks
+    // until a watched block moves, so its retries cost no pops; before
+    // parking they were polled at 2.0736 / 1.5317 / 1.0051.
     let rows = [
         (
             "python@32 eager",
             traffic::<1>(python, System::Eager, 32),
-            2.0736,
+            1.0022,
         ),
         (
             "python@32 RetCon",
             traffic::<1>(python, System::Retcon, 32),
-            1.5317,
+            0.7747,
         ),
         (
             "scaling_xl@1024 RetCon",
             traffic::<16>(Workload::ScalingXl, System::Retcon, 1024),
-            1.0051,
+            1.0026,
         ),
     ];
     Row::print_header();
     for (label, row, pinned) in &rows {
         row.print(label);
         let (per_instr, far_share) = (row.pops_per_instruction(), row.far_share());
+        // Parked storms no longer re-queue a retry or two cycles ahead, so
+        // the near pushes they made are gone: python@32 eager's far share
+        // rose 0.183 -> 0.281 while its far pushes fell ~256 k -> ~190 k.
         assert!(
-            far_share <= 0.25,
+            far_share <= 0.30,
             "{label}: {far_share:.3} of pushes miss the wheel — the far heap is carrying the run"
         );
         assert!(
