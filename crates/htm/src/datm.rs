@@ -139,7 +139,7 @@ impl<const N: usize> DatmLite<N> {
         self.victims = victims;
         // Dependence edges and activity changed: commit-waiting verdicts
         // (keyed on the sentinel block 0 by `stall_storm`) may change.
-        mem.bump_block_version(BlockAddr(0));
+        mem.wake_watchers(BlockAddr(0));
     }
 
     /// `true` while a transaction `core` must commit after is still active
@@ -244,9 +244,9 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         self.edges.retain(|&(p, s)| p != core.0 && s != core.0);
         mem.clear_spec(core);
         // A predecessor leaving the dependence graph releases waiting
-        // committers: bump the sentinel block commit-waiting verdicts key
-        // on (see `stall_storm`).
-        mem.bump_block_version(BlockAddr(0));
+        // committers: wake the watchers of the sentinel block
+        // commit-waiting verdicts key on (see `stall_storm`).
+        mem.wake_watchers(BlockAddr(0));
         CommitResult::Committed {
             latency: 0,
             reg_updates: RegUpdates::EMPTY,
@@ -263,8 +263,8 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         // stalled behind an active predecessor is a fixed point: this
         // core's predecessor set only grows through its *own* accesses, so
         // while it is stalled the verdict can change only when a
-        // predecessor commits or an abort cascade runs — both bump the
-        // sentinel block 0's conflict version, which the returned storm is
+        // predecessor commits or an abort cascade runs — both wake the
+        // watchers of the sentinel block 0, which the returned storm is
         // keyed on. The stalled commit attempt itself reads the edge set
         // without mutating anything but the stall counter.
         if !matches!(action, StallAction::Commit) {

@@ -63,7 +63,7 @@ impl CoreState {
         let ok = self.engine.begin_tracking(block, |w| memory.read_word(w));
         debug_assert!(ok, "wants_tracking implies room");
         // Tracked blocks are stealable: a conflict verdict input.
-        mem.bump_block_version(block);
+        mem.wake_watchers(block);
         true
     }
 }

@@ -37,19 +37,17 @@
 //! # Lifecycle
 //!
 //! The dry run's verdict stays valid as long as its inputs do: every input
-//! is covered by the version counters of the contended block and the
-//! watched prefix
-//! ([`MemorySystem::block_version`](retcon_mem::MemorySystem::block_version)),
-//! and the stalled core's own transaction, which only a remote abort can
-//! end. Under the default schedule the stalled core *parks* on exactly
-//! those blocks ([`MemorySystem::park`](retcon_mem::MemorySystem::park)):
-//! it leaves the run queue, and the first version bump of one of them — or
-//! a remote abort clearing its speculative bits — wakes it. The waker's
-//! scheduling key bounds the retries polling would have run meanwhile;
-//! they are charged at once and the core re-executes the instruction for
-//! real. Under jittered or single-stepping schedules the storm is instead
-//! charged one retry per scheduling decision, re-checked against the
-//! versions each time.
+//! lives on the contended block or the watched prefix, or is the stalled
+//! core's own transaction, which only a remote abort can end. The stalled
+//! core *watches* exactly those blocks
+//! ([`MemorySystem::watch`](retcon_mem::MemorySystem::watch)), and the
+//! first change to one of them wakes it, which ends the certificate. Under
+//! the default schedule the core also leaves the run queue, so its own
+//! remote abort wakes it too; the waker's scheduling key bounds the
+//! retries polling would have run meanwhile, they are charged at once, and
+//! the core re-executes the instruction for real. Under jittered or
+//! single-stepping schedules the core stays queued and is charged one
+//! retry per scheduling decision until it is woken or sees its abort.
 
 use retcon_isa::{Addr, BlockAddr, CoreSet};
 use retcon_mem::AccessKind;
@@ -86,7 +84,8 @@ pub const MAX_WATCHED_BLOCKS: usize = 64;
 /// The conflict-free reacquisition prefix a commit storm depends on: the
 /// verdict "this commit stalls at [`StallStorm::block`]" holds only while
 /// none of these blocks gains a conflict or loses residency, both of which
-/// bump the block's conflict version. Empty for access storms.
+/// change the block's footprint row and so wake its watchers. Empty for
+/// access storms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchList {
     len: u8,

@@ -9,8 +9,8 @@
 //!   (`retcon_workloads::Alloc`), so block numbers are small: a
 //!   direct-indexed `Vec` answers the common case with a bounds check and
 //!   an array load, and only sparse keys (large literals in tests) fall
-//!   back to a hash map. Directory entries, footprint rows, conflict
-//!   versions and the tracking predictor live here for the whole run.
+//!   back to a hash map. Directory entries, footprint rows, watcher
+//!   counts and the tracking predictor live here for the whole run.
 //! * [`EpochMap`] — a *per-transaction* map, cleared at every commit and
 //!   abort: a plain Fx map, since a dense window sized by the highest key
 //!   a core ever touched would outlive every transaction that touched it.

@@ -7,8 +7,8 @@
 //! block" is a lookup instead of a snoop of every core, and one list of
 //! touched blocks per core, so ending a transaction walks what it marked
 //! and nothing else. A core's own bits are two bit tests on the row. The
-//! table knows nothing of conflict versions or caches — callers act on
-//! what `mark` and the clears return.
+//! table knows nothing of watchers or caches — callers act on what `mark`
+//! and the clears return.
 
 use retcon_isa::table::BlockTable;
 use retcon_isa::CoreSet;

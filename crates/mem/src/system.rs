@@ -146,55 +146,32 @@ impl AccessPlan {
     }
 }
 
-/// Per-block *conflict version*: a monotonic counter bumped whenever
-/// something that a conflict-resolution verdict on the block could depend on
-/// changes — any core's [`SpecBits`] on the block
-/// ([`mark_spec`](MemorySystem::mark_spec) growth,
-/// [`clear_spec`](MemorySystem::clear_spec) /
-/// [`invalidate_block`](MemorySystem::invalidate_block) removal) — plus
-/// protocol-side events reported through
-/// [`bump_block_version`](MemorySystem::bump_block_version) (RETCON beginning
-/// symbolic tracking of the block; DATM dependence-graph changes).
-/// Monotonicity is the point: a cached verdict stamped with the version it
-/// was derived at stays provably valid exactly while the version stands
-/// still, and can never be revalidated by accident after the block's
-/// footprint row is cleared and repopulated — which is why the counter is a
-/// table of its own and not a field of that row. The simulator's stall
-/// fast-forward is the consumer, and parks cores on the versions.
+/// Which cores watch which blocks, and which were woken (see
+/// [`MemorySystem`], "Watchers").
 #[derive(Debug, Clone, Default)]
-struct Versions<const N: usize> {
-    /// Per block, the version in the high 48 bits and, in the low 16, how
-    /// many parked cores watch the block: one word, so a bump is one add
-    /// and, when nobody waits on the block, one test.
-    table: BlockTable<u64>,
-    /// The parked cores waiting on each block.
+struct Watchers<const N: usize> {
+    /// Per block, how many cores watch it: a change to a block nobody
+    /// watches is one read of this table.
+    count: BlockTable<u32>,
+    /// The cores watching each block.
     waiters: FxHashMap<u64, CoreSet<N>>,
-    parked: CoreSet<N>,
-    /// Parked cores woken since the last
+    /// Watchers that their own [`clear_spec`](MemorySystem::clear_spec)
+    /// wakes too: cores out of the run queue, which would not otherwise
+    /// notice a remote abort.
+    sleepers: CoreSet<N>,
+    /// Watchers woken since the last
     /// [`take_woken`](MemorySystem::take_woken).
     woken: CoreSet<N>,
     /// `!woken.is_empty()`, as one flag the simulator tests per access.
     wake_pending: bool,
-    /// Count of conflict-version bumps ever applied (any block): a global
-    /// change detector over `table`. A reader holding a sum of block
-    /// versions knows the sum is unchanged while this epoch is unchanged —
-    /// the O(1) fast path the simulator's stall fast-forward takes before
-    /// re-walking a certificate's watched blocks.
-    epoch: u64,
 }
 
-/// One version step in a [`Versions::table`] word; the bits below count watchers.
-const VERSION_ONE: u64 = 1 << 16;
-
-impl<const N: usize> Versions<N> {
+impl<const N: usize> Watchers<N> {
     #[inline]
-    fn bump(&mut self, block: u64) {
-        let v = self.table.entry(block);
-        *v += VERSION_ONE;
-        if *v % VERSION_ONE != 0 {
+    fn wake(&mut self, block: u64) {
+        if self.count.get(block) != 0 {
             self.wake_waiters(block);
         }
-        self.epoch += 1;
     }
 
     #[inline(never)]
@@ -243,6 +220,20 @@ impl<const N: usize> Versions<N> {
 ///   prefer non-speculative lines; eviction migrates nothing (the
 ///   footprint row already has the bits) and only counts a
 ///   `spec_overflows` statistic.
+///
+/// # Watchers
+///
+/// A core may [`watch`](Self::watch) blocks for a change that a
+/// conflict-resolution verdict on the block could depend on: any core's
+/// speculative bits on it growing ([`mark_spec`](Self::mark_spec)) or
+/// going ([`clear_spec`](Self::clear_spec),
+/// [`invalidate_block`](Self::invalidate_block)), or a protocol-side event
+/// reported through [`wake_watchers`](Self::wake_watchers). Each change adds
+/// the block's watchers to a wake set that the owner drains with
+/// [`take_woken`](Self::take_woken); a change to a block nobody watches
+/// costs one read of a per-block count. The simulator's stall fast-forward
+/// is the consumer: a certified storm watches the blocks its verdict read
+/// and stays valid until it is woken.
 #[derive(Debug, Clone)]
 pub struct MemorySystem<const N: usize = 1> {
     mem: GlobalMemory,
@@ -252,8 +243,8 @@ pub struct MemorySystem<const N: usize = 1> {
     /// Every core's speculative bits (cache + permissions-only overflow
     /// united), per block.
     spec: Footprints<N>,
-    /// Per-block conflict versions, and the cores parked on them.
-    versions: Versions<N>,
+    /// The cores watching blocks, and those woken.
+    watchers: Watchers<N>,
     cfg: MemConfig,
     stats: Vec<MemStats>,
 }
@@ -274,7 +265,7 @@ impl<const N: usize> MemorySystem<N> {
             l2: (0..num_cores).map(|_| CacheArray::new(cfg.l2)).collect(),
             dir: Directory::new(),
             spec: Footprints::new(num_cores),
-            versions: Versions::default(),
+            watchers: Watchers::default(),
             cfg,
             stats: vec![MemStats::default(); num_cores],
         }
@@ -538,75 +529,68 @@ impl<const N: usize> MemorySystem<N> {
         st.l1_hits += count;
     }
 
-    /// The block's current conflict version (see the `versions` field): a
-    /// monotonic counter that stands still exactly while every input of a
-    /// conflict-resolution verdict on the block is unchanged.
+    /// Wakes the cores watching `block` on a protocol-side event that
+    /// conflict verdicts on it may depend on but that the memory system
+    /// cannot see itself (RETCON beginning symbolic tracking of the block,
+    /// DATM dependence-graph changes).
     #[inline]
-    pub fn block_version(&self, block: BlockAddr) -> u64 {
-        self.versions.table.get(block.0) / VERSION_ONE
+    pub fn wake_watchers(&mut self, block: BlockAddr) {
+        self.watchers.wake(block.0);
     }
 
-    /// Records a protocol-side event that conflict verdicts on `block` may
-    /// depend on but that the memory system cannot see itself (RETCON
-    /// beginning symbolic tracking of the block, DATM dependence-graph
-    /// changes).
-    #[inline]
-    pub fn bump_block_version(&mut self, block: BlockAddr) {
-        self.versions.bump(block.0);
-    }
-
-    /// Parks `core` on `blocks`: the next conflict-version bump of any of
-    /// them, or a [`clear_spec`](Self::clear_spec) of `core` (its
-    /// transaction aborted), adds it to the wake set.
-    pub fn park(&mut self, core: CoreId, blocks: impl IntoIterator<Item = BlockAddr>) {
-        let v = &mut self.versions;
-        v.parked.insert(core.0);
+    /// Makes `core` watch `blocks`: the next change to any of them adds it
+    /// to the wake set. A `sleeping` watcher — one nothing else runs — is
+    /// also woken by its own [`clear_spec`](Self::clear_spec), i.e. by a
+    /// remote abort.
+    pub fn watch(
+        &mut self,
+        core: CoreId,
+        blocks: impl IntoIterator<Item = BlockAddr>,
+        sleeping: bool,
+    ) {
+        let w = &mut self.watchers;
+        if sleeping {
+            w.sleepers.insert(core.0);
+        }
         for b in blocks {
-            if v.waiters.entry(b.0).or_default().insert(core.0) {
-                *v.table.entry(b.0) += 1;
+            if w.waiters.entry(b.0).or_default().insert(core.0) {
+                *w.count.entry(b.0) += 1;
             }
         }
     }
 
-    /// Undoes [`park`](Self::park) over the same `blocks`; a no-op for a
-    /// core not parked.
-    pub fn unpark(&mut self, core: CoreId, blocks: impl IntoIterator<Item = BlockAddr>) {
-        let v = &mut self.versions;
-        v.parked.remove(core.0);
+    /// Undoes [`watch`](Self::watch) over the same `blocks`; a no-op for a
+    /// core not watching.
+    pub fn unwatch(&mut self, core: CoreId, blocks: impl IntoIterator<Item = BlockAddr>) {
+        let w = &mut self.watchers;
+        w.sleepers.remove(core.0);
         for b in blocks {
-            if v.waiters
+            if w.waiters
                 .get_mut(&b.0)
                 .is_some_and(|set| set.remove(core.0))
             {
-                *v.table.entry(b.0) -= 1;
+                *w.count.entry(b.0) -= 1;
             }
         }
     }
 
-    /// The cores parked and not yet unparked.
-    pub fn parked(&self) -> &CoreSet<N> {
-        &self.versions.parked
+    /// `true` while no core watches any block.
+    pub fn no_watchers(&self) -> bool {
+        let w = &self.watchers;
+        w.sleepers.is_empty() && w.waiters.values().all(CoreSet::is_empty)
     }
 
-    /// `true` if a parked core was woken since the last
+    /// `true` if a watcher was woken since the last
     /// [`take_woken`](Self::take_woken): one flag.
     pub fn wake_pending(&self) -> bool {
-        self.versions.wake_pending
+        self.watchers.wake_pending
     }
 
-    /// The parked cores woken since the last call (they stay parked until
-    /// [`unpark`](Self::unpark)ed).
+    /// The watchers woken since the last call (they keep watching until
+    /// [`unwatch`](Self::unwatch)ed).
     pub fn take_woken(&mut self) -> CoreSet<N> {
-        self.versions.wake_pending = false;
-        std::mem::take(&mut self.versions.woken)
-    }
-
-    /// The global conflict-version epoch: increments whenever *any* block's
-    /// conflict version does. While it is unchanged, every
-    /// [`block_version`](Self::block_version) is unchanged.
-    #[inline]
-    pub fn bump_epoch(&self) -> u64 {
-        self.versions.epoch
+        self.watchers.wake_pending = false;
+        std::mem::take(&mut self.watchers.woken)
     }
 
     /// Sets speculative bits on a block the core already caches (or tracks in
@@ -621,7 +605,7 @@ impl<const N: usize> MemorySystem<N> {
         if self.spec.mark(core.0, block.0, bits) {
             // The core's footprint on the block grew (new bit, or a read
             // upgraded to written): conflict verdicts may change.
-            self.bump_block_version(block);
+            self.wake_watchers(block);
         }
     }
 
@@ -637,7 +621,7 @@ impl<const N: usize> MemorySystem<N> {
         self.l2[core.0].remove(block);
         let held = self.spec.clear_block(core.0, block.0);
         if held.any() {
-            self.bump_block_version(block);
+            self.wake_watchers(block);
         }
         bits.merge(held);
         self.dir.drop_holder(core, block);
@@ -645,19 +629,19 @@ impl<const N: usize> MemorySystem<N> {
     }
 
     /// Clears every speculative bit held by `core` (transaction commit or
-    /// abort), waking `core` if it is parked. Returns the number of blocks
-    /// that had bits set.
+    /// abort), waking `core` if it is a sleeping watcher. Returns the number
+    /// of blocks that had bits set.
     pub fn clear_spec(&mut self, core: CoreId) -> usize {
-        let v = &mut self.versions;
-        if v.parked.contains(core.0) {
-            v.woken.insert(core.0);
-            v.wake_pending = true;
+        let w = &mut self.watchers;
+        if w.sleepers.contains(core.0) {
+            w.woken.insert(core.0);
+            w.wake_pending = true;
         }
         let mut cleared = 0;
         self.spec.clear_core(core.0, |block| {
             cleared += 1;
             self.l1[core.0].clear_spec(BlockAddr(block));
-            self.versions.bump(block);
+            self.watchers.wake(block);
         });
         cleared
     }
@@ -947,24 +931,32 @@ mod tests {
     }
 
     #[test]
-    fn parked_cores_wake_on_a_watched_bump_or_their_own_clear() {
+    fn watchers_wake_on_a_watched_change_and_sleepers_on_their_own_clear() {
         let mut m = ms(3);
         let (a, b) = (BlockAddr(0), BlockAddr(1));
-        m.park(C1, [a, b, a]);
-        assert!(m.parked().contains(1) && !m.wake_pending());
-        m.bump_block_version(BlockAddr(2)); // unwatched
+        m.watch(C1, [a, b, a], true);
+        m.watch(CoreId(2), [b], false);
+        assert!(!m.no_watchers() && !m.wake_pending());
+        m.wake_watchers(BlockAddr(2)); // unwatched
         assert!(!m.wake_pending());
-        m.bump_block_version(b);
-        assert_eq!(m.take_woken(), CoreSet::solo(1));
+        m.wake_watchers(b);
+        assert_eq!(m.take_woken().iter().collect::<Vec<_>>(), [1, 2]);
         assert!(!m.wake_pending(), "taking clears the flag");
         m.clear_spec(C0); // another core's clear
         assert!(!m.wake_pending());
+        m.clear_spec(CoreId(2)); // a watcher that is not asleep
+        assert!(!m.wake_pending());
         m.clear_spec(C1);
         assert_eq!(m.take_woken(), CoreSet::solo(1));
-        m.unpark(C1, [a, b, a]);
-        assert!(m.parked().is_empty());
-        m.bump_block_version(a);
-        assert!(!m.wake_pending(), "unparked cores are not woken");
+        m.unwatch(C1, [a, b, a]);
+        m.unwatch(CoreId(2), [b]);
+        assert!(m.no_watchers());
+        m.wake_watchers(a);
+        m.clear_spec(C1);
+        assert!(
+            !m.wake_pending(),
+            "cores that stopped watching are not woken"
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@ use retcon_mem::{
 /// The speculative-permission bookkeeping `MemorySystem` had until
 /// `Footprints`, kept verbatim (over std collections) as the reference:
 /// each core's bits in a map of its own, the per-block reader/writer masks
-/// maintained beside them "in lockstep", and a conflict-version bump
-/// wherever the old code bumped — recorded as the sequence of blocks bumped.
+/// maintained beside them "in lockstep", and a bump wherever a change must
+/// wake the block's watchers — recorded as the sequence of blocks bumped.
 #[derive(Debug, Default)]
 struct RefSpec {
     bits: HashMap<usize, HashMap<u64, SpecBits>>,
@@ -184,9 +184,15 @@ impl<const N: usize> Sides<N> {
 }
 
 /// Runs `ops` through all three sides, comparing every return value and
-/// every observable after every operation.
+/// every observable after every operation. Spare cores, outside `cores`,
+/// each watch one of `BLOCKS`: the wakes are how the memory system's bumps
+/// are observed.
 fn check<const N: usize>(cores: [usize; CORES], ops: &[Op]) {
     let num_cores = cores[CORES - 1] + 1;
+    let spares: Vec<usize> = (0..num_cores)
+        .filter(|c| !cores.contains(c))
+        .take(BLOCKS.len())
+        .collect();
     // One line per level: any second block evicts the first, so bits
     // outlive their cache line all the time.
     let tiny = CacheGeometry { sets: 1, ways: 1 };
@@ -200,8 +206,12 @@ fn check<const N: usize>(cores: [usize; CORES], ops: &[Op]) {
         fp: Footprints::new(num_cores),
         reference: RefSpec::default(),
     };
+    for (&spare, &b) in spares.iter().zip(&BLOCKS) {
+        sides.ms.watch(CoreId(spare), [BlockAddr(b)], false);
+    }
 
     for &op in ops {
+        let bumps_before = sides.reference.bumps.len();
         match op {
             Op::Touch(c, b) => {
                 let (core, addr) = (CoreId(cores[c]), BlockAddr(BLOCKS[b]).base());
@@ -218,23 +228,26 @@ fn check<const N: usize>(cores: [usize; CORES], ops: &[Op]) {
                 sides.mark(cores[c], BLOCKS[b], SpecBits { read, written });
             }
             Op::ClearCore(c) => {
-                let bumps_before = sides.reference.bumps.len();
                 let cleared = sides.reference.clear_spec(cores[c]);
                 assert_eq!(sides.ms.clear_spec(CoreId(cores[c])), cleared, "{op:?}");
-                // The order blocks are visited in is the order their
-                // conflict versions are bumped in.
+                // The order blocks are visited in is the order the
+                // reference bumps them in.
                 let mut visited = Vec::new();
                 sides.fp.clear_core(cores[c], |b| visited.push(b));
                 assert_eq!(visited, sides.reference.bumps[bumps_before..], "{op:?}");
             }
         }
 
-        let Sides { ms, fp, reference } = &sides;
-        assert_eq!(ms.bump_epoch(), reference.bumps.len() as u64, "{op:?}");
-        for &b in &BLOCKS {
-            let bumped = reference.bumps.iter().filter(|&&x| x == b).count();
-            assert_eq!(ms.block_version(BlockAddr(b)), bumped as u64, "{op:?}");
-        }
+        let Sides { ms, fp, reference } = &mut sides;
+        let bumped = &reference.bumps[bumps_before..];
+        let expected: Vec<usize> = spares
+            .iter()
+            .zip(&BLOCKS)
+            .filter(|(_, b)| bumped.contains(b))
+            .map(|(&spare, _)| spare)
+            .collect();
+        let woken: Vec<usize> = ms.take_woken().iter().collect();
+        assert_eq!(woken, expected, "{op:?}: watchers woken");
         for &c in &cores {
             assert_eq!(
                 ms.spec_blocks(CoreId(c)),

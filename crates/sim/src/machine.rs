@@ -175,13 +175,17 @@ pub struct Machine<const N: usize = 1> {
     tracer: Option<Box<retcon_obs::RingTracer>>,
 }
 
-/// Lifecycle of a core's storm certificate.
+/// Lifecycle of a core's storm certificate. A core with a live certificate
+/// (any state but `Empty`) watches the certificate's blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CertState {
     /// No certificate: the core's last attempt was not a certified stall.
     Empty,
-    /// Certified; valid while its version sum stands still.
-    Fresh,
+    /// Certified; the core stays queued and is charged one retry per
+    /// decision.
+    Polled,
+    /// Certified; the core is out of the run queue until woken.
+    Parked,
 }
 
 /// A core's storm certificate: a validated stall-storm verdict, cached so
@@ -192,73 +196,53 @@ enum CertState {
 /// declines to certify) that every further retry of the same instruction
 /// repeats the same outcome — same conflict verdict, no side effects
 /// beyond the commuting storm updates (the stall counter, conflict-time
-/// cycles, predictor training, commit-prefix L1-hit statistics). The
-/// certificate is stamped with the *sum* of the conflict versions
-/// ([`MemorySystem::block_version`]) of the contended block and every
-/// watched commit-prefix block, which covers *every* input of the
-/// verdict: a block's conflict mask and per-core speculative bits mutate
-/// in lockstep with its version, victim ages and activity cannot change
-/// without a commit or abort clearing those bits (bumping the version),
-/// a watched prefix block cannot gain a conflict or lose residency
-/// without a bump (remote writes must resolve the conflict its
-/// speculative bits raise), RETCON tracking transitions and DATM
-/// dependence-graph changes bump explicitly, and the stalled core's own
-/// architectural and engine state are frozen while it stalls (a remote
-/// abort clears its speculative bits, see below). Versions are monotonic,
-/// so the sum stands still exactly when every summand does, and a stale
-/// certificate left behind after the core moves on can never be
-/// revalidated by accident.
+/// cycles, predictor training, commit-prefix L1-hit statistics). Every
+/// input of the verdict lives on the contended block or a watched
+/// commit-prefix block: a block's conflict mask and per-core speculative
+/// bits change only with its footprint row, victim ages and activity
+/// cannot change without a commit or abort clearing those bits, a watched
+/// prefix block cannot gain a conflict or lose residency without a row
+/// change (remote writes must resolve the conflict its speculative bits
+/// raise), RETCON tracking transitions and DATM dependence-graph changes
+/// wake explicitly ([`MemorySystem::wake_watchers`]), and the stalled
+/// core's own architectural and engine state are frozen while it stalls
+/// (a remote abort ends that, see below). So the certified core watches
+/// those blocks ([`MemorySystem::watch`]), and the certificate is valid
+/// until the first wake: the wake is its one freshness signal.
 ///
 /// # Parking
 ///
 /// Under a jitter-free schedule that always runs the `(clock, id)`
-/// minimum, a freshly certified core *parks* ([`MemorySystem::park`]) on
-/// the contended block and the watched prefix, and leaves the runnable
-/// set. A bump of one of those versions, or a remote abort clearing its
-/// speculative bits, wakes it: it is charged in closed form the retries
-/// polling would have run before the waking instruction
-/// ([`Peers::charge`]) and re-executes for real. RETCON predictors that
-/// its retries train are brought up to date before they are read
-/// ([`Trainers`]). Other schedules poll: one certified retry per
-/// iteration, through [`Schedule::observe_stall`], still skipping the
-/// protocol's read/write/commit path. DESIGN.md § Fast-forward has the
-/// argument that both equal step-by-step execution.
+/// minimum, a certified core also leaves the runnable set
+/// ([`CertState::Parked`]) and sleeps until a wake — a change to a watched
+/// block, or a remote abort clearing its speculative bits. Woken, it is
+/// charged in closed form the retries polling would have run before the
+/// waking instruction ([`Peers::charge`]) and re-executes for real. RETCON
+/// predictors that its retries train are brought up to date before they
+/// are read ([`Trainers`]).
+///
+/// # Polling
+///
+/// Other schedules poll ([`CertState::Polled`]): the core stays queued and
+/// each decision charges one certified retry, through
+/// [`Schedule::observe_stall`], still skipping the protocol's
+/// read/write/commit path. A wake drops the certificate — the retries were
+/// charged as they ran — and so does the core's own remote abort, which it
+/// sees before its next retry exactly as real execution would. DESIGN.md
+/// § Fast-forward has the argument that both equal step-by-step execution.
 #[derive(Debug, Clone, Copy)]
 struct Cert<const N: usize = 1> {
     state: CertState,
-    /// [`MemorySystem::bump_epoch`] at the last successful validation: an
-    /// O(1) fast path — no block version anywhere has moved since, so the
-    /// sum cannot have. On an epoch miss the sum is re-walked; a match
-    /// restamps the epoch, a mismatch means the certificate is stale.
-    epoch: u64,
     /// The certified per-retry side effects; meaningful only while `state`
     /// is not [`CertState::Empty`].
     storm: StallStorm<N>,
-    /// [`storm_version_sum`] over `storm.block` and the watched prefix at
-    /// certification time; the certificate is valid while it is unchanged.
-    version: u64,
 }
 
 impl<const N: usize> Cert<N> {
     const EMPTY: Cert<N> = Cert {
         state: CertState::Empty,
-        epoch: 0,
         storm: StallStorm::access(CoreSet::EMPTY, BlockAddr(0)),
-        version: 0,
     };
-}
-
-/// The freshness key of a storm certificate: the sum of the monotonic
-/// conflict versions of the contended block and every watched
-/// commit-prefix block. Monotonicity makes the sum a faithful "all
-/// unchanged" test, and `wrapping_add` keeps it branch-free (a wrap would
-/// need 2^64 conflict events).
-fn storm_version_sum<const N: usize>(mem: &MemorySystem<N>, storm: &StallStorm<N>) -> u64 {
-    let mut sum = mem.block_version(storm.block);
-    for &b in storm.watch.blocks() {
-        sum = sum.wrapping_add(mem.block_version(b));
-    }
-    sum
 }
 
 impl<const N: usize> fmt::Debug for Machine<N> {
@@ -416,12 +400,14 @@ impl<const N: usize> Machine<N> {
                 .map_err(|error| SimError::InvalidProgram { core: i, error })?;
         }
         // Certificates describe "the core's next attempt repeats this stall" —
-        // a statement about one schedule's trajectory. Drop them (and unpark
-        // whoever a failed run left parked) so a different schedule starts
+        // a statement about one schedule's trajectory. Drop them (and the
+        // watchers a failed run left behind) so a different schedule starts
         // clean.
         for (c, cert) in self.certs.iter_mut().enumerate() {
-            self.mem.unpark(CoreId(c), watched(&cert.storm));
-            cert.state = CertState::Empty;
+            if cert.state != CertState::Empty {
+                self.mem.unwatch(CoreId(c), watched(&cert.storm));
+                cert.state = CertState::Empty;
+            }
         }
         self.mem.take_woken();
         self.trainers.by_core.clear();
@@ -443,13 +429,18 @@ impl<const N: usize> Machine<N> {
                     );
                     self.run_core(c, d.bound, sched)?;
                     let core = &self.cores[c];
-                    let runnable =
-                        !core.halted && !core.at_barrier && !self.mem.parked().contains(c);
+                    let runnable = !core.halted
+                        && !core.at_barrier
+                        && self.certs[c].state != CertState::Parked;
                     sched.core_yielded(c, core.now, runnable);
                 }
                 // No runnable core, yet some sleep in a storm: nothing is
                 // left to wake them, and polling would retry to the limit.
-                None if !self.mem.parked().is_empty() => {
+                None if self
+                    .certs
+                    .iter()
+                    .any(|cert| cert.state == CertState::Parked) =>
+                {
                     return Err(SimError::CycleLimit {
                         limit: self.cfg.max_cycles,
                     });
@@ -531,6 +522,10 @@ impl<const N: usize> Machine<N> {
         mut bound: Bound,
         sched: &mut S,
     ) -> Result<(), SimError> {
+        debug_assert!(
+            !self.mem.wake_pending(),
+            "a wake outlived the instruction that caused it"
+        );
         let core_id = CoreId(c);
         let max_cycles = self.cfg.max_cycles;
         let stall_retry = self.cfg.stall_retry;
@@ -591,22 +586,18 @@ impl<const N: usize> Machine<N> {
         }
         // A stalled attempt, whichever instruction took it: charge the retry
         // latency, then ask the protocol whether the retry is a fixed point.
-        // A certified one parks the core, unless a remote abort is already
-        // waiting for it.
+        // A parked core leaves the batch, releasing whoever this
+        // instruction woke on its way out.
         macro_rules! stall {
             ($action:expr, $arg:expr) => {{
                 core.stall(stall_retry + sched.observe_stall(c, core.now));
                 trace!(EventKind::Stall, core.now, $arg);
-                if fast_forward {
-                    certify_storm(protocol, mem, c, $action, cert);
-                    if park && cert.state == CertState::Fresh && !protocol.abort_pending(core_id) {
-                        if mem.wake_pending() {
-                            peers.wake(protocol, mem, tracer.as_deref_mut(), sched, (at, c));
-                        }
-                        mem.park(core_id, watched(&cert.storm));
-                        peers.trainers.add(c, cert.storm.train_mask, num_cores);
-                        return Ok(());
+                if fast_forward && certify_storm(protocol, mem, c, $action, park, cert) {
+                    if mem.wake_pending() {
+                        peers.wake(protocol, mem, tracer.as_deref_mut(), sched, (at, c));
                     }
+                    peers.trainers.add(c, cert.storm.train_mask, num_cores);
+                    return Ok(());
                 }
             }};
         }
@@ -648,37 +639,30 @@ impl<const N: usize> Machine<N> {
                 core.restart_tx();
                 in_tx = false;
                 trace!(EventKind::Abort, core.now, 2); // remote
-                                                       // The abort rewound the pc: the certified stall (if any) is
-                                                       // no longer this core's next action, and the contended
-                                                       // block's version need not have moved when *this* core was
-                                                       // the victim (its speculative bits may not cover that
-                                                       // block). Drop the certificate; a fresh stall re-certifies.
-                cert.state = CertState::Empty;
+
+                // The abort rewound the pc: a polled storm is no longer this
+                // core's next action, and nothing it watches need have
+                // changed when *this* core was the victim (its speculative
+                // bits may not cover those blocks). Drop the certificate; a
+                // fresh stall re-certifies.
+                if cert.state != CertState::Empty {
+                    mem.unwatch(core_id, watched(&cert.storm));
+                    cert.state = CertState::Empty;
+                }
                 continue;
             }
-            // A polled storm (see [`Cert`]): while the cached verdict's
-            // version sum stands still, the next attempt of the instruction
-            // under `pc` provably stalls again with the certified side
-            // effects — charge it without re-executing the access, one retry
-            // per iteration so a jittered schedule's draws (and trace
-            // hashes) stay identical to real execution. Falls through (and
-            // drops the certificate) the moment the sum moves.
-            if fast_forward && cert.state == CertState::Fresh {
-                let valid = cert.epoch == mem.bump_epoch() || {
-                    let revalidated = storm_version_sum(mem, &cert.storm) == cert.version;
-                    if revalidated {
-                        cert.epoch = mem.bump_epoch();
-                    }
-                    revalidated
-                };
-                if valid {
-                    core.stall(stall_retry + sched.observe_stall(c, core.now));
-                    protocol.apply_stall_retries(core_id, &cert.storm, 1, mem);
-                    trace!(EventKind::StormFf, core.now, 1);
-                    stepped = true;
-                    continue;
-                }
-                cert.state = CertState::Empty;
+            // A polled storm (see [`Cert`]): until a wake drops the
+            // certificate, the next attempt of the instruction under `pc`
+            // provably stalls again with the certified side effects — charge
+            // it without re-executing the access, one retry per iteration so
+            // a jittered schedule's draws (and trace hashes) stay identical
+            // to real execution.
+            if cert.state == CertState::Polled {
+                core.stall(stall_retry + sched.observe_stall(c, core.now));
+                protocol.apply_stall_retries(core_id, &cert.storm, 1, mem);
+                trace!(EventKind::StormFf, core.now, 1);
+                stepped = true;
+                continue;
             }
             debug_assert_eq!(
                 in_tx,
@@ -874,28 +858,39 @@ impl<const N: usize> Machine<N> {
 
 /// Dry-runs the stall the core just took through the protocol's
 /// [`stall_storm`](AnyProtocol::stall_storm) oracle and, when the oracle
-/// certifies a stable storm, stamps the verdict with its current
-/// [`storm_version_sum`]. The result is the core's [`Cert`]: as long as
-/// the sum stands still, a retry is provably a fixed point and is charged
-/// analytically instead of re-executing the instruction.
+/// certifies a stable storm, makes it the core's [`Cert`] and has the core
+/// watch the blocks the verdict read: until one of them changes, a retry
+/// is provably a fixed point and is charged analytically instead of
+/// re-executing the instruction. The core parks where `park` allows and no
+/// remote abort is already waiting for it, and is polled otherwise.
+/// Returns `true` if it parked.
 fn certify_storm<const N: usize>(
     protocol: &AnyProtocol<N>,
-    mem: &MemorySystem<N>,
+    mem: &mut MemorySystem<N>,
     c: usize,
     action: StallAction,
+    park: bool,
     cert: &mut Cert<N>,
-) {
-    match protocol.stall_storm(CoreId(c), action, mem) {
-        Some(storm) => {
-            *cert = Cert {
-                state: CertState::Fresh,
-                epoch: mem.bump_epoch(),
-                version: storm_version_sum(mem, &storm),
-                storm,
-            };
-        }
-        None => cert.state = CertState::Empty,
-    }
+) -> bool {
+    debug_assert_eq!(
+        cert.state,
+        CertState::Empty,
+        "core {c} stalled while certified"
+    );
+    let Some(storm) = protocol.stall_storm(CoreId(c), action, mem) else {
+        return false;
+    };
+    let parks = park && !protocol.abort_pending(CoreId(c));
+    mem.watch(CoreId(c), watched(&storm), parks);
+    *cert = Cert {
+        state: if parks {
+            CertState::Parked
+        } else {
+            CertState::Polled
+        },
+        storm,
+    };
+    parks
 }
 
 /// The blocks a storm's certificate depends on: the contended block and
@@ -931,24 +926,25 @@ impl<const N: usize> Trainers<N> {
 }
 
 /// The cores a batch does not run, split around the running core `c` so
-/// that waking or charging a parked one can move its clock while `c`'s
-/// state is borrowed. Its methods are the rare paths of parking, kept out
-/// of line so that each `run_core` instance carries them once.
+/// that waking or charging a watcher can move its clock and end its
+/// certificate while `c`'s state is borrowed. Its methods are the rare
+/// paths of fast-forward, kept out of line so that each `run_core` instance
+/// carries them once.
 struct Peers<'a, const N: usize> {
     c: usize,
     cores: (&'a mut [Core], &'a mut [Core]),
-    certs: (&'a [Cert<N>], &'a [Cert<N>]),
+    certs: (&'a mut [Cert<N>], &'a mut [Cert<N>]),
     trainers: &'a mut Trainers<N>,
     stall_retry: u64,
 }
 
 impl<const N: usize> Peers<'_, N> {
-    fn get(&mut self, w: usize) -> (&mut Core, &StallStorm<N>) {
+    fn get(&mut self, w: usize) -> (&mut Core, &mut Cert<N>) {
         if w < self.c {
-            (&mut self.cores.0[w], &self.certs.0[w].storm)
+            (&mut self.cores.0[w], &mut self.certs.0[w])
         } else {
             let i = w - self.c - 1;
-            (&mut self.cores.1[i], &self.certs.1[i].storm)
+            (&mut self.cores.1[i], &mut self.certs.1[i])
         }
     }
 
@@ -967,21 +963,22 @@ impl<const N: usize> Peers<'_, N> {
         (clock, id): (u64, usize),
     ) {
         let stall_retry = self.stall_retry;
-        let (core, storm) = self.get(w);
+        let (core, cert) = self.get(w);
         let target = if w > id { clock } else { clock + 1 };
         let n = target.saturating_sub(core.now).div_ceil(stall_retry);
         if n != 0 {
             core.stall(n * stall_retry);
-            protocol.apply_stall_retries(CoreId(w), storm, n, mem);
+            protocol.apply_stall_retries(CoreId(w), &cert.storm, n, mem);
             if let Some(t) = tracer {
                 t.record(w, retcon_obs::EventKind::StormFf, core.now, n);
             }
         }
     }
 
-    /// Releases every parked core the instruction at `key` woke: charges
-    /// what it owes before `key`, unparks it and queues it at its new
-    /// clock. Returns the smallest released key.
+    /// Ends the certificate of every watcher the instruction at `key`
+    /// woke. A parked one is charged what it owes before `key` and queued
+    /// at its new clock; a polled one was charged as it ran. Returns the
+    /// smallest released key.
     #[inline(never)]
     fn wake<S: Schedule + ?Sized>(
         &mut self,
@@ -993,10 +990,17 @@ impl<const N: usize> Peers<'_, N> {
     ) -> (u64, usize) {
         let mut first = (u64::MAX, usize::MAX);
         for w in mem.take_woken() {
-            self.charge(protocol, mem, tracer.as_deref_mut(), w, key);
-            let (core, storm) = self.get(w);
-            mem.unpark(CoreId(w), watched(storm));
-            let (now, mask) = (core.now, storm.train_mask);
+            let parked = self.get(w).1.state == CertState::Parked;
+            if parked {
+                self.charge(protocol, mem, tracer.as_deref_mut(), w, key);
+            }
+            let (core, cert) = self.get(w);
+            mem.unwatch(CoreId(w), watched(&cert.storm));
+            cert.state = CertState::Empty;
+            if !parked {
+                continue;
+            }
+            let (now, mask) = (core.now, cert.storm.train_mask);
             if !mask.is_empty() {
                 for e in mask {
                     self.trainers.by_core[e].remove(w);

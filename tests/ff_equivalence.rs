@@ -6,15 +6,19 @@
 //! The property is exercised over random small contended configurations
 //! (the shapes that actually form storms) under all seven systems, on the
 //! default deterministic schedule, where a certified storm parks until a
-//! watched block moves and is charged in closed form when woken. The
-//! targeted specs below drive each wake condition on purpose: a bump of a
-//! commit storm's watched prefix, a remote abort, a predictor read by a
-//! core the parked storm trains, and nothing left to wake at all.
+//! watched block moves and is charged in closed form when woken, and under
+//! a `SeededFuzz` schedule, where a certified storm stays queued and is
+//! charged one retry per decision until a wake or its own abort ends it.
+//! The targeted specs below drive each wake condition on purpose: a change
+//! to a commit storm's watched prefix, a remote abort, a predictor read by
+//! a core the parked storm trains, and nothing left to wake at all. After
+//! every run that completes, no core may still watch a block: a leaked
+//! watcher only causes spurious wakes, which no report would show.
 
 use proptest::prelude::*;
 use retcon_isa::{Addr, CmpOp, Operand, Program, ProgramBuilder, Reg, WORDS_PER_BLOCK};
 use retcon_obs::{EventKind, RingTracer};
-use retcon_sim::SimConfig;
+use retcon_sim::{SeededFuzz, SimConfig, SimReport};
 use retcon_workloads::{machine_for_sized, System, Workload, WorkloadSpec};
 
 const SYSTEMS: [System; 7] = [
@@ -37,16 +41,24 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
     ]
 }
 
+/// A run's outcome: the report with the `SeededFuzz` decision count and
+/// trace hash (zero under the default schedule), or the error.
+type Outcome = Result<(SimReport, u64, u64), String>;
+
 /// Runs `spec` under each of `systems` at `CoreSet` size class `N` with
-/// fast-forward on and off and asserts equal outcomes — the same report, or
-/// the same error. The fast-forwarded run is traced; returns, per system,
-/// how many storm fast-forwards core `core` took (a parked core records one
-/// per wake or predictor flush that owed it retries).
+/// fast-forward on and off — on the default schedule, or on
+/// `SeededFuzz::new(seed)` when `fuzz` is `Some(seed)` — and asserts equal
+/// outcomes: the same report (and fuzz decision count and trace hash), or
+/// the same error. A run that completes must leave no watcher behind. The
+/// fast-forwarded run is traced; returns, per system, how many storm
+/// fast-forwards core `core` took (a parked core records one per wake or
+/// predictor flush that owed it retries, a polled one one per retry).
 fn assert_ff_equivalent<const N: usize>(
     spec: &WorkloadSpec,
     systems: &[System],
     cfg: SimConfig,
     core: usize,
+    fuzz: Option<u64>,
 ) -> Vec<usize> {
     let cores = spec.num_cores();
     let mut ffs = Vec::new();
@@ -58,7 +70,24 @@ fn assert_ff_equivalent<const N: usize>(
             if ff {
                 machine.set_tracer(RingTracer::with_capacity(1 << 16));
             }
-            outcomes.push(machine.run().map_err(|e| e.to_string()));
+            let outcome: Outcome = match fuzz {
+                None => machine.run().map(|report| (report, 0, 0)),
+                Some(seed) => {
+                    let mut sched = SeededFuzz::new(seed);
+                    let report = machine.run_with(&mut sched);
+                    report.map(|report| (report, sched.decisions(), sched.trace_hash()))
+                }
+            }
+            .map_err(|e| e.to_string());
+            assert!(
+                outcome.is_err() || machine.mem().no_watchers(),
+                "{} on {} cores under {} (fast-forward {ff}, fuzz {fuzz:?}): \
+                 a watcher outlived the run",
+                spec.name,
+                cores,
+                system.label()
+            );
+            outcomes.push(outcome);
             if let Some(tracer) = machine.take_tracer() {
                 let of_core = tracer.events().filter(|e| {
                     usize::from(e.core) == core && e.event_kind() == Some(EventKind::StormFf)
@@ -69,7 +98,7 @@ fn assert_ff_equivalent<const N: usize>(
         assert_eq!(
             outcomes[0],
             outcomes[1],
-            "{} on {} cores under {}: fast-forwarded and step-by-step runs differ",
+            "{} on {} cores under {} (fuzz {fuzz:?}): fast-forwarded and step-by-step runs differ",
             spec.name,
             cores,
             system.label()
@@ -80,9 +109,13 @@ fn assert_ff_equivalent<const N: usize>(
 
 /// [`assert_ff_equivalent`] for a run that completes, at default settings,
 /// counting the last core's fast-forwards.
-fn assert_ff_equivalent_run<const N: usize>(spec: &WorkloadSpec, systems: &[System]) -> Vec<usize> {
+fn assert_ff_equivalent_run<const N: usize>(
+    spec: &WorkloadSpec,
+    systems: &[System],
+    fuzz: Option<u64>,
+) -> Vec<usize> {
     let cores = spec.num_cores();
-    assert_ff_equivalent::<N>(spec, systems, SimConfig::with_cores(cores), cores - 1)
+    assert_ff_equivalent::<N>(spec, systems, SimConfig::with_cores(cores), cores - 1, fuzz)
 }
 
 /// `readers` transactional readers of one block, each holding it for 2000
@@ -114,7 +147,7 @@ fn wide_conflict(readers: usize) -> WorkloadSpec {
 #[test]
 fn conflicts_wider_than_64_victims_still_fast_forward() {
     let systems = [System::Eager, System::Retcon];
-    let ffs = assert_ff_equivalent_run::<2>(&wide_conflict(95), &systems);
+    let ffs = assert_ff_equivalent_run::<2>(&wide_conflict(95), &systems, None);
     assert!(
         ffs.iter().all(|&n| n > 0),
         "writer storm_ff events: {ffs:?}"
@@ -153,8 +186,8 @@ fn holder(b: u64, cycles: u32) -> Program {
 /// first store causes) and buffers a symbolic store to block 1, so its
 /// commit re-acquires block 2 — the watched prefix — and stalls on block 1
 /// behind core 0. Core 2 keeps writing block 2: each store steals it from
-/// the parked committer, which moves block 2's version and nothing of block
-/// 1's. Woken, the committer re-acquires block 2 and downgrades core 2's
+/// the parked committer, which changes block 2's footprint row and nothing
+/// of block 1's. Woken, the committer re-acquires block 2 and downgrades core 2's
 /// copy, so core 2's next store pays an upgrade; a committer left asleep
 /// would let those stores hit.
 #[test]
@@ -180,7 +213,7 @@ fn a_commit_storm_wakes_on_its_watched_prefix() {
         p.build().expect("stealer program")
     };
     let spec = hand_spec("prefix_wake", vec![holder(1, 4000), committer, stealer]);
-    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1);
+    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1, None);
     assert!(
         ffs[4] > 0,
         "the RetCon committer parked and was woken: {ffs:?}"
@@ -191,7 +224,12 @@ fn a_commit_storm_wakes_on_its_watched_prefix() {
 /// written and stalls on block 1 behind core 0 (it never touched block 1,
 /// so its own abort moves nothing it watches). Core 2, older than core 1,
 /// then writes block 2 and aborts it: the parked core must restart from
-/// that key, not sleep on until core 0 commits.
+/// that key, not sleep on until core 0 commits. Under `SeededFuzz` the
+/// victim is polled instead, and nothing it watches changes at the abort:
+/// the abort itself must end its certificate and unwatch block 1. Core 2
+/// holds block 2 past core 0's commit, so the restarted victim is storming
+/// on block 2 when block 1 changes, and a block-1 watcher left behind by
+/// the abort would still be there when the victim writes block 1.
 #[test]
 fn a_remote_abort_wakes_the_parked_victim() {
     let victim = {
@@ -206,12 +244,17 @@ fn a_remote_abort_wakes_the_parked_victim() {
     let aborter = {
         let mut p = ProgramBuilder::new();
         p.tx_begin().imm(Reg(1), block(2) as u64).work(1000);
-        p.store(Operand::Imm(4), Reg(1), 0).tx_commit().halt();
+        p.store(Operand::Imm(4), Reg(1), 0)
+            .work(6000)
+            .tx_commit()
+            .halt();
         p.build().expect("aborter program")
     };
     let spec = hand_spec("remote_abort", vec![holder(1, 5000), victim, aborter]);
-    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1);
+    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1, None);
     assert!(ffs[0] > 0, "the eager victim parked and was woken: {ffs:?}");
+    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1, Some(1));
+    assert!(ffs[0] > 0, "the eager victim was polled: {ffs:?}");
 }
 
 /// (b) The same under DATM, through a cascade. Core 2 reads block 1, which
@@ -246,7 +289,7 @@ fn a_datm_cascade_wakes_the_parked_committer() {
         p.build().expect("consumer program")
     };
     let spec = hand_spec("datm_cascade", vec![reader_of_2, writer, consumer]);
-    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 2);
+    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 2, None);
     assert!(
         ffs[6] > 0,
         "the DATM committer parked and was woken: {ffs:?}"
@@ -298,7 +341,7 @@ fn a_parked_storm_trains_the_predictor_its_victim_reads() {
         "parked_trainer",
         vec![holder(2, 6000), committer, trainer, stealer],
     );
-    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(4), 2);
+    let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(4), 2, None);
     assert!(
         ffs[4] > 0,
         "the RetCon trainer parked and was charged: {ffs:?}"
@@ -334,7 +377,7 @@ fn nothing_left_to_wake_reaches_the_cycle_limit() {
         max_cycles: 50_000,
         ..SimConfig::with_cores(3)
     };
-    assert_ff_equivalent::<1>(&spec, &SYSTEMS, cfg, 1);
+    assert_ff_equivalent::<1>(&spec, &SYSTEMS, cfg, 1, None);
     let eager = machine_for_sized::<1>(&spec, System::Eager.protocol_sized::<1>(3), cfg).run();
     assert!(eager.is_err(), "eager must hit the cycle limit: {eager:?}");
 }
@@ -348,17 +391,22 @@ fn cores_strategy() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Each generated configuration runs twice: parked on the default
+    /// schedule, and polled under `SeededFuzz` with a drawn seed.
     #[test]
     fn fast_forward_is_invisible_in_reports(
         workload in workload_strategy(),
         cores in cores_strategy(),
         seed in 0u64..1000,
+        fuzz_seed in 0u64..1000,
     ) {
         let spec = workload.build(cores, seed);
-        if cores > 64 {
-            assert_ff_equivalent_run::<2>(&spec, &SYSTEMS);
-        } else {
-            assert_ff_equivalent_run::<1>(&spec, &SYSTEMS);
+        for fuzz in [None, Some(fuzz_seed)] {
+            if cores > 64 {
+                assert_ff_equivalent_run::<2>(&spec, &SYSTEMS, fuzz);
+            } else {
+                assert_ff_equivalent_run::<1>(&spec, &SYSTEMS, fuzz);
+            }
         }
     }
 }
@@ -373,5 +421,6 @@ fn fast_forward_is_invisible_on_the_bench_shape() {
     assert_ff_equivalent_run::<1>(
         &Workload::Python { optimized: false }.build(32, 1),
         &SYSTEMS,
+        None,
     );
 }
