@@ -118,6 +118,10 @@ impl Line {
     }
 }
 
+/// Sets per chunk of the row index. A power of two, so the index math in
+/// [`CacheArray::row`] is a shift and a mask.
+const CHUNK: usize = 64;
+
 /// A set-associative tag array.
 ///
 /// The array tracks *presence* and speculative bits only; block data lives in
@@ -126,16 +130,27 @@ impl Line {
 /// speculative state stays resident as long as possible (evicted speculative
 /// permissions are retained by the memory system's permissions-only cache).
 ///
-/// Storage is a lazy slab: a set costs four bytes until a block is first
-/// inserted into it, and only then gets a row of `ways` slots at the end of
-/// one shared vector. A run touches a small fraction of the 4 352 sets a
-/// Table 1 core has, and a 1024-core machine has 2 048 of these arrays.
+/// Storage is a lazy slab under a two-level index: a set gets a row of
+/// `ways` slots at the end of one shared vector when a block is first
+/// inserted into it, and a chunk of 64 sets (`CHUNK`) gets its row offsets
+/// when a block is first inserted into any of them. A set in a chunk no
+/// run ever touched costs a sixteenth of a byte. A run touches a small
+/// fraction of the 4 352 sets a Table 1 core has, and a 1024-core machine
+/// has 2 048 of these arrays.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
-    /// Per set, where its row starts in `lines`; 0 = never touched. Stored
-    /// as the offset, not the row number, so a lookup goes from this load
-    /// to the line's address without a multiply by `ways`.
+    /// Per chunk of [`CHUNK`] sets, where its row offsets start in `rows`;
+    /// 0 = no set in the chunk was ever touched.
+    top: Vec<u32>,
+    /// Chunks of [`CHUNK`] row offsets: per set, where its row starts in
+    /// `lines`, 0 = never touched. Chunk 0 belongs to no set and stays all
+    /// zero, so a lookup in an untouched chunk needs no branch: it reads
+    /// offset 0 there. Stored as the offset, not the row number, so a
+    /// lookup goes from this load to the line's address without a multiply
+    /// by `ways`. Chunks follow in first-touch order, each appended with
+    /// `reserve_exact`, so touching every chunk costs the flat per-set
+    /// array plus one chunk.
     rows: Vec<u32>,
     /// Rows of `ways` slots. Row 0 belongs to no set and stays vacant, so
     /// a lookup in a never-touched set needs no branch: it scans that row
@@ -154,14 +169,16 @@ impl CacheArray {
     /// Panics if the geometry has more lines than a `u32` row offset can name.
     pub fn new(geometry: CacheGeometry) -> Self {
         assert!(
-            u32::try_from((geometry.sets + 1) * geometry.ways).is_ok(),
+            u32::try_from((geometry.sets + 1) * geometry.ways).is_ok()
+                && u32::try_from(geometry.sets + 2 * CHUNK).is_ok(),
             "{} sets of {} ways exceed the u32 row offset",
             geometry.sets,
             geometry.ways
         );
         CacheArray {
             geometry,
-            rows: vec![0; geometry.sets],
+            top: vec![0; geometry.sets.div_ceil(CHUNK)],
+            rows: vec![0; CHUNK],
             lines: vec![Line::VACANT; geometry.ways],
             tick: 0,
         }
@@ -172,12 +189,19 @@ impl CacheArray {
         self.geometry
     }
 
+    /// Where `set`'s row offset lives in `rows`: in the vacant chunk 0 if
+    /// no set of its chunk was ever touched.
+    #[inline]
+    fn slot(&self, set: usize) -> usize {
+        self.top[set / CHUNK] as usize + set % CHUNK
+    }
+
     /// Where `block`'s set lives in `lines`: the vacant row 0 if it was
     /// never touched.
     #[inline]
     fn row(&self, block: BlockAddr) -> Range<usize> {
         debug_assert_ne!(block, VACANT, "the vacant-slot sentinel is not a block");
-        let start = self.rows[self.geometry.set_of(block)] as usize;
+        let start = self.rows[self.slot(self.geometry.set_of(block))] as usize;
         start..start + self.geometry.ways
     }
 
@@ -209,6 +233,22 @@ impl CacheArray {
         self.line(block).map(|l| l.spec)
     }
 
+    /// Marks `block` most-recently-used and ORs `bits` into its speculative
+    /// bits, in one scan of its set: [`touch`](Self::touch) then
+    /// [`mark_spec`](Self::mark_spec). Returns `false`, changing nothing,
+    /// if the block is not present.
+    pub fn hit(&mut self, block: BlockAddr, bits: SpecBits) -> bool {
+        let tick = self.tick + 1;
+        if let Some(line) = self.line_mut(block) {
+            line.lru = tick;
+            line.spec.merge(bits);
+            self.tick = tick;
+            true
+        } else {
+            false
+        }
+    }
+
     /// Marks `block` most-recently-used and returns whether it was present.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         self.tick += 1;
@@ -234,11 +274,22 @@ impl CacheArray {
         let ways = self.geometry.ways;
         let mut row = self.row(block);
         if row.start == 0 {
-            // First touch: the set gets the next row of the slab.
+            // First touch: the set gets the next row of the slab, and its
+            // chunk the next chunk of offsets if it has none yet.
+            let set = self.geometry.set_of(block);
+            if self.top[set / CHUNK] == 0 {
+                let start = self.rows.len();
+                self.rows.reserve_exact(CHUNK);
+                self.rows.resize(start + CHUNK, 0);
+                // At most one chunk per chunk of sets, and `new` checked
+                // that all fit u32.
+                self.top[set / CHUNK] = start as u32;
+            }
             row = self.lines.len()..self.lines.len() + ways;
             self.lines.resize(row.end, Line::VACANT);
             // At most one row per set, and `new` checked that all fit u32.
-            self.rows[self.geometry.set_of(block)] = row.start as u32;
+            let slot = self.slot(set);
+            self.rows[slot] = row.start as u32;
         }
         let set = &mut self.lines[row];
         for line in set.iter_mut() {
@@ -482,6 +533,56 @@ mod tests {
                 written: false
             }
         ));
+    }
+
+    #[test]
+    fn untouched_chunk_misses_through_the_vacant_chunk() {
+        // Three chunks of sets; only the first is ever touched.
+        let mut c = CacheArray::new(CacheGeometry {
+            sets: 3 * CHUNK,
+            ways: 2,
+        });
+        c.insert(BlockAddr(1));
+        let far = BlockAddr(2 * CHUNK as u64 + 5);
+        assert_eq!(c.top[2], 0, "the third chunk has no offsets of its own");
+        assert_eq!(c.row(far), 0..2, "its sets read the vacant row");
+        assert!(!c.contains(far));
+        assert!(!c.touch(far));
+        assert!(!c.hit(far, SpecBits::READ));
+        assert!(!c.mark_spec(far, SpecBits::WRITTEN));
+        assert!(c.remove(far).is_none());
+        assert_eq!(c.rows.len(), 2 * CHUNK, "a miss allocates nothing");
+        assert!(
+            c.rows[..CHUNK].iter().all(|&r| r == 0),
+            "chunk 0 stays vacant"
+        );
+    }
+
+    #[test]
+    fn first_insert_into_a_second_chunk_keeps_the_first_chunks_rows() {
+        let geometry = CacheGeometry {
+            sets: 2 * CHUNK + 7,
+            ways: 2,
+        };
+        let mut c = CacheArray::new(geometry);
+        let first: Vec<BlockAddr> = (0..CHUNK as u64).step_by(3).map(BlockAddr).collect();
+        for &b in &first {
+            c.insert(b);
+        }
+        c.mark_spec(first[1], SpecBits::READ);
+        let before = c.rows[CHUNK..2 * CHUNK].to_vec();
+        // The last, partial chunk.
+        let last = BlockAddr(2 * CHUNK as u64 + 6);
+        assert!(c.insert(last).is_none());
+        assert_eq!(c.rows.len(), 3 * CHUNK);
+        assert_eq!(c.rows.capacity(), 3 * CHUNK, "chunks grow by reserve_exact");
+        assert_eq!(c.rows[CHUNK..2 * CHUNK], before[..]);
+        for &b in &first {
+            assert!(c.contains(b), "{b:?}");
+        }
+        assert_eq!(c.spec_bits(first[1]), Some(SpecBits::READ));
+        assert!(c.contains(last));
+        assert_eq!(c.len(), first.len() + 1);
     }
 
     #[test]
