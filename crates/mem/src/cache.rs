@@ -118,9 +118,9 @@ impl Line {
     }
 }
 
-/// Sets per chunk of the row index. A power of two, so the index math in
-/// [`CacheArray::row`] is a shift and a mask.
-const CHUNK: usize = 64;
+/// Touched sets a [`CacheArray`] finds through its short list before it
+/// allocates the per-set row index: a 64-byte list to scan.
+const SPARSE: usize = 16;
 
 /// A set-associative tag array.
 ///
@@ -130,28 +130,24 @@ const CHUNK: usize = 64;
 /// speculative state stays resident as long as possible (evicted speculative
 /// permissions are retained by the memory system's permissions-only cache).
 ///
-/// Storage is a lazy slab under a two-level index: a set gets a row of
-/// `ways` slots at the end of one shared vector when a block is first
-/// inserted into it, and a chunk of 64 sets (`CHUNK`) gets its row offsets
-/// when a block is first inserted into any of them. A set in a chunk no
-/// run ever touched costs a sixteenth of a byte. A run touches a small
-/// fraction of the 4 352 sets a Table 1 core has, and a 1024-core machine
-/// has 2 048 of these arrays.
+/// Storage is a lazy slab: a set gets a row of `ways` slots at the end of
+/// one shared vector when a block is first inserted into it. The first
+/// 16 touched sets (`SPARSE`) are found through a list of their numbers; the
+/// next one allocates a 4-byte row offset per set and the list goes. An
+/// array that touches a handful of sets — a 1024-core `scaling_xl` core
+/// touches one of its 4 352 — never pays for the per-set index, and one
+/// that touches more gets a lookup with no list to scan.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
-    /// Per chunk of [`CHUNK`] sets, where its row offsets start in `rows`;
-    /// 0 = no set in the chunk was ever touched.
-    top: Vec<u32>,
-    /// Chunks of [`CHUNK`] row offsets: per set, where its row starts in
-    /// `lines`, 0 = never touched. Chunk 0 belongs to no set and stays all
-    /// zero, so a lookup in an untouched chunk needs no branch: it reads
-    /// offset 0 there. Stored as the offset, not the row number, so a
-    /// lookup goes from this load to the line's address without a multiply
-    /// by `ways`. Chunks follow in first-touch order, each appended with
-    /// `reserve_exact`, so touching every chunk costs the flat per-set
-    /// array plus one chunk.
+    /// Per set, where its row starts in `lines`; 0 = never touched. Stored
+    /// as the offset, not the row number, so a lookup goes from this load
+    /// to the line's address without a multiply by `ways`. Empty while
+    /// `sparse` names the touched sets.
     rows: Vec<u32>,
+    /// Until more than [`SPARSE`] sets are touched: the touched sets in
+    /// row order, set `sparse[i]` owning row `i + 1`. Empty after.
+    sparse: Vec<u32>,
     /// Rows of `ways` slots. Row 0 belongs to no set and stays vacant, so
     /// a lookup in a never-touched set needs no branch: it scans that row
     /// and finds nothing. The touched sets' rows follow in first-touch
@@ -169,16 +165,15 @@ impl CacheArray {
     /// Panics if the geometry has more lines than a `u32` row offset can name.
     pub fn new(geometry: CacheGeometry) -> Self {
         assert!(
-            u32::try_from((geometry.sets + 1) * geometry.ways).is_ok()
-                && u32::try_from(geometry.sets + 2 * CHUNK).is_ok(),
+            u32::try_from((geometry.sets + 1) * geometry.ways).is_ok(),
             "{} sets of {} ways exceed the u32 row offset",
             geometry.sets,
             geometry.ways
         );
         CacheArray {
             geometry,
-            top: vec![0; geometry.sets.div_ceil(CHUNK)],
-            rows: vec![0; CHUNK],
+            rows: Vec::new(),
+            sparse: Vec::new(),
             lines: vec![Line::VACANT; geometry.ways],
             tick: 0,
         }
@@ -189,20 +184,22 @@ impl CacheArray {
         self.geometry
     }
 
-    /// Where `set`'s row offset lives in `rows`: in the vacant chunk 0 if
-    /// no set of its chunk was ever touched.
-    #[inline]
-    fn slot(&self, set: usize) -> usize {
-        self.top[set / CHUNK] as usize + set % CHUNK
-    }
-
     /// Where `block`'s set lives in `lines`: the vacant row 0 if it was
     /// never touched.
     #[inline]
     fn row(&self, block: BlockAddr) -> Range<usize> {
         debug_assert_ne!(block, VACANT, "the vacant-slot sentinel is not a block");
-        let start = self.rows[self.slot(self.geometry.set_of(block))] as usize;
-        start..start + self.geometry.ways
+        let set = self.geometry.set_of(block);
+        let ways = self.geometry.ways;
+        let start = if self.rows.is_empty() {
+            self.sparse
+                .iter()
+                .position(|&s| s as usize == set)
+                .map_or(0, |i| (i + 1) * ways)
+        } else {
+            self.rows[set] as usize
+        };
+        start..start + ways
     }
 
     /// The line holding `block`, if it is resident.
@@ -233,22 +230,6 @@ impl CacheArray {
         self.line(block).map(|l| l.spec)
     }
 
-    /// Marks `block` most-recently-used and ORs `bits` into its speculative
-    /// bits, in one scan of its set: [`touch`](Self::touch) then
-    /// [`mark_spec`](Self::mark_spec). Returns `false`, changing nothing,
-    /// if the block is not present.
-    pub fn hit(&mut self, block: BlockAddr, bits: SpecBits) -> bool {
-        let tick = self.tick + 1;
-        if let Some(line) = self.line_mut(block) {
-            line.lru = tick;
-            line.spec.merge(bits);
-            self.tick = tick;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Marks `block` most-recently-used and returns whether it was present.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         self.tick += 1;
@@ -274,22 +255,23 @@ impl CacheArray {
         let ways = self.geometry.ways;
         let mut row = self.row(block);
         if row.start == 0 {
-            // First touch: the set gets the next row of the slab, and its
-            // chunk the next chunk of offsets if it has none yet.
+            // First touch: the set gets the next row of the slab.
             let set = self.geometry.set_of(block);
-            if self.top[set / CHUNK] == 0 {
-                let start = self.rows.len();
-                self.rows.reserve_exact(CHUNK);
-                self.rows.resize(start + CHUNK, 0);
-                // At most one chunk per chunk of sets, and `new` checked
-                // that all fit u32.
-                self.top[set / CHUNK] = start as u32;
-            }
             row = self.lines.len()..self.lines.len() + ways;
             self.lines.resize(row.end, Line::VACANT);
             // At most one row per set, and `new` checked that all fit u32.
-            let slot = self.slot(set);
-            self.rows[slot] = row.start as u32;
+            if self.rows.is_empty() && self.sparse.len() < SPARSE {
+                self.sparse.push(set as u32);
+            } else {
+                if self.rows.is_empty() {
+                    self.rows = vec![0; self.geometry.sets];
+                    for (i, &s) in self.sparse.iter().enumerate() {
+                        self.rows[s as usize] = ((i + 1) * ways) as u32;
+                    }
+                    self.sparse = Vec::new();
+                }
+                self.rows[set] = row.start as u32;
+            }
         }
         let set = &mut self.lines[row];
         for line in set.iter_mut() {
@@ -536,53 +518,50 @@ mod tests {
     }
 
     #[test]
-    fn untouched_chunk_misses_through_the_vacant_chunk() {
-        // Three chunks of sets; only the first is ever touched.
+    fn a_few_touched_sets_need_no_per_set_index() {
         let mut c = CacheArray::new(CacheGeometry {
-            sets: 3 * CHUNK,
+            sets: 4096,
             ways: 2,
         });
-        c.insert(BlockAddr(1));
-        let far = BlockAddr(2 * CHUNK as u64 + 5);
-        assert_eq!(c.top[2], 0, "the third chunk has no offsets of its own");
-        assert_eq!(c.row(far), 0..2, "its sets read the vacant row");
+        let touched: Vec<BlockAddr> = (0..SPARSE as u64).map(|i| BlockAddr(i * 251)).collect();
+        for &b in &touched {
+            assert!(c.insert(b).is_none());
+        }
+        assert!(c.rows.is_empty(), "no per-set index yet");
+        assert_eq!(c.sparse.len(), SPARSE);
+        let far = BlockAddr(4095);
+        assert_eq!(c.row(far), 0..2, "an untouched set reads the vacant row");
         assert!(!c.contains(far));
         assert!(!c.touch(far));
-        assert!(!c.hit(far, SpecBits::READ));
         assert!(!c.mark_spec(far, SpecBits::WRITTEN));
         assert!(c.remove(far).is_none());
-        assert_eq!(c.rows.len(), 2 * CHUNK, "a miss allocates nothing");
-        assert!(
-            c.rows[..CHUNK].iter().all(|&r| r == 0),
-            "chunk 0 stays vacant"
-        );
+        assert!(c.rows.is_empty(), "a miss allocates nothing");
+        for &b in &touched {
+            assert!(c.contains(b), "{b:?}");
+        }
     }
 
     #[test]
-    fn first_insert_into_a_second_chunk_keeps_the_first_chunks_rows() {
-        let geometry = CacheGeometry {
-            sets: 2 * CHUNK + 7,
-            ways: 2,
-        };
+    fn the_set_after_the_list_indexes_every_set_and_keeps_the_rows() {
+        let geometry = CacheGeometry { sets: 200, ways: 2 };
         let mut c = CacheArray::new(geometry);
-        let first: Vec<BlockAddr> = (0..CHUNK as u64).step_by(3).map(BlockAddr).collect();
+        let first: Vec<BlockAddr> = (0..SPARSE as u64).map(|i| BlockAddr(i * 7)).collect();
         for &b in &first {
             c.insert(b);
         }
-        c.mark_spec(first[1], SpecBits::READ);
-        let before = c.rows[CHUNK..2 * CHUNK].to_vec();
-        // The last, partial chunk.
-        let last = BlockAddr(2 * CHUNK as u64 + 6);
+        // A second block in the first set, and speculative bits on it.
+        c.insert(BlockAddr(200));
+        c.mark_spec(BlockAddr(200), SpecBits::READ);
+        let last = BlockAddr(199);
         assert!(c.insert(last).is_none());
-        assert_eq!(c.rows.len(), 3 * CHUNK);
-        assert_eq!(c.rows.capacity(), 3 * CHUNK, "chunks grow by reserve_exact");
-        assert_eq!(c.rows[CHUNK..2 * CHUNK], before[..]);
-        for &b in &first {
+        assert!(c.sparse.is_empty(), "the list goes");
+        assert_eq!(c.rows.len(), geometry.sets);
+        for &b in first.iter().chain([BlockAddr(200), last].iter()) {
             assert!(c.contains(b), "{b:?}");
         }
-        assert_eq!(c.spec_bits(first[1]), Some(SpecBits::READ));
-        assert!(c.contains(last));
-        assert_eq!(c.len(), first.len() + 1);
+        assert_eq!(c.spec_bits(BlockAddr(200)), Some(SpecBits::READ));
+        assert_eq!(c.len(), first.len() + 2);
+        assert!(!c.contains(BlockAddr(198)), "an untouched set still misses");
     }
 
     #[test]

@@ -146,16 +146,6 @@ impl AccessPlan {
     }
 }
 
-/// The speculative bit an access of `kind` sets: none unless `speculative`.
-#[inline]
-fn access_bits(kind: AccessKind, speculative: bool) -> SpecBits {
-    match (speculative, kind) {
-        (false, _) => SpecBits::NONE,
-        (true, AccessKind::Read) => SpecBits::READ,
-        (true, AccessKind::Write) => SpecBits::WRITTEN,
-    }
-}
-
 /// Which cores watch which blocks, and which were woken (see
 /// [`MemorySystem`], "Watchers").
 #[derive(Debug, Clone, Default)]
@@ -317,27 +307,15 @@ impl<const N: usize> MemorySystem<N> {
     }
 
     fn classify(&self, core: CoreId, block: BlockAddr, kind: AccessKind) -> Service {
-        let upgrade = self.needs_upgrade(core, block, kind);
-        self.service(core, block, upgrade, self.l1[core.0].contains(block))
-    }
-
-    /// `true` for a write to a block `core` does not hold modified.
-    #[inline]
-    fn needs_upgrade(&self, core: CoreId, block: BlockAddr, kind: AccessKind) -> bool {
-        kind == AccessKind::Write && !self.dir.holds_modified(core, block)
-    }
-
-    /// Where an access is serviced, given whether it needs an upgrade and
-    /// whether `block` is in `core`'s L1.
-    fn service(&self, core: CoreId, block: BlockAddr, upgrade: bool, in_l1: bool) -> Service {
-        if in_l1 {
-            if upgrade {
+        let needs_exclusive = kind == AccessKind::Write;
+        if self.l1[core.0].contains(block) {
+            if needs_exclusive && !self.dir.holds_modified(core, block) {
                 Service::L1Upgrade
             } else {
                 Service::L1Hit
             }
         } else if self.l2[core.0].contains(block) {
-            if upgrade {
+            if needs_exclusive && !self.dir.holds_modified(core, block) {
                 Service::L2HitUpgrade
             } else {
                 Service::L2Hit
@@ -444,45 +422,8 @@ impl<const N: usize> MemorySystem<N> {
     /// speculative bits (the protocol must resolve conflicts first).
     pub fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind, speculative: bool) -> u64 {
         let block = addr.block();
-        let bits = access_bits(kind, speculative);
-        let upgrade = self.needs_upgrade(core, block, kind);
-        // An L1 hit probes each level once: `hit` refreshes the L1 line and
-        // ORs in its bits in one scan.
-        if !upgrade && self.l1[core.0].hit(block, bits) {
-            return self.finish_l1_hit(core, addr, kind, bits);
-        }
-        // A failed `hit` has shown the block is not in L1.
-        let in_l1 = upgrade && self.l1[core.0].contains(block);
-        let service = self.service(core, block, upgrade, in_l1);
-        self.perform(core, addr, kind, bits, service)
-    }
-
-    /// The rest of an L1 hit whose line [`CacheArray::hit`] already
-    /// refreshed: what [`perform`](Self::perform) does for
-    /// [`Service::L1Hit`], minus what cannot change. The grant is a no-op
-    /// (the core holds the block, modified if it writes), the L2 fill only
-    /// refreshes recency (inclusion), and the L1 fill and line-bit mark
-    /// were the `hit`.
-    fn finish_l1_hit(&mut self, core: CoreId, addr: Addr, kind: AccessKind, bits: SpecBits) -> u64 {
-        let block = addr.block();
-        debug_assert!(
-            !self.has_conflicts(core, addr, kind),
-            "access by {core} to {addr:?} with unresolved conflicts: {:?}",
-            self.conflicts(core, addr, kind)
-        );
-        debug_assert!(
-            self.dir.holds(core, block),
-            "an L1 line without a directory holding: a grant would change it"
-        );
-        let in_l2 = self.l2[core.0].touch(block);
-        debug_assert!(in_l2, "inclusion");
-        if bits.any() && self.spec.mark(core.0, block.0, bits) {
-            self.wake_watchers(block);
-        }
-        let st = &mut self.stats[core.0];
-        st.accesses += 1;
-        st.l1_hits += 1;
-        self.cfg.latency.l1_hit
+        let service = self.classify(core, block, kind);
+        self.perform(core, addr, kind, speculative, service)
     }
 
     /// Performs a conflict-free planned access, reusing the classification
@@ -504,8 +445,7 @@ impl<const N: usize> MemorySystem<N> {
             plan.service,
             "stale AccessPlan: state changed since plan() was taken"
         );
-        let bits = access_bits(plan.kind, speculative);
-        self.perform(plan.core, plan.addr, plan.kind, bits, plan.service)
+        self.perform(plan.core, plan.addr, plan.kind, speculative, plan.service)
     }
 
     fn perform(
@@ -513,7 +453,7 @@ impl<const N: usize> MemorySystem<N> {
         core: CoreId,
         addr: Addr,
         kind: AccessKind,
-        bits: SpecBits,
+        speculative: bool,
         service: Service,
     ) -> u64 {
         let block = addr.block();
@@ -546,8 +486,14 @@ impl<const N: usize> MemorySystem<N> {
         // Fill local caches (L2 then L1, maintaining inclusion).
         self.fill(core, block);
 
-        // Speculative bit update (none for a non-speculative access).
-        self.mark_spec(core, block, bits);
+        // Speculative bit update.
+        if speculative {
+            let bits = match kind {
+                AccessKind::Read => SpecBits::READ,
+                AccessKind::Write => SpecBits::WRITTEN,
+            };
+            self.mark_spec(core, block, bits);
+        }
 
         // Statistics.
         let st = &mut self.stats[core.0];

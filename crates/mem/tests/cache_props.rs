@@ -1,6 +1,7 @@
 //! Model-based property tests for the cache array and directory, and the
-//! differential test of the slab-backed `CacheArray` (and its two-level row
-//! index) against the `Vec<Vec<Line>>` implementation it replaced.
+//! differential test of the slab-backed `CacheArray` (its short list of
+//! touched sets, then its per-set row index) against the `Vec<Vec<Line>>`
+//! implementation it replaced.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,12 +71,6 @@ impl RefCache {
         } else {
             false
         }
-    }
-
-    /// `CacheArray::hit` as the two calls it fuses: a present block is
-    /// touched, then marked.
-    fn hit(&mut self, block: BlockAddr, bits: SpecBits) -> bool {
-        self.contains(block) && self.touch(block) && self.mark_spec(block, bits)
     }
 
     /// Inserts `block` (MRU position), evicting the LRU line if the set is
@@ -215,36 +210,33 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 }
 
 /// One operation of the differential test. Blocks are named by a set
-/// selector and a tag so that every geometry sees the same pressure: six
-/// sets at most, eight tags each — more than any tested associativity.
+/// selector and a tag so that every geometry sees the same pressure:
+/// twenty-four sets at most, eight tags each — more than any tested
+/// associativity.
 #[derive(Debug, Clone, Copy)]
 enum DiffOp {
     Insert(u64, u64),
     Touch(u64, u64),
-    Hit(u64, u64, bool, bool),
     Remove(u64, u64),
     MarkSpec(u64, u64, bool, bool),
     ClearSpec(u64, u64),
     ClearAllSpec,
 }
 
-const DIFF_SELECTORS: u64 = 6;
+const DIFF_SELECTORS: u64 = 24;
 const DIFF_TAGS: u64 = 8;
 
-/// The set a selector names, reduced modulo the geometry's set count: four
-/// in the first 64-set chunk of the row index, paired 32 apart so that a
-/// wrong offset inside a chunk puts two of them in one row, then the middle
-/// set and the last, which lies in the last (possibly partial) chunk.
+/// The set a selector names, reduced modulo the geometry's set count:
+/// more distinct sets than the short list of touched sets holds, so a run
+/// crosses into the per-set index part way; the first set, the last and
+/// the rest spread between them.
 fn diff_block(geometry: CacheGeometry, selector: u64, tag: u64) -> BlockAddr {
     let sets = geometry.sets as u64;
     let set = match selector {
         0 => 0,
-        1 => 7,
-        2 => 32,
-        3 => 39,
-        4 => sets / 2,
-        _ => sets - 1,
-    } % sets;
+        1 => sets - 1,
+        s => s * 37 % sets,
+    };
     BlockAddr(set + sets * tag)
 }
 
@@ -255,7 +247,6 @@ fn diff_op() -> impl Strategy<Value = DiffOp> {
         block().prop_map(|(s, t)| DiffOp::Insert(s, t)),
         block().prop_map(|(s, t)| DiffOp::Insert(s, t)),
         block().prop_map(|(s, t)| DiffOp::Touch(s, t)),
-        (block(), any::<bool>(), any::<bool>()).prop_map(|((s, t), r, w)| DiffOp::Hit(s, t, r, w)),
         block().prop_map(|(s, t)| DiffOp::Remove(s, t)),
         (block(), any::<bool>(), any::<bool>())
             .prop_map(|((s, t), r, w)| DiffOp::MarkSpec(s, t, r, w)),
@@ -278,7 +269,6 @@ proptest! {
     /// covered — and on every observable after every operation.
     #[test]
     fn slab_matches_reference_implementation(ops in proptest::collection::vec(diff_op(), 1..300)) {
-        // (200, 4) is three full chunks of the row index and a partial one.
         for (sets, ways) in [(1, 1), (4, 2), (3, 5), (256, 4), (200, 4), (4096, 4)] {
             let geometry = CacheGeometry { sets, ways };
             let mut slab = CacheArray::new(geometry);
@@ -292,14 +282,6 @@ proptest! {
                     }
                     DiffOp::Touch(s, t) => {
                         prop_assert_eq!(slab.touch(at(s, t)), reference.touch(at(s, t)), "{:?}", op);
-                    }
-                    DiffOp::Hit(s, t, read, written) => {
-                        let bits = SpecBits { read, written };
-                        prop_assert_eq!(
-                            slab.hit(at(s, t), bits),
-                            reference.hit(at(s, t), bits),
-                            "{:?}", op
-                        );
                     }
                     DiffOp::Remove(s, t) => {
                         prop_assert_eq!(slab.remove(at(s, t)), reference.remove(at(s, t)), "{:?}", op);

@@ -1,12 +1,12 @@
 //! The machine's heap footprint, pinned: a machine pays for the cache sets
 //! its run touches, not for the 4 352 sets per core the Table 1 hierarchy
-//! has — neither in lines nor in the index over them. Ceilings sit between
-//! the chunked row index's numbers and the flat per-set index it replaced
-//! (EXPERIMENTS.md, "Machine footprint"), so a per-set cost creeping back
-//! fails here first. One run's peak live heap is pinned the same way, so a
-//! per-transaction table that grows with the address space instead of the
-//! footprint fails here too, and so does an index that grows by more than
-//! the chunks a run touches.
+//! has — neither in lines nor, for an array that touches a handful of
+//! sets, in the index over them. Ceilings sit between these numbers and
+//! the always-allocated per-set index of before (EXPERIMENTS.md, "Machine
+//! footprint"), so a per-set cost creeping back fails here first. One
+//! run's peak live heap is pinned the same way, so a per-transaction table
+//! that grows with the address space instead of the footprint fails here
+//! too, and so does a row index that costs more than one offset per set.
 //!
 //! Bytes are what the program requested from the allocator (counted by the
 //! vendored `alloc-counter`), not resident pages: exact and host-independent.
@@ -46,10 +46,9 @@ fn machine_footprint_stays_within_budget() {
     // whole process, so nothing bigger may have been built before. 34.3 MiB
     // when each core's undo log, write buffer and value log indexed words
     // through a dense array grown to the highest word it ever logged;
-    // 3 697 503 bytes with the flat per-set row index, and 4 051 808 when
-    // the chunked index grew its chunks with a plain `resize` (amortized
-    // doubling) instead of `reserve_exact`. The ceiling is the flat index's
-    // peak plus 1 %.
+    // 3 697 503 bytes when every array allocated its per-set row index up
+    // front. Here every array of the run outgrows its short list, so the
+    // ceiling is that peak plus 1 %.
     let vacation = Workload::Vacation {
         optimized: false,
         resizable: false,
@@ -72,7 +71,7 @@ fn machine_footprint_stays_within_budget() {
 
     // The EXPERIMENTS.md table (`--nocapture` shows it). 1024 cores, the
     // 16-word CoreSet class: 105.5 MiB with eager sets, 20.6 MiB with a
-    // flat per-set row index.
+    // per-set row index allocated up front.
     let by_cores = [
         (8, scaling_xl_machine_bytes::<1>(8)),
         (32, scaling_xl_machine_bytes::<1>(32)),
@@ -88,8 +87,8 @@ fn machine_footprint_stays_within_budget() {
         "a 1024-core scaling_xl machine allocated {bytes} bytes (> 8 MiB)"
     );
 
-    // 32 cores: 3.59 MiB with eager sets, 0.93 MiB with a flat per-set
-    // row index.
+    // 32 cores: 3.59 MiB with eager sets, 0.93 MiB with a per-set row
+    // index allocated up front.
     let python = Workload::Python { optimized: false }.build(32, 42);
     let (mut machine, bytes) = retcon_machine::<1>(&python);
     println!("python machine, 32 cores: {bytes} bytes");
