@@ -88,33 +88,48 @@ impl CacheGeometry {
     }
 }
 
-/// One way of one touched set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    block: BlockAddr,
-    spec: SpecBits,
-    /// Larger = more recently used.
-    lru: u64,
+/// One way of one touched set, in one word: the block in bits 0–60
+/// (block = word address / 8 < 2^61), the read bit in bit 62, the written
+/// bit in bit 63. Bit 61 is set only in [`VACANT`].
+type Line = u64;
+
+const _: () = assert!(std::mem::size_of::<Line>() == 8, "a line is one word");
+
+const READ: Line = 1 << 62;
+const WRITTEN: Line = 1 << 63;
+const SPEC: Line = READ | WRITTEN;
+/// The block and bit 61: what a lookup compares, so that no block — not
+/// even the top one, 2^61 − 1 — matches a vacant slot.
+const TAG: Line = READ - 1;
+
+/// A slot that holds no block, the only line with bit 61 set. A row needs
+/// no length beside it: its occupied slots come first and the vacant ones
+/// after.
+const VACANT: Line = Line::MAX;
+
+/// Puts `line` in front of `set`'s first `at` lines, shifting them back one
+/// slot over slot `at`: the shift a hit, fill or eviction makes.
+#[inline]
+fn to_front(set: &mut [Line], at: usize, line: Line) {
+    let set = &mut set[..=at];
+    for i in (1..set.len()).rev() {
+        set[i] = set[i - 1];
+    }
+    set[0] = line;
 }
 
-/// Block id marking a slot that holds no block. No address reaches it
-/// (block = word address / 8 < 2^61), so a row needs no length beside it:
-/// its occupied slots come first and a scan ends at the first vacant one.
-const VACANT: BlockAddr = BlockAddr(u64::MAX);
-
-impl Line {
-    const VACANT: Line = Line {
-        block: VACANT,
-        spec: SpecBits::NONE,
-        lru: 0,
-    };
-
-    fn new(block: BlockAddr, lru: u64) -> Line {
-        Line {
-            block,
-            spec: SpecBits::NONE,
-            lru,
+impl SpecBits {
+    #[inline]
+    fn of(line: Line) -> SpecBits {
+        SpecBits {
+            read: line & READ != 0,
+            written: line & WRITTEN != 0,
         }
+    }
+
+    #[inline]
+    fn word(self) -> Line {
+        (Line::from(self.read) * READ) | (Line::from(self.written) * WRITTEN)
     }
 }
 
@@ -130,13 +145,14 @@ const SPARSE: usize = 16;
 /// speculative state stays resident as long as possible (evicted speculative
 /// permissions are retained by the memory system's permissions-only cache).
 ///
-/// Storage is a lazy slab: a set gets a row of `ways` slots at the end of
-/// one shared vector when a block is first inserted into it. The first
-/// 16 touched sets (`SPARSE`) are found through a list of their numbers; the
-/// next one allocates a 4-byte row offset per set and the list goes. An
-/// array that touches a handful of sets — a 1024-core `scaling_xl` core
-/// touches one of its 4 352 — never pays for the per-set index, and one
-/// that touches more gets a lookup with no list to scan.
+/// Storage is a lazy slab: a set gets a row of `ways` one-word lines at the
+/// end of one shared vector when a block is first inserted into it, and
+/// keeps the row in recency order, most recent first. The first 16 touched
+/// sets (`SPARSE`) are found through a list of their numbers; the next one
+/// allocates a 4-byte row offset per set and the list goes. An array that
+/// touches a handful of sets — a 1024-core `scaling_xl` core touches one of
+/// its 4 352 — never pays for the per-set index, and one that touches more
+/// gets a lookup with no list to scan.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
@@ -148,13 +164,12 @@ pub struct CacheArray {
     /// Until more than [`SPARSE`] sets are touched: the touched sets in
     /// row order, set `sparse[i]` owning row `i + 1`. Empty after.
     sparse: Vec<u32>,
-    /// Rows of `ways` slots. Row 0 belongs to no set and stays vacant, so
+    /// Rows of `ways` lines. Row 0 belongs to no set and stays vacant, so
     /// a lookup in a never-touched set needs no branch: it scans that row
     /// and finds nothing. The touched sets' rows follow in first-touch
-    /// order. Within a row the occupied slots come first, the [`VACANT`]
-    /// ones after.
+    /// order. Within a row the occupied lines come first, most recently
+    /// used first, and the [`VACANT`] ones after.
     lines: Vec<Line>,
-    tick: u64,
 }
 
 impl CacheArray {
@@ -174,8 +189,7 @@ impl CacheArray {
             geometry,
             rows: Vec::new(),
             sparse: Vec::new(),
-            lines: vec![Line::VACANT; geometry.ways],
-            tick: 0,
+            lines: vec![VACANT; geometry.ways],
         }
     }
 
@@ -188,7 +202,7 @@ impl CacheArray {
     /// never touched.
     #[inline]
     fn row(&self, block: BlockAddr) -> Range<usize> {
-        debug_assert_ne!(block, VACANT, "the vacant-slot sentinel is not a block");
+        debug_assert!(block.0 < 1 << 61, "{block:?} does not fit a line");
         let set = self.geometry.set_of(block);
         let ways = self.geometry.ways;
         let start = if self.rows.is_empty() {
@@ -204,20 +218,17 @@ impl CacheArray {
 
     /// The line holding `block`, if it is resident.
     #[inline]
-    fn line(&self, block: BlockAddr) -> Option<&Line> {
+    fn line(&self, block: BlockAddr) -> Option<Line> {
         self.lines[self.row(block)]
             .iter()
-            .take_while(|l| l.block != VACANT)
-            .find(|l| l.block == block)
+            .copied()
+            .find(|l| l & TAG == block.0)
     }
 
     #[inline]
     fn line_mut(&mut self, block: BlockAddr) -> Option<&mut Line> {
         let row = self.row(block);
-        self.lines[row]
-            .iter_mut()
-            .take_while(|l| l.block != VACANT)
-            .find(|l| l.block == block)
+        self.lines[row].iter_mut().find(|l| **l & TAG == block.0)
     }
 
     /// `true` if `block` is present.
@@ -227,18 +238,19 @@ impl CacheArray {
 
     /// Returns the speculative bits of `block`, if present.
     pub fn spec_bits(&self, block: BlockAddr) -> Option<SpecBits> {
-        self.line(block).map(|l| l.spec)
+        self.line(block).map(SpecBits::of)
     }
 
     /// Marks `block` most-recently-used and returns whether it was present.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(line) = self.line_mut(block) {
-            line.lru = tick;
-            true
-        } else {
-            false
+        let row = self.row(block);
+        let set = &mut self.lines[row];
+        match set.iter().position(|l| l & TAG == block.0) {
+            Some(at) => {
+                to_front(set, at, set[at]);
+                true
+            }
+            None => false,
         }
     }
 
@@ -250,15 +262,13 @@ impl CacheArray {
     /// bits are returned so the caller can preserve them in the
     /// permissions-only cache.
     pub fn insert(&mut self, block: BlockAddr) -> Option<(BlockAddr, SpecBits)> {
-        self.tick += 1;
-        let tick = self.tick;
         let ways = self.geometry.ways;
         let mut row = self.row(block);
         if row.start == 0 {
             // First touch: the set gets the next row of the slab.
             let set = self.geometry.set_of(block);
             row = self.lines.len()..self.lines.len() + ways;
-            self.lines.resize(row.end, Line::VACANT);
+            self.lines.resize(row.end, VACANT);
             // At most one row per set, and `new` checked that all fit u32.
             if self.rows.is_empty() && self.sparse.len() < SPARSE {
                 self.sparse.push(set as u32);
@@ -274,56 +284,34 @@ impl CacheArray {
             }
         }
         let set = &mut self.lines[row];
-        for line in set.iter_mut() {
-            if line.block == block {
-                line.lru = tick;
-                return None;
+        // Occupied lines are a prefix, so `block` is not past the first
+        // vacant one. A full set without it gives up its least recent line
+        // without speculative bits, else its least recent line.
+        match set.iter().position(|&l| l & TAG == block.0 || l == VACANT) {
+            Some(at) => {
+                let line = if set[at] == VACANT { block.0 } else { set[at] };
+                to_front(set, at, line);
+                None
             }
-            // Occupied slots are a prefix, so `block` is not further on.
-            if line.block == VACANT {
-                *line = Line::new(block, tick);
-                return None;
+            None => {
+                let at = set.iter().rposition(|l| l & SPEC == 0).unwrap_or(ways - 1);
+                let victim = set[at];
+                to_front(set, at, block.0);
+                Some((BlockAddr(victim & TAG), SpecBits::of(victim)))
             }
         }
-        // Prefer the LRU non-speculative line; fall back to the LRU line.
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.spec.any())
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.lru)
-                    .map(|(i, _)| i)
-                    .expect("full set has lines")
-            });
-        let victim = set[victim_idx];
-        // The last line takes the victim's slot and the new one goes last:
-        // the order `swap_remove` + `push` leave.
-        set[victim_idx] = set[ways - 1];
-        set[ways - 1] = Line::new(block, tick);
-        Some((victim.block, victim.spec))
     }
 
     /// Removes `block` if present, returning its speculative bits.
     pub fn remove(&mut self, block: BlockAddr) -> Option<SpecBits> {
         let row = self.row(block);
         let set = &mut self.lines[row];
-        let idx = set
-            .iter()
-            .take_while(|l| l.block != VACANT)
-            .position(|l| l.block == block)?;
-        let spec = set[idx].spec;
-        // Keep the occupied slots a prefix: the last one fills the hole
-        // (`swap_remove`).
-        let len = set[idx..]
-            .iter()
-            .position(|l| l.block == VACANT)
-            .map_or(set.len(), |vacant| idx + vacant);
-        set[idx] = set[len - 1];
-        set[len - 1] = Line::VACANT;
+        let at = set.iter().position(|l| l & TAG == block.0)?;
+        let spec = SpecBits::of(set[at]);
+        // The less recent lines move up one: the order stays, and the
+        // occupied lines stay a prefix.
+        set.copy_within(at + 1.., at);
+        set[set.len() - 1] = VACANT;
         Some(spec)
     }
 
@@ -331,7 +319,7 @@ impl CacheArray {
     /// the block is not present.
     pub fn mark_spec(&mut self, block: BlockAddr, bits: SpecBits) -> bool {
         if let Some(line) = self.line_mut(block) {
-            line.spec.merge(bits);
+            *line |= bits.word();
             true
         } else {
             false
@@ -344,8 +332,8 @@ impl CacheArray {
     /// so a commit clearing N tracked blocks costs O(N), not O(cache).
     pub fn clear_spec(&mut self, block: BlockAddr) -> bool {
         if let Some(line) = self.line_mut(block) {
-            let had = line.spec.any();
-            line.spec = SpecBits::NONE;
+            let had = *line & SPEC != 0;
+            *line &= !SPEC;
             had
         } else {
             false
@@ -356,10 +344,10 @@ impl CacheArray {
     /// many blocks had any bit set. Walks the touched sets only.
     pub fn clear_all_spec(&mut self) -> usize {
         let mut cleared = 0;
-        for line in &mut self.lines {
-            if line.spec.any() {
+        for line in self.lines.iter_mut().filter(|l| **l != VACANT) {
+            if *line & SPEC != 0 {
                 cleared += 1;
-                line.spec = SpecBits::NONE;
+                *line &= !SPEC;
             }
         }
         cleared
@@ -368,21 +356,20 @@ impl CacheArray {
     /// Iterates over resident blocks with at least one speculative bit set,
     /// in no particular order. Walks the touched sets only.
     pub fn spec_blocks(&self) -> impl Iterator<Item = (BlockAddr, SpecBits)> + '_ {
-        // A vacant slot carries no bits, so the filter skips it too.
         self.lines
             .iter()
-            .filter(|l| l.spec.any())
-            .map(|l| (l.block, l.spec))
+            .filter(|&&l| l != VACANT && l & SPEC != 0)
+            .map(|&l| (BlockAddr(l & TAG), SpecBits::of(l)))
     }
 
     /// Number of resident blocks. Walks the touched sets only.
     pub fn len(&self) -> usize {
-        self.lines.iter().filter(|l| l.block != VACANT).count()
+        self.lines.iter().filter(|&&l| l != VACANT).count()
     }
 
     /// `true` if no blocks are resident.
     pub fn is_empty(&self) -> bool {
-        self.lines.iter().all(|l| l.block == VACANT)
+        self.lines.iter().all(|&l| l == VACANT)
     }
 }
 
@@ -562,6 +549,63 @@ mod tests {
         assert_eq!(c.spec_bits(BlockAddr(200)), Some(SpecBits::READ));
         assert_eq!(c.len(), first.len() + 2);
         assert!(!c.contains(BlockAddr(198)), "an untouched set still misses");
+    }
+
+    /// A full 4-way set in which the line at recency position `p` (0 = most
+    /// recent) is the only one without speculative bits gives up that line,
+    /// whatever `p`; with none such it gives up the least recent line.
+    #[test]
+    fn the_victim_is_the_least_recent_non_speculative_line_at_every_position() {
+        for p in 0..=4 {
+            let mut c = CacheArray::new(CacheGeometry { sets: 1, ways: 4 });
+            for b in 0..4 {
+                c.insert(BlockAddr(b));
+            }
+            c.touch(BlockAddr(1));
+            assert!(c.insert(BlockAddr(0)).is_none());
+            // Most recent first.
+            let order = [0, 1, 3, 2].map(BlockAddr);
+            assert_eq!(c.lines[c.row(order[0])], order.map(|b| b.0));
+            for (i, &b) in order.iter().enumerate() {
+                if i != p {
+                    c.mark_spec(b, [SpecBits::READ, SpecBits::WRITTEN][i % 2]);
+                }
+            }
+            let victim = order.get(p).copied().unwrap_or(order[3]);
+            let (evicted, bits) = c.insert(BlockAddr(4)).expect("the set is full");
+            assert_eq!(evicted, victim, "position {p}");
+            assert_eq!(bits.any(), p == 4, "position {p}");
+            assert!(!c.contains(victim));
+            assert_eq!(c.lines[c.row(victim)][0], 4, "the new line is most recent");
+        }
+    }
+
+    #[test]
+    fn the_top_block_is_not_the_vacant_slot_and_keeps_its_bits() {
+        let top = retcon_isa::Addr(u64::MAX).block();
+        assert_eq!(top.0, (1 << 61) - 1);
+        let mut c = CacheArray::new(CacheGeometry { sets: 1, ways: 2 });
+        assert!(!c.contains(top), "the vacant row holds nothing");
+        assert!(c.insert(top).is_none());
+        assert!(c.contains(top));
+        assert_eq!(c.len(), 1, "the vacant slot beside it is not a second copy");
+        assert!(c.mark_spec(top, SpecBits::READ) && c.mark_spec(top, SpecBits::WRITTEN));
+        let both = SpecBits {
+            read: true,
+            written: true,
+        };
+        assert_eq!(c.spec_bits(top), Some(both));
+        assert_eq!(c.spec_blocks().collect::<Vec<_>>(), [(top, both)]);
+        assert!(c.insert(BlockAddr(0)).is_none());
+        assert!(c.touch(top));
+        assert_eq!(c.insert(BlockAddr(1)), Some((BlockAddr(0), SpecBits::NONE)));
+        assert_eq!(c.insert(BlockAddr(2)), Some((BlockAddr(1), SpecBits::NONE)));
+        assert_eq!(c.spec_bits(top), Some(both));
+        assert_eq!(c.clear_all_spec(), 1);
+        assert_eq!(c.spec_bits(top), Some(SpecBits::NONE));
+        assert_eq!(c.remove(top), Some(SpecBits::NONE));
+        assert!(!c.contains(top));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

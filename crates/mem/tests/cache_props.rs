@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use retcon_isa::BlockAddr;
+use retcon_isa::{Addr, BlockAddr};
 use retcon_mem::{CacheArray, CacheGeometry, CoreId, Directory, SpecBits};
 
 /// One way of one set.
@@ -211,7 +211,7 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 
 /// One operation of the differential test. Blocks are named by a set
 /// selector and a tag so that every geometry sees the same pressure:
-/// twenty-four sets at most, eight tags each — more than any tested
+/// twenty-four sets at most, twenty-four tags each — more than any tested
 /// associativity.
 #[derive(Debug, Clone, Copy)]
 enum DiffOp {
@@ -224,12 +224,13 @@ enum DiffOp {
 }
 
 const DIFF_SELECTORS: u64 = 24;
-const DIFF_TAGS: u64 = 8;
+const DIFF_TAGS: u64 = 24;
 
 /// The set a selector names, reduced modulo the geometry's set count:
 /// more distinct sets than the short list of touched sets holds, so a run
 /// crosses into the per-set index part way; the first set, the last and
-/// the rest spread between them.
+/// the rest spread between them. The last tag is the set's highest block
+/// an address reaches, just under the 2^61 a line's block field holds.
 fn diff_block(geometry: CacheGeometry, selector: u64, tag: u64) -> BlockAddr {
     let sets = geometry.sets as u64;
     let set = match selector {
@@ -237,6 +238,10 @@ fn diff_block(geometry: CacheGeometry, selector: u64, tag: u64) -> BlockAddr {
         1 => sets - 1,
         s => s * 37 % sets,
     };
+    if tag == DIFF_TAGS - 1 {
+        let top = Addr(u64::MAX).block().0;
+        return BlockAddr(top - (top - set) % sets);
+    }
     BlockAddr(set + sets * tag)
 }
 
@@ -248,6 +253,10 @@ fn diff_op() -> impl Strategy<Value = DiffOp> {
         block().prop_map(|(s, t)| DiffOp::Insert(s, t)),
         block().prop_map(|(s, t)| DiffOp::Touch(s, t)),
         block().prop_map(|(s, t)| DiffOp::Remove(s, t)),
+        // Twice too, so that a full set is sometimes speculative in every
+        // line and gives up its least recent line by the fall-back.
+        (block(), any::<bool>(), any::<bool>())
+            .prop_map(|((s, t), r, w)| DiffOp::MarkSpec(s, t, r, w)),
         (block(), any::<bool>(), any::<bool>())
             .prop_map(|((s, t), r, w)| DiffOp::MarkSpec(s, t, r, w)),
         block().prop_map(|(s, t)| DiffOp::ClearSpec(s, t)),
@@ -269,8 +278,12 @@ proptest! {
     /// covered — and on every observable after every operation.
     #[test]
     fn slab_matches_reference_implementation(ops in proptest::collection::vec(diff_op(), 1..300)) {
-        for (sets, ways) in [(1, 1), (4, 2), (3, 5), (256, 4), (200, 4), (4096, 4)] {
+        for (sets, ways) in [(1, 1), (4, 2), (3, 5), (2, 8), (5, 8), (1, 16), (2, 16), (256, 4), (200, 4), (4096, 4)] {
             let geometry = CacheGeometry { sets, ways };
+            // Every block the ops can name, once: few sets repeat blocks.
+            let blocks: BTreeSet<BlockAddr> = (0..DIFF_SELECTORS)
+                .flat_map(|s| (0..DIFF_TAGS).map(move |t| diff_block(geometry, s, t)))
+                .collect();
             let mut slab = CacheArray::new(geometry);
             let mut reference = RefCache::new(geometry);
             prop_assert_eq!(slab.geometry(), reference.geometry());
@@ -305,12 +318,9 @@ proptest! {
                         prop_assert_eq!(slab.clear_all_spec(), reference.clear_all_spec());
                     }
                 }
-                for s in 0..DIFF_SELECTORS {
-                    for t in 0..DIFF_TAGS {
-                        let b = at(s, t);
-                        prop_assert_eq!(slab.contains(b), reference.contains(b), "{:?}", b);
-                        prop_assert_eq!(slab.spec_bits(b), reference.spec_bits(b), "{:?}", b);
-                    }
+                for &b in &blocks {
+                    prop_assert_eq!(slab.contains(b), reference.contains(b), "{:?}", b);
+                    prop_assert_eq!(slab.spec_bits(b), reference.spec_bits(b), "{:?}", b);
                 }
                 prop_assert_eq!(slab.len(), reference.len());
                 prop_assert_eq!(slab.is_empty(), reference.is_empty());

@@ -3,10 +3,11 @@
 //! has — neither in lines nor, for an array that touches a handful of
 //! sets, in the index over them. Ceilings sit between these numbers and
 //! the always-allocated per-set index of before (EXPERIMENTS.md, "Machine
-//! footprint"), so a per-set cost creeping back fails here first. One
-//! run's peak live heap is pinned the same way, so a per-transaction table
-//! that grows with the address space instead of the footprint fails here
-//! too, and so does a row index that costs more than one offset per set.
+//! footprint"), so a per-set cost creeping back fails here first. Two
+//! runs' peak live heaps are pinned to 1 % over their measured values, so
+//! a per-transaction table that grows with the address space instead of
+//! the footprint fails here too, and so does a row index that costs more
+//! than one offset per set or a cache line wider than one word.
 //!
 //! Bytes are what the program requested from the allocator (counted by the
 //! vendored `alloc-counter`), not resident pages: exact and host-independent.
@@ -18,6 +19,11 @@ use retcon_workloads::{machine_for_sized, System, Workload, WorkloadSpec};
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 
 const MIB: u64 = 1 << 20;
+
+/// Peak live heap of one vacation@32 lazy-vb run, measured.
+const VACATION_PEAK: u64 = 1_907_015;
+/// Peak live heap of one python@32 RetCon run, measured.
+const PYTHON_PEAK: u64 = 3_226_880;
 
 /// Builds the RetCon machine `spec` runs on and counts the bytes that
 /// requested from the allocator, cumulatively: an upper bound on what the
@@ -37,33 +43,42 @@ fn scaling_xl_machine_bytes<const N: usize>(cores: usize) -> u64 {
     retcon_machine::<N>(&Workload::ScalingXl.build(cores, 42)).1
 }
 
+/// Runs `f` and returns its result and the highest the live heap rose
+/// above where it stood when `f` began.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let base = alloc_counter::live_bytes();
+    alloc_counter::reset_peak_live_bytes();
+    let out = f();
+    (out, alloc_counter::peak_live_bytes() - base)
+}
+
 /// One test function (not several): the counters are process-global, so a
 /// second `#[test]` on a parallel harness thread would land its
 /// allocations inside these windows.
 #[test]
 fn machine_footprint_stays_within_budget() {
-    // Peak live heap first: `peak_live_bytes` is a high-water mark over the
-    // whole process, so nothing bigger may have been built before. 34.3 MiB
-    // when each core's undo log, write buffer and value log indexed words
+    // Peak live heap of building and running the machine: 34.3 MiB when
+    // each core's undo log, write buffer and value log indexed words
     // through a dense array grown to the highest word it ever logged;
-    // 3 697 503 bytes when every array allocated its per-set row index up
-    // front. Here every array of the run outgrows its short list, so the
-    // ceiling is that peak plus 1 %.
+    // 3 480 391 bytes when a tag array's line was 24 bytes (3 699 094 with
+    // the workload's build and the harness counted in). Here every array
+    // of the run outgrows its short list, so the ceiling is this peak
+    // plus 1 %.
     let vacation = Workload::Vacation {
         optimized: false,
         resizable: false,
     }
     .build(32, 42);
-    let mut machine = machine_for_sized::<1>(
-        &vacation,
-        System::LazyVb.protocol_sized::<1>(32),
-        SimConfig::with_cores(32),
-    );
-    machine.run().expect("vacation@32 completes under lazy-vb");
-    drop(machine);
-    let peak = alloc_counter::peak_live_bytes();
+    let ((), peak) = peak_heap(|| {
+        let mut machine = machine_for_sized::<1>(
+            &vacation,
+            System::LazyVb.protocol_sized::<1>(32),
+            SimConfig::with_cores(32),
+        );
+        machine.run().expect("vacation@32 completes under lazy-vb");
+    });
     println!("vacation@32 lazy-vb run: peak live heap {peak} bytes");
-    let ceiling = 3_697_503 * 101 / 100;
+    let ceiling = VACATION_PEAK * 101 / 100;
     assert!(
         peak <= ceiling,
         "a vacation@32 lazy-vb run peaked at {peak} live heap bytes (> {ceiling})"
@@ -88,22 +103,30 @@ fn machine_footprint_stays_within_budget() {
     );
 
     // 32 cores: 3.59 MiB with eager sets, 0.93 MiB with a per-set row
-    // index allocated up front.
+    // index allocated up front. A run: ~72 k allocations when every
+    // touched set was its own Vec; a peak live heap of 6 373 120 bytes
+    // when a tag array's line was 24 bytes. The ceiling is the peak plus
+    // 1 %, as for vacation.
     let python = Workload::Python { optimized: false }.build(32, 42);
-    let (mut machine, bytes) = retcon_machine::<1>(&python);
+    let ((bytes, allocations), peak) = peak_heap(|| {
+        let (mut machine, bytes) = retcon_machine::<1>(&python);
+        let before = alloc_counter::allocations();
+        machine.run().expect("python@32 completes under RetCon");
+        (bytes, alloc_counter::allocations() - before)
+    });
     println!("python machine, 32 cores: {bytes} bytes");
     assert!(
         bytes <= 3 * MIB / 4,
         "a 32-core python machine allocated {bytes} bytes (> 0.75 MiB)"
     );
-
-    // One run: ~72 k allocations when every touched set was its own Vec.
-    let before = alloc_counter::allocations();
-    machine.run().expect("python@32 completes under RetCon");
-    let allocations = alloc_counter::allocations() - before;
-    println!("python@32 RetCon run: {allocations} allocations");
+    println!("python@32 RetCon run: {allocations} allocations, peak live heap {peak} bytes");
     assert!(
         allocations < 50_000,
         "one python@32 RetCon run made {allocations} allocations (>= 50 000)"
+    );
+    let ceiling = PYTHON_PEAK * 101 / 100;
+    assert!(
+        peak <= ceiling,
+        "a python@32 RetCon run peaked at {peak} live heap bytes (> {ceiling})"
     );
 }
