@@ -14,7 +14,7 @@ use retcon_sim::{SimConfig, SimReport};
 use retcon_workloads::{machine_for, System};
 
 use crate::fuzz::{fuzz, FuzzBudget};
-use crate::scenario::{Scenario, SystemUnderTest};
+use crate::scenario::Scenario;
 use crate::search::{bounded_search, SearchBudget};
 
 /// The five-protocol exploration matrix (the cross-protocol smoke set:
@@ -137,13 +137,9 @@ pub struct Campaign {
     /// What to run.
     pub scenario: ScenarioSpec,
     /// Which protocol to drive.
-    pub system: SystemUnderTest,
+    pub system: System,
     /// How to explore.
     pub mode: Mode,
-    /// Whether this campaign *must* find a violation (the mutation-test
-    /// campaigns): the smoke gate fails when an expectation is missed in
-    /// either direction.
-    pub expect_violation: bool,
 }
 
 /// The outcome of one campaign, flattened for records.
@@ -178,14 +174,6 @@ pub struct CampaignResult {
 
 /// How many violation examples a campaign result retains.
 pub const VIOLATION_EXAMPLES: usize = 3;
-
-impl CampaignResult {
-    /// `true` when the campaign met its expectation (violations found
-    /// exactly when expected).
-    pub fn as_expected(&self) -> bool {
-        self.campaign.expect_violation != (self.violations_total == 0)
-    }
-}
 
 /// Runs one campaign. Pure: same campaign, same result.
 pub fn run_campaign(campaign: &Campaign) -> CampaignResult {
@@ -281,9 +269,8 @@ pub fn run_campaigns(campaigns: &[Campaign], workers: usize) -> Vec<CampaignResu
 
 /// The explore suite at a given scale. `quick` is the CI smoke budget —
 /// still >= 10k distinct schedules per protocol (two fuzz campaigns per
-/// system) plus a search campaign per system and the two mutation-test
-/// campaigns; the full suite multiplies the seed ranges and search
-/// budgets.
+/// system) plus a transfer fuzz and a search campaign per system; the
+/// full suite multiplies the seed ranges and search budgets.
 pub fn suite(quick: bool) -> Vec<Campaign> {
     let fuzz_seeds: u64 = if quick { 5_500 } else { 25_000 };
     let search = if quick {
@@ -311,53 +298,32 @@ pub fn suite(quick: bool) -> Vec<Campaign> {
     };
     let mut campaigns = Vec::new();
     for system in MATRIX {
-        let sut = SystemUnderTest::Builtin(system);
         for scenario in [counter, pool] {
             campaigns.push(Campaign {
                 scenario,
-                system: sut,
+                system,
                 mode: Mode::Fuzz(FuzzBudget {
                     base_seed: 1,
                     seeds: fuzz_seeds,
                     window: 2,
                     max_jitter: 3,
                 }),
-                expect_violation: false,
             });
         }
         campaigns.push(Campaign {
             scenario: transfer,
-            system: sut,
+            system,
             mode: Mode::Fuzz(FuzzBudget {
                 base_seed: 1,
                 seeds: if quick { 500 } else { 5_000 },
                 window: 2,
                 max_jitter: 3,
             }),
-            expect_violation: false,
         });
         campaigns.push(Campaign {
             scenario: ScenarioSpec::Counter { cores: 2, iters: 3 },
-            system: sut,
+            system,
             mode: Mode::Search(search),
-            expect_violation: false,
-        });
-    }
-    // Mutation tests: the broken protocol must be flagged by both engines.
-    for mode in [
-        Mode::Search(search),
-        Mode::Fuzz(FuzzBudget {
-            base_seed: 1,
-            seeds: 50,
-            window: 2,
-            max_jitter: 3,
-        }),
-    ] {
-        campaigns.push(Campaign {
-            scenario: ScenarioSpec::Counter { cores: 2, iters: 3 },
-            system: SystemUnderTest::LostUpdate,
-            mode,
-            expect_violation: true,
         });
     }
     campaigns
@@ -373,41 +339,34 @@ mod tests {
         vec![
             Campaign {
                 scenario: ScenarioSpec::Counter { cores: 2, iters: 2 },
-                system: SystemUnderTest::Builtin(System::Eager),
+                system: System::Eager,
                 mode: Mode::Fuzz(FuzzBudget {
                     base_seed: 1,
                     seeds: 25,
                     window: 2,
                     max_jitter: 3,
                 }),
-                expect_violation: false,
             },
             Campaign {
                 scenario: ScenarioSpec::Counter { cores: 2, iters: 2 },
-                system: SystemUnderTest::Builtin(System::Retcon),
+                system: System::Retcon,
                 mode: Mode::Search(SearchBudget {
                     max_schedules: 60,
                     max_branch_points: 20,
                     window: 1,
                 }),
-                expect_violation: false,
-            },
-            Campaign {
-                scenario: ScenarioSpec::Counter { cores: 2, iters: 2 },
-                system: SystemUnderTest::LostUpdate,
-                mode: Mode::Search(SearchBudget::quick()),
-                expect_violation: true,
             },
         ]
     }
 
     #[test]
-    fn campaigns_meet_expectations_and_parallelism_is_transparent() {
+    fn campaigns_pass_their_oracles_and_parallelism_is_transparent() {
         let campaigns = tiny_suite();
         let serial = run_campaigns(&campaigns, 1);
         for r in &serial {
-            assert!(
-                r.as_expected(),
+            assert_eq!(
+                r.violations_total,
+                0,
                 "{} {} {}: violations={:?}",
                 r.campaign.scenario.label(),
                 r.campaign.system.label(),
@@ -421,22 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn suite_covers_every_matrix_protocol_and_the_mutation() {
+    fn suite_covers_every_matrix_protocol() {
         let suite = suite(true);
+        assert_eq!(suite.len(), 4 * MATRIX.len());
         for system in MATRIX {
-            assert!(suite
-                .iter()
-                .any(|c| c.system == SystemUnderTest::Builtin(system)));
+            assert_eq!(suite.iter().filter(|c| c.system == system).count(), 4);
         }
-        assert_eq!(
-            suite
-                .iter()
-                .filter(|c| c.system == SystemUnderTest::LostUpdate)
-                .count(),
-            2
-        );
-        assert!(suite
-            .iter()
-            .all(|c| c.expect_violation == matches!(c.system, SystemUnderTest::LostUpdate)));
     }
 }

@@ -9,9 +9,9 @@
 use std::collections::HashSet;
 
 use retcon_sim::{SeededFuzz, SimConfig};
-use retcon_workloads::machine_for;
+use retcon_workloads::{machine_for, System};
 
-use crate::scenario::{Scenario, SystemUnderTest, Violation};
+use crate::scenario::{Scenario, Violation};
 
 /// How much fuzzing a campaign performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,7 @@ pub struct FuzzOutcome {
 ///
 /// Panics if a run exceeds the simulator cycle cap — explore scenarios
 /// are sized orders of magnitude below it, so a cap hit is a harness bug.
-pub fn fuzz(scenario: &Scenario, system: SystemUnderTest, budget: &FuzzBudget) -> FuzzOutcome {
+pub fn fuzz(scenario: &Scenario, system: System, budget: &FuzzBudget) -> FuzzOutcome {
     let mut fingerprints = HashSet::new();
     let mut outcome = FuzzOutcome {
         runs: 0,
@@ -85,7 +85,6 @@ pub fn fuzz(scenario: &Scenario, system: SystemUnderTest, budget: &FuzzBudget) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retcon_workloads::System;
 
     #[test]
     fn fuzz_is_deterministic_and_schedules_are_distinct() {
@@ -96,30 +95,13 @@ mod tests {
             window: 2,
             max_jitter: 3,
         };
-        let a = fuzz(&scenario, SystemUnderTest::Builtin(System::Eager), &budget);
-        let b = fuzz(&scenario, SystemUnderTest::Builtin(System::Eager), &budget);
+        let a = fuzz(&scenario, System::Eager, &budget);
+        let b = fuzz(&scenario, System::Eager, &budget);
         assert_eq!(a, b);
         assert_eq!(a.runs, 40);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         // Perturbation actually perturbs: nearly every seed is a new
         // interleaving.
         assert!(a.distinct >= 35, "only {} distinct schedules", a.distinct);
-    }
-
-    #[test]
-    fn fuzz_flags_the_lost_update_mutation() {
-        let scenario = Scenario::counter(2, 4);
-        let budget = FuzzBudget {
-            base_seed: 0,
-            seeds: 10,
-            window: 2,
-            max_jitter: 3,
-        };
-        let out = fuzz(&scenario, SystemUnderTest::LostUpdate, &budget);
-        assert!(
-            !out.violations.is_empty(),
-            "the broken protocol survived all seeds"
-        );
-        assert!(out.violations[0].violation.detail.contains("x-counter"));
     }
 }

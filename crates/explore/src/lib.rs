@@ -19,9 +19,10 @@
 //! commutative workloads (which doubles as the cross-protocol agreement
 //! oracle — every protocol is held to the same state), conservation for
 //! transfers, and the protocols' own quiescence invariants
-//! ([`retcon_htm::Protocol::check_quiescent`]). The [`mutation`] module
-//! supplies an intentionally-broken protocol the engines must flag —
-//! the standing mutation test for the oracles themselves.
+//! ([`retcon_sim::Protocol::check_quiescent`]). That the oracles can fail
+//! at all is checked outside the crate, by the mutation catalog under
+//! `tests/mutants/`: patches that break a real protocol, each of which
+//! `scripts/mutate.sh` must see caught.
 //!
 //! `retcon-lab -- explore` fans the campaign suite ([`campaign`]) across
 //! worker threads and emits the standard experiment record shapes.
@@ -31,7 +32,6 @@
 
 pub mod campaign;
 pub mod fuzz;
-pub mod mutation;
 pub mod scenario;
 pub mod search;
 pub mod trace;
@@ -40,7 +40,6 @@ pub use campaign::{
     run_campaign, run_campaigns, suite, Campaign, CampaignResult, Mode, ScenarioSpec, MATRIX,
 };
 pub use fuzz::{fuzz, FuzzBudget, FuzzOutcome, FuzzViolation};
-pub use mutation::LostUpdateTm;
-pub use scenario::{Scenario, SystemUnderTest, Violation};
+pub use scenario::{Scenario, Violation};
 pub use search::{bounded_search, replay, FoundViolation, SearchBudget, SearchOutcome};
 pub use trace::{ChoicePoint, ChoiceTrace, TraceSchedule};

@@ -6,44 +6,9 @@
 //! (transfers). A schedule that fails an oracle therefore witnessed a
 //! genuine serializability violation, never a legal reordering.
 
-use retcon_htm::{AnyProtocol, Protocol};
 use retcon_isa::Addr;
 use retcon_sim::{Machine, SimReport};
-use retcon_workloads::{explore, System, WorkloadSpec};
-
-use crate::mutation::LostUpdateTm;
-
-/// The protocol a campaign explores: a built-in [`System`], or the
-/// intentionally-broken mutation shim (which exercises the
-/// [`AnyProtocol::Dyn`] adapter path in full machine runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystemUnderTest {
-    /// A built-in hardware configuration.
-    Builtin(System),
-    /// The lost-update mutation shim, boxed behind [`AnyProtocol::Dyn`].
-    LostUpdate,
-}
-
-impl SystemUnderTest {
-    /// Display label (`System::label`, or `"lost-update"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            SystemUnderTest::Builtin(s) => s.label(),
-            SystemUnderTest::LostUpdate => "lost-update",
-        }
-    }
-
-    /// Instantiates the protocol for `num_cores` cores.
-    pub fn protocol(self, num_cores: usize) -> AnyProtocol {
-        match self {
-            SystemUnderTest::Builtin(s) => s.protocol(num_cores),
-            SystemUnderTest::LostUpdate => {
-                let boxed: Box<dyn Protocol> = Box::new(LostUpdateTm::new(num_cores));
-                boxed.into()
-            }
-        }
-    }
-}
+use retcon_workloads::{explore, WorkloadSpec};
 
 /// The final-state predicate a scenario pins.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +92,7 @@ impl Scenario {
 
     /// Checks the oracle against a finished run: exactly-once commits, the
     /// final-state predicate, and the protocol's quiescence invariants
-    /// ([`AnyProtocol::check_quiescent`]).
+    /// ([`retcon_sim::AnyProtocol::check_quiescent`]).
     ///
     /// # Errors
     ///

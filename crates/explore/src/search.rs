@@ -25,9 +25,9 @@
 use std::collections::HashSet;
 
 use retcon_sim::SimConfig;
-use retcon_workloads::machine_for;
+use retcon_workloads::{machine_for, System};
 
-use crate::scenario::{Scenario, SystemUnderTest, Violation};
+use crate::scenario::{Scenario, Violation};
 use crate::trace::{ChoiceTrace, TraceSchedule};
 
 /// Exploration limits for one [`bounded_search`] campaign.
@@ -43,8 +43,8 @@ pub struct SearchBudget {
 }
 
 impl SearchBudget {
-    /// A CI-sized budget: enough to flag the mutation shim in well under a
-    /// second, small enough to run inside tier-1 tests.
+    /// A CI-sized budget: a few hundred schedules, small enough to run
+    /// inside tier-1 tests.
     pub fn quick() -> Self {
         SearchBudget {
             max_schedules: 400,
@@ -91,11 +91,7 @@ pub struct SearchOutcome {
 ///
 /// Panics if a run exceeds the simulator cycle cap — explore scenarios
 /// are sized orders of magnitude below it, so a cap hit is a harness bug.
-pub fn bounded_search(
-    scenario: &Scenario,
-    system: SystemUnderTest,
-    budget: &SearchBudget,
-) -> SearchOutcome {
+pub fn bounded_search(scenario: &Scenario, system: System, budget: &SearchBudget) -> SearchOutcome {
     let cfg = SimConfig::with_cores(scenario.cores);
     let mut out = SearchOutcome {
         schedules: 0,
@@ -172,7 +168,7 @@ pub fn bounded_search(
 /// irreproducible.
 pub fn replay(
     scenario: &Scenario,
-    system: SystemUnderTest,
+    system: System,
     trace: &ChoiceTrace,
     window: u64,
 ) -> Result<(), Violation> {
@@ -195,7 +191,6 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retcon_workloads::System;
 
     #[test]
     fn search_explores_without_false_positives_on_correct_protocols() {
@@ -206,7 +201,7 @@ mod tests {
             window: 1,
         };
         for system in [System::Eager, System::Retcon, System::Datm] {
-            let out = bounded_search(&scenario, SystemUnderTest::Builtin(system), &budget);
+            let out = bounded_search(&scenario, system, &budget);
             assert!(
                 out.violation.is_none(),
                 "false positive under {}: {:?}",
@@ -219,32 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn search_flags_the_mutation_with_a_replayable_trace() {
-        let scenario = Scenario::counter(2, 2);
-        let budget = SearchBudget::quick();
-        let out = bounded_search(&scenario, SystemUnderTest::LostUpdate, &budget);
-        let found = out.violation.expect("lost-update must be flagged");
-        // The trace is self-contained: replaying it reproduces the exact
-        // violation.
-        let replayed = replay(
-            &scenario,
-            SystemUnderTest::LostUpdate,
-            &found.trace,
-            budget.window,
-        )
-        .expect_err("replay must reproduce the violation");
-        assert_eq!(replayed, found.violation);
-        // And the same trace under a correct protocol passes.
-        replay(
-            &scenario,
-            SystemUnderTest::Builtin(System::Eager),
-            &found.trace,
-            budget.window,
-        )
-        .expect("eager must serialize the failing schedule");
-    }
-
-    #[test]
     fn pruning_skips_independent_alternatives() {
         let scenario = Scenario::pool(3, 3, 2, 1, 5);
         let budget = SearchBudget {
@@ -252,7 +221,7 @@ mod tests {
             max_branch_points: 30,
             window: 1,
         };
-        let out = bounded_search(&scenario, SystemUnderTest::Builtin(System::Eager), &budget);
+        let out = bounded_search(&scenario, System::Eager, &budget);
         assert!(out.violation.is_none());
         assert!(
             out.pruned > 0,

@@ -8,7 +8,8 @@
 //! scheduler's interleaving exactly, and any failing schedule is fully
 //! described — and replayable — by its choice list alone.
 
-use retcon_sim::schedule::{Bound, Decision, Schedule, SchedulePeek, TraceHash};
+use retcon_obs::Fnv1a;
+use retcon_sim::schedule::{Bound, Decision, Schedule, SchedulePeek};
 
 /// A replayable schedule: the choice index taken at each choice point.
 ///
@@ -91,7 +92,7 @@ pub struct TraceSchedule {
     /// The log of choice points passed, in encounter order.
     log: Vec<ChoicePoint>,
     window: u64,
-    hash: TraceHash,
+    hash: Fnv1a,
     decisions: u64,
     /// Set when a prescribed choice did not fit the run (index out of
     /// range at its choice point): the replay is NOT the schedule the
@@ -110,7 +111,7 @@ impl TraceSchedule {
             eligible: Vec::new(),
             log: Vec::new(),
             window,
-            hash: TraceHash::empty(),
+            hash: Fnv1a::new(),
             decisions: 0,
             diverged: false,
         }
@@ -157,7 +158,7 @@ impl Schedule for TraceSchedule {
         self.runnable.clear();
         self.runnable.extend(clocks.iter().map(|&c| Some(c)));
         self.log.clear();
-        self.hash = TraceHash::empty();
+        self.hash = Fnv1a::new();
         self.decisions = 0;
         self.diverged = false;
     }

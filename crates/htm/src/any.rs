@@ -2,17 +2,13 @@
 //!
 //! The simulator calls into the concurrency-control protocol once per
 //! *instruction* (register hooks) and once per *memory access* — by far the
-//! hottest call sites in the workspace. Routing them through
-//! `Box<dyn Protocol>` costs an indirect call that the optimizer cannot see
+//! hottest call sites in the workspace. Routing them through a trait
+//! object costs an indirect call that the optimizer cannot see
 //! through, so nothing inlines and every per-access branch is re-derived
 //! behind the call. [`AnyProtocol`] flattens the five built-in protocols
 //! into one enum whose methods dispatch with an ordinary (predictable,
 //! inlineable) `match`, the same enum-state-machine shape the related kani
 //! and mv codebases use for their hot dispatch.
-//!
-//! External users of `retcon-sim` with a custom [`Protocol`] implementation
-//! are still supported through the thin [`AnyProtocol::Dyn`] adapter — they
-//! pay the old virtual-call price, the built-ins no longer do.
 
 use retcon::RetconStats;
 use retcon_isa::{Addr, BinOp, CmpOp, Reg};
@@ -26,9 +22,7 @@ use crate::{DatmLite, EagerTm, LazyTm, LazyVbTm, RetconTm};
 /// Every concurrency-control protocol, dispatched by `match` instead of
 /// vtable.
 ///
-/// Construct it with `From`/`Into` from any built-in protocol value (the
-/// monomorphized variants) or from a `Box<dyn Protocol>` (the adapter
-/// variant for external implementations):
+/// Construct it with `From`/`Into` from any built-in protocol value:
 ///
 /// ```
 /// use retcon_htm::{AnyProtocol, ConflictPolicy, EagerTm};
@@ -47,22 +41,19 @@ pub enum AnyProtocol<const N: usize = 1> {
     Retcon(RetconTm<N>),
     /// Dependence-aware forwarding TM (Figure 2(b)).
     Datm(DatmLite<N>),
-    /// Escape hatch for external [`Protocol`] implementations; calls stay
-    /// virtual.
-    Dyn(Box<dyn Protocol<N>>),
 }
 
 impl<const N: usize> std::fmt::Debug for AnyProtocol<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `dyn Protocol` is not `Debug`; the protocol name identifies every
-        // variant well enough for diagnostics.
+        // The protocol name identifies every variant; the full state of a
+        // protocol is too large to print.
         f.debug_tuple("AnyProtocol").field(&self.name()).finish()
     }
 }
 
 /// Expands one protocol call across every variant. Method-call syntax
-/// picks the receiver each [`Protocol`] method wants, and auto-derefs the
-/// `Dyn` box, so one expansion serves all six arms.
+/// picks the receiver each [`Protocol`] method wants, so one expansion
+/// serves all five arms.
 macro_rules! dispatch {
     ($self:expr, $method:ident ( $($args:expr),* )) => {
         match $self {
@@ -71,7 +62,6 @@ macro_rules! dispatch {
             AnyProtocol::LazyVb(p) => p.$method($($args),*),
             AnyProtocol::Retcon(p) => p.$method($($args),*),
             AnyProtocol::Datm(p) => p.$method($($args),*),
-            AnyProtocol::Dyn(p) => p.$method($($args),*),
         }
     };
 }
@@ -261,41 +251,10 @@ from_builtin!(
     Datm(DatmLite)
 );
 
-impl<const N: usize> From<Box<dyn Protocol<N>>> for AnyProtocol<N> {
-    fn from(p: Box<dyn Protocol<N>>) -> Self {
-        AnyProtocol::Dyn(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ConflictPolicy;
-    use retcon_mem::MemConfig;
-
-    #[test]
-    fn monomorphized_and_dyn_variants_agree() {
-        // The same access sequence through the enum variant and through the
-        // Dyn adapter must be indistinguishable.
-        let run = |mut p: AnyProtocol| {
-            let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
-            p.tx_begin(CoreId(0), 0);
-            assert!(p.tx_active(CoreId(0)));
-            let r = p.write(CoreId(0), None, 7, Addr(0), None, &mut mem, 1);
-            assert!(matches!(r, MemResult::Value { value: 7, .. }));
-            let r = p.read(CoreId(0), Reg(1), Addr(0), None, &mut mem, 2);
-            assert!(matches!(r, MemResult::Value { value: 7, .. }));
-            assert!(matches!(
-                p.commit(CoreId(0), &mut mem, 3),
-                CommitResult::Committed { .. }
-            ));
-            (p.stats(CoreId(0)).clone(), mem.read_word(Addr(0)))
-        };
-        let direct = run(EagerTm::new(2, ConflictPolicy::OldestWins).into());
-        let boxed: Box<dyn Protocol> = Box::new(EagerTm::new(2, ConflictPolicy::OldestWins));
-        let adapted = run(boxed.into());
-        assert_eq!(direct, adapted);
-    }
 
     #[test]
     fn every_builtin_converts() {

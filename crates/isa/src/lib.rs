@@ -72,6 +72,7 @@ pub mod fx;
 mod instr;
 mod program;
 mod reg;
+mod rng;
 pub mod table;
 
 pub use addr::{Addr, BlockAddr, WORDS_PER_BLOCK};
@@ -80,3 +81,4 @@ pub use coreset::CoreSet;
 pub use instr::{BinOp, CmpOp, Instr, Operand};
 pub use program::{BasicBlock, BlockId, Pc, Program, ValidateError};
 pub use reg::{Reg, NUM_REGS};
+pub use rng::SplitMix64;

@@ -1,13 +1,15 @@
-//! A tiny deterministic RNG for workload generation.
+//! The workspace's one small deterministic RNG.
 
-/// SplitMix64: a fast, high-quality 64-bit mixing generator. Used for all
-//  workload randomization so runs are reproducible from a single seed with
-/// no external dependencies.
+/// SplitMix64: a fast, high-quality 64-bit mixing generator. Every seeded
+/// stream in the workspace draws from it — workload generation, schedule
+/// fuzzing, the content hash's finalizer, retry jitter and fault
+/// injection — so runs are reproducible from a single seed with no
+/// external dependencies.
 ///
 /// # Example
 ///
 /// ```
-/// use retcon_workloads::SplitMix64;
+/// use retcon_isa::SplitMix64;
 /// let mut a = SplitMix64::new(42);
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
@@ -19,11 +21,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// The next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -33,6 +37,7 @@ impl SplitMix64 {
     }
 
     /// A value uniform in `0..bound` (`bound > 0`).
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         self.next_u64() % bound

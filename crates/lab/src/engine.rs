@@ -25,7 +25,7 @@ use retcon::RetconConfig;
 use retcon_sim::canon::{content_hash128, Canon};
 use retcon_sim::json::Json;
 use retcon_sim::{SimConfig, SimError, SimReport};
-use retcon_workloads::{run_spec_opts, RunOptions, System, Workload};
+use retcon_workloads::{run_spec_opts, RunOptions, SplitMix64, System, Workload};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -380,20 +380,13 @@ impl FaultPlan {
         if bytes.is_empty() {
             return;
         }
-        let mut state = self.seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(self.seed);
         if self.seed % 2 == 0 {
-            let keep = (next() as usize) % bytes.len();
+            let keep = (rng.next_u64() as usize) % bytes.len();
             bytes.truncate(keep);
         } else {
             for _ in 0..4 {
-                let draw = next();
+                let draw = rng.next_u64();
                 let idx = (draw as usize) % bytes.len();
                 bytes[idx] ^= ((draw >> 32) as u8) | 1;
             }

@@ -10,7 +10,7 @@
 //! choice traces for searched ones.
 
 use crate::record::{ExperimentRecord, RunRecord};
-use retcon_explore::{run_campaigns, suite, Campaign, CampaignResult, Mode, SystemUnderTest};
+use retcon_explore::{run_campaigns, suite, Campaign, CampaignResult, Mode};
 use std::collections::BTreeMap;
 
 /// The assembled outcome of one `explore` invocation.
@@ -20,10 +20,8 @@ pub struct ExploreRun {
     pub record: ExperimentRecord,
     /// The stdout summary table.
     pub summary: String,
-    /// Whether every campaign met its expectation: no violations on the
-    /// correct protocols, violations on the mutation shim. The smoke exit
-    /// code.
-    pub all_expected: bool,
+    /// Whether no campaign found a violation. The smoke exit code.
+    pub all_passed: bool,
 }
 
 /// Runs the suite and assembles record + summary. Pure function of
@@ -38,11 +36,11 @@ pub fn run(quick: bool, jobs: usize) -> ExploreRun {
 pub fn run_suite(campaigns: &[Campaign], budget_label: &str, jobs: usize) -> ExploreRun {
     let results = run_campaigns(campaigns, jobs);
     let record = record_from(budget_label, &results);
-    let (summary, all_expected) = summarize(&results, &record);
+    let summary = summarize(&results, &record);
     ExploreRun {
         record,
         summary,
-        all_expected,
+        all_passed: results.iter().all(|r| r.violations_total == 0),
     }
 }
 
@@ -65,9 +63,7 @@ fn record_from(budget_label: &str, results: &[CampaignResult]) -> ExperimentReco
     // produce identical decision sequences in practice).
     let mut distinct: BTreeMap<&str, u64> = BTreeMap::new();
     for r in results {
-        if let SystemUnderTest::Builtin(_) = r.campaign.system {
-            *distinct.entry(r.campaign.system.label()).or_default() += r.distinct;
-        }
+        *distinct.entry(r.campaign.system.label()).or_default() += r.distinct;
     }
     for (system, count) in &distinct {
         meta.push((format!("distinct.{system}"), count.to_string()));
@@ -78,16 +74,10 @@ fn record_from(budget_label: &str, results: &[CampaignResult]) -> ExperimentReco
             meta.push((
                 format!("violation.{violation_idx}"),
                 format!(
-                    "{} {} {} {}{}",
+                    "{} {} {} {v}",
                     r.campaign.scenario.label(),
                     r.campaign.system.label(),
                     r.campaign.mode.label(),
-                    v,
-                    if r.campaign.expect_violation {
-                        " [expected: mutation test]"
-                    } else {
-                        ""
-                    }
                 ),
             ));
             violation_idx += 1;
@@ -108,9 +98,6 @@ fn record_from(budget_label: &str, results: &[CampaignResult]) -> ExperimentReco
                 knobs.push(knob("pruned", r.pruned));
                 knobs.push(knob("exhausted", if r.exhausted { "yes" } else { "no" }));
             }
-            if r.campaign.expect_violation {
-                knobs.push(knob("mutation", "expect-violation"));
-            }
             RunRecord {
                 workload: r.campaign.scenario.label().to_string(),
                 system: r.campaign.system.label().to_string(),
@@ -130,22 +117,18 @@ fn record_from(budget_label: &str, results: &[CampaignResult]) -> ExperimentReco
     }
 }
 
-/// Renders the stdout summary and computes the expectation gate.
-fn summarize(results: &[CampaignResult], record: &ExperimentRecord) -> (String, bool) {
-    let mut ok = true;
+/// Renders the stdout summary.
+fn summarize(results: &[CampaignResult], record: &ExperimentRecord) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<11} {:<12} {:<7} {:>9} {:>9} {:>11}  status\n",
         "scenario", "system", "mode", "schedules", "distinct", "violations"
     ));
     for r in results {
-        let expected = r.as_expected();
-        ok &= expected;
-        let status = match (r.violations_total == 0, r.campaign.expect_violation) {
-            (true, false) => "ok",
-            (false, true) => "ok (mutation caught)",
-            (true, true) => "MUTATION MISSED",
-            (false, false) => "VIOLATED",
+        let status = if r.violations_total == 0 {
+            "ok"
+        } else {
+            "VIOLATED"
         };
         out.push_str(&format!(
             "{:<11} {:<12} {:<7} {:>9} {:>9} {:>11}  {}\n",
@@ -178,5 +161,53 @@ fn summarize(results: &[CampaignResult], record: &ExperimentRecord) -> (String, 
     {
         out.push_str(&format!("{k}: {v}\n"));
     }
-    (out, ok)
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use retcon_explore::{run_campaign, ScenarioSpec, SearchBudget};
+    use retcon_workloads::System;
+
+    /// A search violation lands in the record as a replayable `trace=…`
+    /// meta row that survives both serialization formats.
+    #[test]
+    fn a_search_violation_becomes_a_replayable_meta_row() {
+        let mut result = run_campaign(&Campaign {
+            scenario: ScenarioSpec::Counter { cores: 2, iters: 2 },
+            system: System::Eager,
+            mode: Mode::Search(SearchBudget {
+                max_schedules: 4,
+                max_branch_points: 4,
+                window: 1,
+            }),
+        });
+        result.violations_total = 1;
+        result.violations = vec![
+            "trace=0.1.0 window=1: x-counter: counter 0 ended at 6, serial oracle says 8 \
+             (lost or phantom update)"
+                .to_string(),
+        ];
+        let record = record_from("test", &[result]);
+        let row = record
+            .meta
+            .iter()
+            .find(|(k, _)| k == "violation.0")
+            .map(|(_, v)| v.as_str());
+        assert_eq!(
+            row,
+            Some(
+                "x-counter eager search trace=0.1.0 window=1: x-counter: counter 0 ended at \
+                 6, serial oracle says 8 (lost or phantom update)"
+            )
+        );
+        assert!(record.meta.iter().all(|(k, _)| k != "violation.1"));
+        let json = record.to_json_string();
+        assert_eq!(ExperimentRecord::from_json_str(&json).unwrap(), record);
+        let csv = crate::csv::to_csv(&record).unwrap();
+        let via_csv = crate::csv::from_csv(&csv).unwrap();
+        assert_eq!(via_csv.meta, record.meta);
+        assert_eq!(crate::csv::to_csv(&via_csv).unwrap(), csv);
+    }
 }

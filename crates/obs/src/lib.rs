@@ -10,6 +10,8 @@
 //! * [`ring`] — [`RingTracer`], the tracer: one preallocated ring buffer
 //!   of events, drop-oldest on overflow, with a deterministic stream hash
 //!   for pinning event streams in tests.
+//! * [`fnv`] — [`Fnv1a`], the one sequence fingerprint: the tracer's
+//!   stream hash and the schedules' decision fingerprints.
 //! * [`chrome`] — export to Chrome trace-event JSON (cores as threads),
 //!   loadable in `chrome://tracing` and Perfetto.
 //! * [`metrics`] — integer-only counters, gauges, and log2 histograms
@@ -31,11 +33,13 @@
 
 pub mod chrome;
 pub mod event;
+pub mod fnv;
 pub mod logger;
 pub mod metrics;
 pub mod phase;
 pub mod ring;
 
 pub use event::{EventKind, TraceEvent};
+pub use fnv::Fnv1a;
 pub use metrics::{validate_exposition, Counter, Gauge, Log2Hist, Registry};
 pub use ring::RingTracer;

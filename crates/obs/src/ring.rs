@@ -9,6 +9,7 @@
 //! *complete* stream.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::Fnv1a;
 
 /// Default ring capacity (events). Sized from the heaviest traced shape
 /// in the suite: 32-core unoptimized `python` under RetCon emits ~1.6M
@@ -108,23 +109,15 @@ impl RingTracer {
     /// fields, and drop count all included) — the value determinism
     /// tests pin: same `(config, seed)` must reproduce it exactly.
     pub fn stream_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.len as u64);
-        mix(self.dropped);
+        let mut h = Fnv1a::new();
+        h.push(self.len as u64);
+        h.push(self.dropped);
         for e in self.events() {
-            mix(e.at);
-            mix(e.arg);
-            mix(u64::from(e.core) << 8 | u64::from(e.kind));
+            h.push(e.at);
+            h.push(e.arg);
+            h.push(u64::from(e.core) << 8 | u64::from(e.kind));
         }
-        h
+        h.value()
     }
 
     fn push(&mut self, e: TraceEvent) {

@@ -20,6 +20,7 @@
 
 use crate::proto::{DoneSummary, Request, Response, SweepRequest};
 use retcon_lab::RunRecord;
+use retcon_workloads::SplitMix64;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -53,14 +54,6 @@ impl Default for ClientConfig {
             retry_seed: 0x5eed,
         }
     }
-}
-
-/// SplitMix64 — the repo's standard small deterministic generator.
-fn splitmix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// How one sweep attempt failed: transport faults are retryable (the
@@ -184,7 +177,7 @@ impl Client {
         let jitter = if base == 0 {
             0
         } else {
-            splitmix(self.cfg.retry_seed ^ salt ^ u64::from(attempt)) % base
+            SplitMix64::new(self.cfg.retry_seed ^ salt ^ u64::from(attempt)).next_u64() % base
         };
         Duration::from_millis(exp + jitter)
     }

@@ -22,6 +22,7 @@
 //! those bytes.
 
 use crate::config::SimConfig;
+use retcon_isa::SplitMix64;
 
 /// A canonical byte stream under construction.
 ///
@@ -93,13 +94,10 @@ impl Canon {
     }
 }
 
-/// SplitMix64 finalizer: the same mixing function the workload RNG uses,
-/// applied once to diffuse a lane's final state.
+/// SplitMix64 finalizer: one workload-RNG step from state `z`, applied
+/// once to diffuse a lane's final state.
 fn splitmix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    SplitMix64::new(z).next_u64()
 }
 
 /// One Fx step (rotate, xor, multiply) — the seedless hash the hot-path

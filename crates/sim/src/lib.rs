@@ -80,7 +80,7 @@ pub use machine::{Machine, SimError};
 pub use report::{CoreReport, SimReport, TimeBreakdown};
 pub use schedule::{
     Bound, CoreAction, Decision, DeterministicMin, Schedule, SchedulePeek, ScheduleStats,
-    SeededFuzz, TraceHash,
+    SeededFuzz,
 };
 pub use shard::{run_sharded, shard_ranges, ShardedOutcome};
 pub use tape::InputTape;

@@ -258,10 +258,7 @@ impl<const N: usize> fmt::Debug for Machine<N> {
 impl<const N: usize> Machine<N> {
     /// Creates a machine running one program per core.
     ///
-    /// Accepts any built-in protocol by value (monomorphized dispatch), an
-    /// [`AnyProtocol`], or a `Box<dyn Protocol>` for external protocol
-    /// implementations (virtual dispatch through the
-    /// [`AnyProtocol::Dyn`] adapter).
+    /// Accepts any built-in protocol by value or an [`AnyProtocol`].
     ///
     /// # Panics
     ///

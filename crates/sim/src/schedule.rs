@@ -26,6 +26,8 @@
 //! policy must uphold the invariant pinned by `tests/determinism.rs`:
 //! scheduler order = min over runnable `(clock, id)`.
 
+use retcon_isa::SplitMix64;
+use retcon_obs::Fnv1a;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -448,56 +450,6 @@ impl Schedule for DeterministicMin {
     }
 }
 
-/// SplitMix64 (same mixing function as the workload generators'), private
-/// to the schedule so `retcon-sim` stays dependency-free of the workload
-/// crate.
-#[derive(Debug, Clone)]
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// Accumulates a schedule's decision sequence into one 64-bit fingerprint
-/// (FNV-1a over the event words). Two runs with the same fingerprint took
-/// the same decisions with overwhelming probability, so distinct
-/// fingerprints count distinct explored interleavings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceHash(u64);
-
-impl TraceHash {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// The hash of the empty decision sequence.
-    pub fn empty() -> Self {
-        TraceHash(Self::OFFSET)
-    }
-
-    /// Folds one event word into the fingerprint.
-    pub fn push(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The current fingerprint value.
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
 /// A seeded schedule perturber: at every instruction boundary it picks
 /// uniformly among the cores whose clock lies within `window` cycles of
 /// the runnable minimum, and every stall charge gains `0..=max_jitter`
@@ -507,7 +459,7 @@ impl TraceHash {
 /// interleavings. Fully reproducible from the seed.
 #[derive(Debug, Clone)]
 pub struct SeededFuzz {
-    rng: Mix,
+    rng: SplitMix64,
     /// Per-core clock for runnable cores; `None` = halted or parked.
     runnable: Vec<Option<u64>>,
     /// Scratch list of eligible core ids (reused; no steady-state
@@ -515,7 +467,7 @@ pub struct SeededFuzz {
     eligible: Vec<usize>,
     window: u64,
     max_jitter: u64,
-    hash: TraceHash,
+    hash: Fnv1a,
     decisions: u64,
 }
 
@@ -535,12 +487,12 @@ impl SeededFuzz {
     /// jitter.
     pub fn with_params(seed: u64, window: u64, max_jitter: u64) -> Self {
         SeededFuzz {
-            rng: Mix(seed),
+            rng: SplitMix64::new(seed),
             runnable: Vec::new(),
             eligible: Vec::new(),
             window,
             max_jitter,
-            hash: TraceHash::empty(),
+            hash: Fnv1a::new(),
             decisions: 0,
         }
     }
@@ -561,7 +513,7 @@ impl Schedule for SeededFuzz {
     fn begin(&mut self, clocks: &[u64]) {
         self.runnable.clear();
         self.runnable.extend(clocks.iter().map(|&c| Some(c)));
-        self.hash = TraceHash::empty();
+        self.hash = Fnv1a::new();
         self.decisions = 0;
     }
 

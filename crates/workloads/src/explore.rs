@@ -13,8 +13,8 @@
 
 use retcon_isa::{Addr, BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// The shared-counter micro-workload at explore size: every transaction
 /// increments the one shared counter twice (the Figure 2 schedule), `iters`

@@ -9,8 +9,8 @@
 use retcon_isa::{BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
 use crate::hashtable::HashTable;
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total segment inserts across all cores.
 const TOTAL_INSERTS: u64 = 4096;

@@ -15,8 +15,8 @@
 use retcon_isa::{Addr, BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
 use crate::hashtable::HashTable;
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total packets processed across all cores.
 const TOTAL_PACKETS: u64 = 4096;

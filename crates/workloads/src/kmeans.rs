@@ -8,8 +8,8 @@
 
 use retcon_isa::{BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total points across all cores.
 const TOTAL_POINTS: u64 = 8192;

@@ -10,8 +10,8 @@
 
 use retcon_isa::{BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total paths routed across all cores.
 const TOTAL_PATHS: u64 = 256;

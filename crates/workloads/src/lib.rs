@@ -38,7 +38,6 @@ mod intruder;
 mod kmeans;
 mod labyrinth;
 mod python;
-mod rng;
 mod scaling_xl;
 mod spec;
 mod ssca2;
@@ -47,7 +46,7 @@ mod yada;
 
 pub use counter::total_transactions as counter_total_transactions;
 pub use hashtable::HashTable;
-pub use rng::SplitMix64;
+pub use retcon_isa::SplitMix64;
 pub use scaling_xl::{
     expected_group_total as scaling_xl_group_total, GROUP_CORES as SCALING_XL_GROUP_CORES,
 };
@@ -553,8 +552,7 @@ pub fn run_spec_traced_sized(
 /// Builds the single-word (≤ 64 cores) machine a spec runs on — programs,
 /// tapes, initial memory — without running it: exploration drives the
 /// returned machine through [`Machine::run_with`] with its own schedules.
-/// Accepts any built-in protocol by value, an [`AnyProtocol`], or a boxed
-/// custom [`Protocol`](retcon_sim::Protocol).
+/// Accepts any built-in protocol by value or an [`AnyProtocol`].
 pub fn machine_for(
     spec: &WorkloadSpec,
     protocol: impl Into<AnyProtocol>,

@@ -21,8 +21,8 @@
 
 use retcon_isa::{Addr, BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total bytecode-batch transactions across all cores.
 const TOTAL_TXS: u64 = 4096;

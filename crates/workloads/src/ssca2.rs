@@ -11,8 +11,8 @@
 
 use retcon_isa::{BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total edge-insertions across all cores.
 const TOTAL_OPS: u64 = 16384;

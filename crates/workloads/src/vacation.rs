@@ -11,8 +11,8 @@
 use retcon_isa::{BinOp, CmpOp, Operand, ProgramBuilder, Reg};
 
 use crate::hashtable::HashTable;
-use crate::rng::SplitMix64;
 use crate::spec::{Alloc, WorkloadSpec};
+use crate::SplitMix64;
 
 /// Total reservation transactions across all cores.
 const TOTAL_TXS: u64 = 4096;

@@ -1,15 +1,16 @@
 //! Integration tests for the schedule-exploration subsystem: the
 //! scheduler seam stays deterministic, fuzzed and searched schedules
-//! preserve every serializability oracle on the real protocols, the
-//! lost-update mutation is flagged with a replayable trace, and the
-//! `explore` experiment records are byte-stable across job counts and
-//! round-trip through both serialization formats.
+//! preserve every serializability oracle on the real protocols, each
+//! oracle fails on a run it does not describe, a searched trace replays
+//! to the same run, and the `explore` experiment records are byte-stable
+//! across job counts and round-trip through both serialization formats.
+//! That the oracles catch a broken protocol is the mutation catalog's
+//! job (`tests/mutants/`, `scripts/mutate.sh`).
 
 use retcon_explore::{
-    bounded_search, fuzz, replay, Campaign, FuzzBudget, Mode, Scenario, ScenarioSpec, SearchBudget,
-    SystemUnderTest,
+    bounded_search, fuzz, replay, Campaign, ChoiceTrace, FuzzBudget, Mode, Scenario, ScenarioSpec,
+    SearchBudget, TraceSchedule,
 };
-use retcon_isa::Addr;
 use retcon_sim::SimConfig;
 use retcon_workloads::{machine_for, System, Workload};
 
@@ -52,7 +53,7 @@ fn fuzzed_schedules_preserve_oracles_across_protocols() {
         max_jitter: 3,
     };
     for system in [System::Eager, System::LazyVb, System::Retcon, System::Datm] {
-        let out = fuzz(&scenario, SystemUnderTest::Builtin(system), &budget);
+        let out = fuzz(&scenario, system, &budget);
         assert_eq!(out.runs, 25);
         assert!(
             out.violations.is_empty(),
@@ -68,15 +69,13 @@ fn fuzzed_schedules_preserve_oracles_across_protocols() {
     }
 }
 
-/// The bounded search: quiet on correct protocols, and the lost-update
-/// mutation (running behind `AnyProtocol::Dyn`) is flagged within the CI
-/// budget with a trace that replays to the same violation.
+/// The bounded search is quiet on correct protocols within the CI budget.
 #[test]
-fn bounded_search_flags_the_mutation_with_a_replayable_trace() {
+fn bounded_search_is_quiet_on_correct_protocols() {
     let scenario = Scenario::counter(2, 3);
     let budget = SearchBudget::quick();
     for system in [System::Eager, System::Retcon] {
-        let out = bounded_search(&scenario, SystemUnderTest::Builtin(system), &budget);
+        let out = bounded_search(&scenario, system, &budget);
         assert!(
             out.violation.is_none(),
             "false positive under {}: {:?}",
@@ -84,36 +83,107 @@ fn bounded_search_flags_the_mutation_with_a_replayable_trace() {
             out.violation
         );
     }
-    let out = bounded_search(&scenario, SystemUnderTest::LostUpdate, &budget);
-    let found = out.violation.expect("mutation shim must be flagged");
-    let replayed = replay(
-        &scenario,
-        SystemUnderTest::LostUpdate,
-        &found.trace,
-        budget.window,
-    )
-    .expect_err("the failing trace must reproduce its violation");
-    assert_eq!(replayed, found.violation);
 }
 
-/// The mutation shim is also direct coverage of the `AnyProtocol::Dyn`
-/// adapter in a full machine run: it executes, commits, and leaves memory
-/// consistent with its (buggy) semantics — final counter strictly below
-/// the serial oracle, never above.
-#[test]
-fn dyn_adapter_runs_the_mutation_shim_end_to_end() {
-    let scenario = Scenario::counter(2, 4);
-    let cfg = SimConfig::with_cores(2);
-    let mut machine = machine_for(&scenario.spec, SystemUnderTest::LostUpdate.protocol(2), cfg);
-    let report = machine.run().expect("shim run completes");
-    assert_eq!(machine.protocol().name(), "lost-update");
-    assert_eq!(report.protocol.commits, 8, "every transaction commits");
-    let value = machine.mem().read_word(Addr(0));
-    assert!(value <= 16, "phantom updates: {value}");
-    assert!(
-        machine.protocol().check_quiescent().is_ok(),
-        "ownership must drain even in the buggy shim"
+/// Runs `scenario`'s machine under `system`, then checks the finished
+/// run against `oracle` (another scenario's expectations).
+fn check_against(scenario: &Scenario, oracle: &Scenario, system: System) -> Result<(), String> {
+    let mut machine = machine_for(
+        &scenario.spec,
+        system.protocol(scenario.cores),
+        SimConfig::with_cores(scenario.cores),
     );
+    let report = machine.run().expect("explore scenario completes");
+    scenario
+        .check(&machine, &report)
+        .expect("a run passes its own oracle");
+    oracle.check(&machine, &report).map_err(|v| v.detail)
+}
+
+/// Each of `Scenario::check`'s failure paths fires on a run it does not
+/// describe: a wrong commit count, a wrong final counter, a broken
+/// conservation total.
+#[test]
+fn each_oracle_fails_on_a_run_it_does_not_describe() {
+    let commits = check_against(
+        &Scenario::counter(2, 3),
+        &Scenario::counter(2, 4),
+        System::Eager,
+    )
+    .expect_err("6 commits checked against 8");
+    assert_eq!(commits, "x-counter: 6 commits, expected exactly 8");
+
+    let state = check_against(
+        &Scenario::pool(3, 3, 3, 2, 7),
+        &Scenario::pool(3, 3, 3, 2, 8),
+        System::Retcon,
+    )
+    .expect_err("seed 7's counters checked against seed 8's");
+    assert!(state.contains("(lost or phantom update)"), "{state}");
+
+    let conservation = check_against(
+        &Scenario::transfer(2, 3, 3, 1),
+        &Scenario::transfer(2, 4, 3, 1),
+        System::LazyVb,
+    )
+    .expect_err("a 3-counter total checked against a 4-counter one");
+    assert_eq!(
+        conservation,
+        "x-transfer: pool sum 300 != conserved total 400"
+    );
+}
+
+/// A searched schedule that leaves the default at a choice point replays
+/// from its full trace to the same run: no divergence, the same report
+/// and the same decision fingerprint.
+#[test]
+fn a_searched_trace_replays_to_the_same_run() {
+    let scenario = Scenario::counter(2, 3);
+    let window = SearchBudget::quick().window;
+    let cfg = SimConfig::with_cores(scenario.cores);
+    let run = |system: System, trace: &ChoiceTrace| {
+        let mut machine = machine_for(&scenario.spec, system.protocol(scenario.cores), cfg);
+        let mut sched = TraceSchedule::new(trace, window);
+        let report = machine.run_with(&mut sched).expect("run completes");
+        (report, sched)
+    };
+    for system in [System::Eager, System::LazyVb, System::Retcon] {
+        // Branch at the first choice point where the search would.
+        let (_, default) = run(system, &ChoiceTrace::empty());
+        let (p, j) = default
+            .log()
+            .iter()
+            .enumerate()
+            .find_map(|(p, point)| {
+                (1..point.eligible.min(64))
+                    .find(|&j| point.branchable & (1 << j) != 0)
+                    .map(|j| (p, j))
+            })
+            .expect("a contended counter has a branchable choice point");
+        let mut prefix = default.full_trace();
+        prefix.choices.truncate(p);
+        prefix.choices.push(j);
+        let (report, searched) = run(system, &prefix);
+        assert!(!searched.diverged());
+        let full = searched.full_trace();
+        assert!(full.choices.iter().any(|&c| c != 0));
+
+        let (replayed, sched) = run(system, &full);
+        assert!(
+            !sched.diverged(),
+            "{}: trace `{full}` diverged",
+            system.label()
+        );
+        assert_eq!(
+            replayed,
+            report,
+            "{}: replay changed the run",
+            system.label()
+        );
+        assert_eq!(sched.trace_hash(), searched.trace_hash());
+        assert_eq!(sched.full_trace(), full);
+        replay(&scenario, system, &full, window).expect("a correct protocol passes its replay");
+    }
 }
 
 /// The lab `explore` record: byte-identical at any `--jobs` count, and
@@ -124,14 +194,13 @@ fn explore_records_are_byte_stable_and_round_trip() {
     let campaigns = vec![
         Campaign {
             scenario: ScenarioSpec::Counter { cores: 2, iters: 2 },
-            system: SystemUnderTest::Builtin(System::Eager),
+            system: System::Eager,
             mode: Mode::Fuzz(FuzzBudget {
                 base_seed: 1,
                 seeds: 20,
                 window: 2,
                 max_jitter: 3,
             }),
-            expect_violation: false,
         },
         Campaign {
             scenario: ScenarioSpec::Pool {
@@ -141,23 +210,16 @@ fn explore_records_are_byte_stable_and_round_trip() {
                 incs: 1,
                 seed: 5,
             },
-            system: SystemUnderTest::Builtin(System::Retcon),
+            system: System::Retcon,
             mode: Mode::Search(SearchBudget {
                 max_schedules: 40,
                 max_branch_points: 16,
                 window: 1,
             }),
-            expect_violation: false,
-        },
-        Campaign {
-            scenario: ScenarioSpec::Counter { cores: 2, iters: 2 },
-            system: SystemUnderTest::LostUpdate,
-            mode: Mode::Search(SearchBudget::quick()),
-            expect_violation: true,
         },
     ];
     let serial = retcon_lab::explore::run_suite(&campaigns, "test", 1);
-    assert!(serial.all_expected, "{}", serial.summary);
+    assert!(serial.all_passed, "{}", serial.summary);
     let parallel = retcon_lab::explore::run_suite(&campaigns, "test", 4);
     let bytes = serial.record.to_json_string();
     assert_eq!(
@@ -174,14 +236,5 @@ fn explore_records_are_byte_stable_and_round_trip() {
         retcon_lab::csv::to_csv(&via_csv).expect("CSV re-emits"),
         csv,
         "CSV projection is not byte-stable"
-    );
-    // The mutation campaign's replayable trace landed in the metadata.
-    assert!(
-        serial
-            .record
-            .meta
-            .iter()
-            .any(|(k, v)| k.starts_with("violation.") && v.contains("trace=")),
-        "no replayable trace in record meta"
     );
 }
