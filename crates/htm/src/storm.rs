@@ -41,13 +41,12 @@
 //! core's own transaction, which only a remote abort can end. The stalled
 //! core *watches* exactly those blocks
 //! ([`MemorySystem::watch`](retcon_mem::MemorySystem::watch)), and the
-//! first change to one of them wakes it, which ends the certificate. Under
-//! the default schedule the core also leaves the run queue, so its own
-//! remote abort wakes it too; the waker's scheduling key bounds the
-//! retries polling would have run meanwhile, they are charged at once, and
-//! the core re-executes the instruction for real. Under jittered or
-//! single-stepping schedules the core stays queued and is charged one
-//! retry per scheduling decision until it is woken or sees its abort.
+//! first change to one of them wakes it, which ends the certificate. The
+//! core also leaves the run queue, so its own remote abort wakes it too;
+//! the waker's scheduling key bounds the retries re-execution would have
+//! run meanwhile, they are charged at once, and the core re-executes the
+//! instruction for real. Single-stepping schedules (jittered ones among
+//! them) certify nothing: they re-execute every retry.
 
 use retcon_isa::{Addr, BlockAddr, CoreSet};
 use retcon_mem::AccessKind;

@@ -41,10 +41,10 @@
 //! let lat = ms.access(CoreId(0), a, AccessKind::Write, true);
 //! assert!(lat >= 1);
 //!
-//! // Core 1 probing a read of the same block sees the conflict.
-//! let probe = ms.probe(CoreId(1), a, AccessKind::Read);
-//! assert_eq!(probe.conflicts.len(), 1);
-//! assert_eq!(probe.conflicts[0].core, CoreId(0));
+//! // A read of the same block by core 1 conflicts with core 0's written bit.
+//! let conflicts = ms.conflict_mask_of(CoreId(1), a, AccessKind::Read);
+//! assert_eq!(conflicts.iter().collect::<Vec<_>>(), [0]);
+//! assert!(ms.spec_bits(CoreId(0), a.block()).written);
 //! ```
 
 #![warn(missing_docs)]
@@ -68,5 +68,5 @@ pub use memory::GlobalMemory;
 pub use retcon_isa::fx;
 pub use retcon_isa::table::{BlockTable, EpochMap};
 pub use stats::MemStats;
-pub use system::{AccessKind, AccessPlan, Conflict, ConflictSet, CoreId, MemorySystem, Probe};
+pub use system::{AccessKind, AccessPlan, Conflict, ConflictSet, CoreId, MemorySystem};
 pub use version::{UndoLog, WordLog, WriteBuffer};

@@ -93,21 +93,6 @@ impl ConflictSet {
             .filter_map(|o| o.as_ref())
             .chain(self.spill.iter())
     }
-
-    /// The conflicts as a `Vec` (diagnostics and the [`Probe`] view).
-    pub fn to_vec(&self) -> Vec<Conflict> {
-        self.iter().copied().collect()
-    }
-}
-
-/// Result of [`MemorySystem::probe`]: what an access *would* cost and whom it
-/// would conflict with, without changing any state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Probe {
-    /// Cycles the access will take.
-    pub latency: u64,
-    /// Cores with conflicting speculative permissions on the block.
-    pub conflicts: Vec<Conflict>,
 }
 
 /// Where an access was serviced (used for latency and statistics).
@@ -122,28 +107,19 @@ enum Service {
 
 /// The allocation-free probe result handed back to
 /// [`MemorySystem::access_planned`]: the cache classification (and the
-/// latency derived from it) computed once at probe time, plus the conflict
-/// set. Valid only while the memory system is untouched — resolving a
-/// conflict (abort, steal, invalidate) can change the classification, so
-/// after resolution protocols must fall back to [`MemorySystem::access`],
-/// which re-classifies.
+/// latency derived from it) computed once at probe time. Valid only while
+/// the memory system is untouched — resolving a conflict (abort, steal,
+/// invalidate) can change the classification, so after resolution
+/// protocols must fall back to [`MemorySystem::access`], which
+/// re-classifies.
 #[derive(Debug, Clone)]
 pub struct AccessPlan {
     /// Cycles the access will take (if performed before any state change).
     pub latency: u64,
-    /// Cores with conflicting speculative permissions on the block.
-    pub conflicts: ConflictSet,
     core: CoreId,
     addr: Addr,
     kind: AccessKind,
     service: Service,
-}
-
-impl AccessPlan {
-    /// `true` if the planned access conflicts with at least one core.
-    pub fn has_conflicts(&self) -> bool {
-        !self.conflicts.is_empty()
-    }
 }
 
 /// Which cores watch which blocks, and which were woken (see
@@ -155,8 +131,8 @@ struct Watchers<const N: usize> {
     count: BlockTable<u32>,
     /// The cores watching each block.
     waiters: FxHashMap<u64, CoreSet<N>>,
-    /// Watchers that their own [`clear_spec`](MemorySystem::clear_spec)
-    /// wakes too: cores out of the run queue, which would not otherwise
+    /// Every watcher, which its own [`clear_spec`](MemorySystem::clear_spec)
+    /// wakes too: a watcher is out of the run queue and would not otherwise
     /// notice a remote abort.
     sleepers: CoreSet<N>,
     /// Watchers woken since the last
@@ -345,15 +321,16 @@ impl<const N: usize> MemorySystem<N> {
         self.spec.bits(core.0, block.0)
     }
 
-    /// Computes the latency, classification and conflict set of an access
-    /// without performing it — the allocation-free probe. Hand the plan to
-    /// [`access_planned`](Self::access_planned) when it is conflict-free.
+    /// Computes the latency and classification of an access without
+    /// performing it — the allocation-free probe. Hand the plan to
+    /// [`access_planned`](Self::access_planned) when the access is
+    /// conflict-free ([`conflict_mask_of`](Self::conflict_mask_of) is
+    /// empty).
     pub fn plan(&self, core: CoreId, addr: Addr, kind: AccessKind) -> AccessPlan {
         let block = addr.block();
         let service = self.classify(core, block, kind);
         AccessPlan {
             latency: self.latency_of(service),
-            conflicts: self.conflict_set(core, addr, kind),
             core,
             addr,
             kind,
@@ -370,17 +347,6 @@ impl<const N: usize> MemorySystem<N> {
         match kind {
             AccessKind::Read => self.spec.other_writers(core.0, block),
             AccessKind::Write => self.spec.other_holders(core.0, block),
-        }
-    }
-
-    /// Computes the latency and conflict set of an access without performing
-    /// it ([`plan`](Self::plan) with a `Vec`-backed view; kept for tests and
-    /// diagnostics).
-    pub fn probe(&self, core: CoreId, addr: Addr, kind: AccessKind) -> Probe {
-        let plan = self.plan(core, addr, kind);
-        Probe {
-            latency: plan.latency,
-            conflicts: plan.conflicts.to_vec(),
         }
     }
 
@@ -405,12 +371,6 @@ impl<const N: usize> MemorySystem<N> {
         out
     }
 
-    /// [`conflict_set`](Self::conflict_set) as a `Vec` (tests and
-    /// diagnostics).
-    pub fn conflicts(&self, core: CoreId, addr: Addr, kind: AccessKind) -> Vec<Conflict> {
-        self.conflict_set(core, addr, kind).to_vec()
-    }
-
     /// Performs the access: directory transition, cache fills (with
     /// inclusion-maintaining evictions), invalidation of remote copies, and —
     /// when `speculative` — setting this core's speculative bit for the
@@ -432,12 +392,12 @@ impl<const N: usize> MemorySystem<N> {
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if the plan has unresolved conflicts, or if
-    /// memory-system state changed since the plan was taken (the plan's
+    /// In debug builds, panics if the access has unresolved conflicts, or
+    /// if memory-system state changed since the plan was taken (the plan's
     /// classification is then stale — use [`access`](Self::access)).
     pub fn access_planned(&mut self, plan: &AccessPlan, speculative: bool) -> u64 {
         debug_assert!(
-            plan.conflicts.is_empty(),
+            !self.has_conflicts(plan.core, plan.addr, plan.kind),
             "access_planned with unresolved conflicts; resolve, then use access()"
         );
         debug_assert_eq!(
@@ -460,7 +420,7 @@ impl<const N: usize> MemorySystem<N> {
         debug_assert!(
             !self.has_conflicts(core, addr, kind),
             "access by {core} to {addr:?} with unresolved conflicts: {:?}",
-            self.conflicts(core, addr, kind)
+            self.conflict_mask_of(core, addr, kind)
         );
         let latency = self.latency_of(service);
 
@@ -539,19 +499,11 @@ impl<const N: usize> MemorySystem<N> {
     }
 
     /// Makes `core` watch `blocks`: the next change to any of them adds it
-    /// to the wake set. A `sleeping` watcher — one nothing else runs — is
-    /// also woken by its own [`clear_spec`](Self::clear_spec), i.e. by a
-    /// remote abort.
-    pub fn watch(
-        &mut self,
-        core: CoreId,
-        blocks: impl IntoIterator<Item = BlockAddr>,
-        sleeping: bool,
-    ) {
+    /// to the wake set. A watcher sleeps — nothing else runs it — so its own
+    /// [`clear_spec`](Self::clear_spec), i.e. a remote abort, wakes it too.
+    pub fn watch(&mut self, core: CoreId, blocks: impl IntoIterator<Item = BlockAddr>) {
         let w = &mut self.watchers;
-        if sleeping {
-            w.sleepers.insert(core.0);
-        }
+        w.sleepers.insert(core.0);
         for b in blocks {
             if w.waiters.entry(b.0).or_default().insert(core.0) {
                 *w.count.entry(b.0) += 1;
@@ -629,8 +581,8 @@ impl<const N: usize> MemorySystem<N> {
     }
 
     /// Clears every speculative bit held by `core` (transaction commit or
-    /// abort), waking `core` if it is a sleeping watcher. Returns the number
-    /// of blocks that had bits set.
+    /// abort), waking `core` if it is a watcher. Returns the number of
+    /// blocks that had bits set.
     pub fn clear_spec(&mut self, core: CoreId) -> usize {
         let w = &mut self.watchers;
         if w.sleepers.contains(core.0) {
@@ -749,17 +701,19 @@ mod tests {
         let mut m = ms(2);
         let a = Addr(0);
         let plan = m.plan(C0, a, AccessKind::Read);
-        assert!(!plan.has_conflicts());
         assert_eq!(plan.latency, 140);
         assert_eq!(m.access_planned(&plan, false), 140);
         // Warm L1 hit through the planned path.
         let plan = m.plan(C0, a, AccessKind::Write);
         assert_eq!(m.access_planned(&plan, true), 41);
         assert_eq!(m.stats(C0).accesses, 2);
-        // Conflicting plan reports the conflict.
-        let plan = m.plan(C1, a, AccessKind::Read);
-        assert_eq!(plan.conflicts.len(), 1);
-        assert_eq!(plan.conflicts.iter().next().unwrap().core, C0);
+        // A plan for a conflicting access is taken all the same; the
+        // conflict is the mask's to report.
+        assert_eq!(m.plan(C1, a, AccessKind::Read).latency, 60);
+        assert_eq!(
+            m.conflict_mask_of(C1, a, AccessKind::Read),
+            CoreSet::solo(0)
+        );
     }
 
     #[test]
@@ -807,12 +761,13 @@ mod tests {
         assert!(bits.read && !bits.written);
 
         // Remote read does not conflict with a spec-read block.
-        assert!(m.probe(C1, a, AccessKind::Read).conflicts.is_empty());
+        assert!(m.conflict_mask_of(C1, a, AccessKind::Read).is_empty());
         assert!(!m.has_conflicts(C1, a, AccessKind::Read));
         // Remote write does.
-        let p = m.probe(C1, a, AccessKind::Write);
-        assert_eq!(p.conflicts.len(), 1);
-        assert_eq!(p.conflicts[0].core, C0);
+        assert_eq!(
+            m.conflict_mask_of(C1, a, AccessKind::Write),
+            CoreSet::solo(0)
+        );
         assert!(m.has_conflicts(C1, a, AccessKind::Write));
     }
 
@@ -821,9 +776,11 @@ mod tests {
         let mut m = ms(2);
         let a = Addr(0);
         m.access(C0, a, AccessKind::Write, true);
-        let p = m.probe(C1, a, AccessKind::Read);
-        assert_eq!(p.conflicts.len(), 1);
-        assert!(p.conflicts[0].bits.written);
+        assert_eq!(
+            m.conflict_mask_of(C1, a, AccessKind::Read),
+            CoreSet::solo(0)
+        );
+        assert!(m.spec_bits(C0, a.block()).written);
     }
 
     #[test]
@@ -832,7 +789,7 @@ mod tests {
         let a = Addr(0);
         m.access(C0, a, AccessKind::Write, true);
         assert_eq!(m.clear_spec(C0), 1);
-        assert!(m.probe(C1, a, AccessKind::Read).conflicts.is_empty());
+        assert!(m.conflict_mask_of(C1, a, AccessKind::Read).is_empty());
         // Second clear is a no-op.
         assert_eq!(m.clear_spec(C0), 0);
     }
@@ -845,7 +802,7 @@ mod tests {
         let bits = m.invalidate_block(C0, a.block());
         assert!(bits.read);
         assert!(!m.caches_block(C0, a.block()));
-        assert!(m.probe(C1, a, AccessKind::Write).conflicts.is_empty());
+        assert!(m.conflict_mask_of(C1, a, AccessKind::Write).is_empty());
         // After the steal, C1 can write at DRAM cost (block now uncached).
         assert_eq!(m.access(C1, a, AccessKind::Write, false), 140);
     }
@@ -865,8 +822,11 @@ mod tests {
         m.access(C0, b, AccessKind::Read, true); // evicts block of `a`
         assert!(!m.caches_block(C0, a.block()));
         // Permissions survive: a remote write still conflicts.
-        let p = m.probe(C1, a, AccessKind::Write);
-        assert_eq!(p.conflicts.len(), 1);
+        assert_eq!(
+            m.conflict_mask_of(C1, a, AccessKind::Write),
+            CoreSet::solo(0)
+        );
+        assert!(m.spec_bits(C0, a.block()).read);
         assert!(m.stats(C0).spec_overflows >= 1);
         // And spec_blocks reports both.
         let blocks = m.spec_blocks(C0);
@@ -946,15 +906,14 @@ mod tests {
         assert_eq!(set.len(), 7);
         let cores: Vec<usize> = set.iter().map(|c| c.core.0).collect();
         assert_eq!(cores, vec![0, 1, 2, 3, 4, 5, 6], "ascending core order");
-        assert_eq!(set.to_vec().len(), 7);
     }
 
     #[test]
-    fn watchers_wake_on_a_watched_change_and_sleepers_on_their_own_clear() {
+    fn watchers_wake_on_a_watched_change_and_on_their_own_clear() {
         let mut m = ms(3);
         let (a, b) = (BlockAddr(0), BlockAddr(1));
-        m.watch(C1, [a, b, a], true);
-        m.watch(CoreId(2), [b], false);
+        m.watch(C1, [a, b, a]);
+        m.watch(CoreId(2), [b]);
         assert!(!m.no_watchers() && !m.wake_pending());
         m.wake_watchers(BlockAddr(2)); // unwatched
         assert!(!m.wake_pending());
@@ -962,8 +921,6 @@ mod tests {
         assert_eq!(m.take_woken().iter().collect::<Vec<_>>(), [1, 2]);
         assert!(!m.wake_pending(), "taking clears the flag");
         m.clear_spec(C0); // another core's clear
-        assert!(!m.wake_pending());
-        m.clear_spec(CoreId(2)); // a watcher that is not asleep
         assert!(!m.wake_pending());
         m.clear_spec(C1);
         assert_eq!(m.take_woken(), CoreSet::solo(1));

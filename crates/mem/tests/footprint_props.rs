@@ -207,7 +207,7 @@ fn check<const N: usize>(cores: [usize; CORES], ops: &[Op]) {
         reference: RefSpec::default(),
     };
     for (&spare, &b) in spares.iter().zip(&BLOCKS) {
-        sides.ms.watch(CoreId(spare), [BlockAddr(b)], false);
+        sides.ms.watch(CoreId(spare), [BlockAddr(b)]);
     }
 
     for &op in ops {

@@ -50,14 +50,14 @@ fn assert_some_window_is_allocation_free(mut hot_loop: impl FnMut(), what: &str)
 fn hot_iteration(ms: &mut MemorySystem) {
     for i in 0..4u64 {
         let addr = Addr(i * 8);
+        assert!(ms.conflict_mask_of(C0, addr, AccessKind::Read).is_empty());
         let plan = ms.plan(C0, addr, AccessKind::Read);
-        assert!(!plan.has_conflicts());
         ms.access_planned(&plan, true);
     }
     for i in 0..4u64 {
         let addr = Addr(i * 8);
+        assert!(ms.conflict_mask_of(C0, addr, AccessKind::Write).is_empty());
         let plan = ms.plan(C0, addr, AccessKind::Write);
-        assert!(!plan.has_conflicts());
         ms.access_planned(&plan, true);
         ms.write_word(addr, i + 1);
     }
@@ -66,6 +66,7 @@ fn hot_iteration(ms: &mut MemorySystem) {
     for i in 0..4u64 {
         let addr = Addr(i * 8);
         assert!(ms.has_conflicts(C1, addr, AccessKind::Read));
+        assert!(ms.spec_bits(C0, addr.block()).written);
         let set = ms.conflict_set(C1, addr, AccessKind::Read);
         assert_eq!(set.len(), 1);
     }

@@ -175,21 +175,9 @@ pub struct Machine<const N: usize = 1> {
     tracer: Option<Box<retcon_obs::RingTracer>>,
 }
 
-/// Lifecycle of a core's storm certificate. A core with a live certificate
-/// (any state but `Empty`) watches the certificate's blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CertState {
-    /// No certificate: the core's last attempt was not a certified stall.
-    Empty,
-    /// Certified; the core stays queued and is charged one retry per
-    /// decision.
-    Polled,
-    /// Certified; the core is out of the run queue until woken.
-    Parked,
-}
-
 /// A core's storm certificate: a validated stall-storm verdict, cached so
 /// retries can be charged without re-executing the stalled instruction.
+/// `Some` exactly while the core is parked in the storm.
 ///
 /// When an access stalls, the protocol's
 /// [`stall_storm`](AnyProtocol::stall_storm) dry run certifies (or
@@ -212,38 +200,25 @@ enum CertState {
 ///
 /// # Parking
 ///
-/// Under a jitter-free schedule that always runs the `(clock, id)`
-/// minimum, a certified core also leaves the runnable set
-/// ([`CertState::Parked`]) and sleeps until a wake — a change to a watched
-/// block, or a remote abort clearing its speculative bits. Woken, it is
-/// charged in closed form the retries polling would have run before the
-/// waking instruction ([`Peers::charge`]) and re-executes for real. RETCON
-/// predictors that its retries train are brought up to date before they
-/// are read ([`Trainers`]).
+/// A certified core leaves the runnable set and sleeps until a wake — a
+/// change to a watched block, or a remote abort clearing its speculative
+/// bits. Woken, it is charged in closed form the retries re-execution
+/// would have run before the waking instruction ([`Peers::charge`]) and
+/// re-executes for real. RETCON predictors that its retries train are
+/// brought up to date before they are read ([`Trainers`]). DESIGN.md
+/// § Fast-forward has the argument that this equals step-by-step
+/// execution.
 ///
-/// # Polling
+/// A core certifies only where it can park: under a batched decision
+/// ([`Bound::Until`]/[`Bound::Free`]), where the closed form knows every
+/// key that runs before the wake. A stepped schedule ([`Bound::Step`])
+/// re-executes every retry, as [`Machine::set_fast_forward`]`(false)`
+/// does.
 ///
-/// Other schedules poll ([`CertState::Polled`]): the core stays queued and
-/// each decision charges one certified retry, through
-/// [`Schedule::observe_stall`], still skipping the protocol's
-/// read/write/commit path. A wake drops the certificate — the retries were
-/// charged as they ran — and so does the core's own remote abort, which it
-/// sees before its next retry exactly as real execution would. DESIGN.md
-/// § Fast-forward has the argument that both equal step-by-step execution.
-#[derive(Debug, Clone, Copy)]
-struct Cert<const N: usize = 1> {
-    state: CertState,
-    /// The certified per-retry side effects; meaningful only while `state`
-    /// is not [`CertState::Empty`].
-    storm: StallStorm<N>,
-}
-
-impl<const N: usize> Cert<N> {
-    const EMPTY: Cert<N> = Cert {
-        state: CertState::Empty,
-        storm: StallStorm::access(CoreSet::EMPTY, BlockAddr(0)),
-    };
-}
+/// A storm is about 540 bytes (its watch list is inline), so the oracle
+/// writes it in place and a wake reads it there: moving it by value at
+/// every park and wake cost python@32 eager about 7 % more CPU.
+type Cert<const N: usize = 1> = Option<StallStorm<N>>;
 
 impl<const N: usize> fmt::Debug for Machine<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -277,7 +252,7 @@ impl<const N: usize> Machine<N> {
             mem: MemorySystem::new(cfg.mem, cfg.num_cores),
             protocol: protocol.into(),
             cores: programs.iter().map(|p| Core::new(p.entry())).collect(),
-            certs: vec![Cert::EMPTY; programs.len()],
+            certs: vec![None; programs.len()],
             trainers: Trainers::default(),
             footprint: None,
             tracer: None,
@@ -325,7 +300,8 @@ impl<const N: usize> Machine<N> {
     /// Fast-forwarding is on by default and is observationally equivalent
     /// to executing every retry (the equivalence is pinned by the root
     /// property suite); disabling it forces the step-by-step retry loop,
-    /// which the equivalence tests use as the reference.
+    /// which the equivalence tests use as the reference. Stepped schedules
+    /// ([`Bound::Step`]) run that loop either way.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -401,9 +377,8 @@ impl<const N: usize> Machine<N> {
         // watchers a failed run left behind) so a different schedule starts
         // clean.
         for (c, cert) in self.certs.iter_mut().enumerate() {
-            if cert.state != CertState::Empty {
-                self.mem.unwatch(CoreId(c), watched(&cert.storm));
-                cert.state = CertState::Empty;
+            if let Some(storm) = cert.take() {
+                self.mem.unwatch(CoreId(c), watched(&storm));
             }
         }
         self.mem.take_woken();
@@ -426,18 +401,13 @@ impl<const N: usize> Machine<N> {
                     );
                     self.run_core(c, d.bound, sched)?;
                     let core = &self.cores[c];
-                    let runnable = !core.halted
-                        && !core.at_barrier
-                        && self.certs[c].state != CertState::Parked;
+                    let runnable = !core.halted && !core.at_barrier && self.certs[c].is_none();
                     sched.core_yielded(c, core.now, runnable);
                 }
                 // No runnable core, yet some sleep in a storm: nothing is
-                // left to wake them, and polling would retry to the limit.
-                None if self
-                    .certs
-                    .iter()
-                    .any(|cert| cert.state == CertState::Parked) =>
-                {
+                // left to wake them, and re-execution would retry to the
+                // limit.
+                None if self.certs.iter().any(Option::is_some) => {
                     return Err(SimError::CycleLimit {
                         limit: self.cfg.max_cycles,
                     });
@@ -498,10 +468,10 @@ impl<const N: usize> Machine<N> {
     /// Executes instructions on core `c` until its [`Bound`] expires: its
     /// `(clock, id)` reaches a [`Bound::Until`] key (the smallest key among
     /// the other runnable cores), one instruction attempt completes under
-    /// [`Bound::Step`], it parks at a barrier or in a certified stall storm
-    /// (see [`Cert`]), or it halts. [`Bound::Free`] means no other core is
-    /// runnable. A parked core woken by this batch is queued at its new
-    /// key, which tightens `bound`.
+    /// [`Bound::Step`], it parks at a barrier or — under a batched bound —
+    /// in a certified stall storm (see [`Cert`]), or it halts.
+    /// [`Bound::Free`] means no other core is runnable. A parked core woken
+    /// by this batch is queued at its new key, which tightens `bound`.
     ///
     /// # Equivalence with single-stepping
     ///
@@ -523,14 +493,14 @@ impl<const N: usize> Machine<N> {
             !self.mem.wake_pending(),
             "a wake outlived the instruction that caused it"
         );
+        debug_assert!(self.certs[c].is_none(), "decided parked core {c}");
         let core_id = CoreId(c);
         let max_cycles = self.cfg.max_cycles;
         let stall_retry = self.cfg.stall_retry;
-        let fast_forward = self.fast_forward && stall_retry > 0;
         // A certified storm parks only where a wake can charge exactly what
-        // polling would have run: no jitter, and the `(clock, id)` minimum
-        // decided in batches.
-        let park = fast_forward && sched.stall_jitter_free() && bound != Bound::Step;
+        // re-execution would have run: the `(clock, id)` minimum decided in
+        // batches. A stepped schedule re-executes every retry.
+        let park = self.fast_forward && stall_retry > 0 && bound != Bound::Step;
         let num_cores = self.cores.len();
         // Hoist the per-instruction borrows out of the loop: the protocol,
         // the memory system and this core's interpreter state are disjoint
@@ -587,14 +557,33 @@ impl<const N: usize> Machine<N> {
         // instruction woke on its way out.
         macro_rules! stall {
             ($action:expr, $arg:expr) => {{
-                core.stall(stall_retry + sched.observe_stall(c, core.now));
+                let jitter = sched.observe_stall(c, core.now);
+                debug_assert!(
+                    jitter == 0 || bound == Bound::Step,
+                    "a batched decision for core {c} drew stall jitter"
+                );
+                core.stall(stall_retry + jitter);
                 trace!(EventKind::Stall, core.now, $arg);
-                if fast_forward && certify_storm(protocol, mem, c, $action, park, cert) {
-                    if mem.wake_pending() {
-                        peers.wake(protocol, mem, tracer.as_deref_mut(), sched, (at, c));
+                // The pending-abort flag was taken before this instruction,
+                // and the one access that aborts its own requester remotely
+                // (a DATM cascade) returns `Abort`, not a stall: a parked
+                // core with its restart pending would sleep through it.
+                debug_assert!(
+                    !protocol.abort_pending(core_id),
+                    "core {c} stalled with its own abort pending"
+                );
+                // A certified storm watches the blocks its verdict read and
+                // parks; its retries are charged when it is woken.
+                if park {
+                    *cert = protocol.stall_storm(core_id, $action, mem);
+                    if let Some(storm) = cert {
+                        mem.watch(core_id, watched(storm));
+                        if mem.wake_pending() {
+                            peers.wake(protocol, mem, tracer.as_deref_mut(), sched, (at, c));
+                        }
+                        peers.trainers.add(c, storm.train_mask, num_cores);
+                        return Ok(());
                     }
-                    peers.trainers.add(c, cert.storm.train_mask, num_cores);
-                    return Ok(());
                 }
             }};
         }
@@ -636,29 +625,6 @@ impl<const N: usize> Machine<N> {
                 core.restart_tx();
                 in_tx = false;
                 trace!(EventKind::Abort, core.now, 2); // remote
-
-                // The abort rewound the pc: a polled storm is no longer this
-                // core's next action, and nothing it watches need have
-                // changed when *this* core was the victim (its speculative
-                // bits may not cover those blocks). Drop the certificate; a
-                // fresh stall re-certifies.
-                if cert.state != CertState::Empty {
-                    mem.unwatch(core_id, watched(&cert.storm));
-                    cert.state = CertState::Empty;
-                }
-                continue;
-            }
-            // A polled storm (see [`Cert`]): until a wake drops the
-            // certificate, the next attempt of the instruction under `pc`
-            // provably stalls again with the certified side effects — charge
-            // it without re-executing the access, one retry per iteration so
-            // a jittered schedule's draws (and trace hashes) stay identical
-            // to real execution.
-            if cert.state == CertState::Polled {
-                core.stall(stall_retry + sched.observe_stall(c, core.now));
-                protocol.apply_stall_retries(core_id, &cert.storm, 1, mem);
-                trace!(EventKind::StormFf, core.now, 1);
-                stepped = true;
                 continue;
             }
             debug_assert_eq!(
@@ -853,43 +819,6 @@ impl<const N: usize> Machine<N> {
     }
 }
 
-/// Dry-runs the stall the core just took through the protocol's
-/// [`stall_storm`](AnyProtocol::stall_storm) oracle and, when the oracle
-/// certifies a stable storm, makes it the core's [`Cert`] and has the core
-/// watch the blocks the verdict read: until one of them changes, a retry
-/// is provably a fixed point and is charged analytically instead of
-/// re-executing the instruction. The core parks where `park` allows and no
-/// remote abort is already waiting for it, and is polled otherwise.
-/// Returns `true` if it parked.
-fn certify_storm<const N: usize>(
-    protocol: &AnyProtocol<N>,
-    mem: &mut MemorySystem<N>,
-    c: usize,
-    action: StallAction,
-    park: bool,
-    cert: &mut Cert<N>,
-) -> bool {
-    debug_assert_eq!(
-        cert.state,
-        CertState::Empty,
-        "core {c} stalled while certified"
-    );
-    let Some(storm) = protocol.stall_storm(CoreId(c), action, mem) else {
-        return false;
-    };
-    let parks = park && !protocol.abort_pending(CoreId(c));
-    mem.watch(CoreId(c), watched(&storm), parks);
-    *cert = Cert {
-        state: if parks {
-            CertState::Parked
-        } else {
-            CertState::Polled
-        },
-        storm,
-    };
-    parks
-}
-
 /// The blocks a storm's certificate depends on: the contended block and
 /// the watched prefix.
 fn watched<const N: usize>(storm: &StallStorm<N>) -> impl Iterator<Item = BlockAddr> + '_ {
@@ -920,6 +849,16 @@ impl<const N: usize> Trainers<N> {
             self.parked += 1;
         }
     }
+
+    /// Woken core `w`'s storm, which trained the cores of `mask`, is over.
+    fn remove(&mut self, w: usize, mask: CoreSet<N>) {
+        if !mask.is_empty() {
+            for e in mask {
+                self.by_core[e].remove(w);
+            }
+            self.parked -= 1;
+        }
+    }
 }
 
 /// The cores a batch does not run, split around the running core `c` so
@@ -947,9 +886,9 @@ impl<const N: usize> Peers<'_, N> {
 
     /// Charges parked core `w` the certified retries it owes before the key
     /// `(clock, id)`: exactly those whose own `(clock, w)` key sorts below
-    /// it, which polling would have run (each stalling identically) before
-    /// the instruction at that key. Leaves `w` at its next retry's clock and
-    /// applies the retries' side effects.
+    /// it, which re-execution would have run (each stalling identically)
+    /// before the instruction at that key. Leaves `w` at its next retry's
+    /// clock and applies the retries' side effects.
     #[inline(never)]
     fn charge(
         &mut self,
@@ -961,21 +900,22 @@ impl<const N: usize> Peers<'_, N> {
     ) {
         let stall_retry = self.stall_retry;
         let (core, cert) = self.get(w);
+        let storm = cert.as_ref().expect("a charged core is parked");
         let target = if w > id { clock } else { clock + 1 };
         let n = target.saturating_sub(core.now).div_ceil(stall_retry);
         if n != 0 {
             core.stall(n * stall_retry);
-            protocol.apply_stall_retries(CoreId(w), &cert.storm, n, mem);
+            protocol.apply_stall_retries(CoreId(w), storm, n, mem);
             if let Some(t) = tracer {
                 t.record(w, retcon_obs::EventKind::StormFf, core.now, n);
             }
         }
     }
 
-    /// Ends the certificate of every watcher the instruction at `key`
-    /// woke. A parked one is charged what it owes before `key` and queued
-    /// at its new clock; a polled one was charged as it ran. Returns the
-    /// smallest released key.
+    /// Ends the certificate of every parked core the instruction at `key`
+    /// woke: each is charged what it owes before `key`, stops watching and
+    /// training, and is queued at its new clock. Returns the smallest
+    /// released key.
     #[inline(never)]
     fn wake<S: Schedule + ?Sized>(
         &mut self,
@@ -987,23 +927,14 @@ impl<const N: usize> Peers<'_, N> {
     ) -> (u64, usize) {
         let mut first = (u64::MAX, usize::MAX);
         for w in mem.take_woken() {
-            let parked = self.get(w).1.state == CertState::Parked;
-            if parked {
-                self.charge(protocol, mem, tracer.as_deref_mut(), w, key);
-            }
+            self.charge(protocol, mem, tracer.as_deref_mut(), w, key);
             let (core, cert) = self.get(w);
-            mem.unwatch(CoreId(w), watched(&cert.storm));
-            cert.state = CertState::Empty;
-            if !parked {
-                continue;
-            }
-            let (now, mask) = (core.now, cert.storm.train_mask);
-            if !mask.is_empty() {
-                for e in mask {
-                    self.trainers.by_core[e].remove(w);
-                }
-                self.trainers.parked -= 1;
-            }
+            let now = core.now;
+            let storm = cert.as_ref().expect("every watcher is parked");
+            mem.unwatch(CoreId(w), watched(storm));
+            let mask = storm.train_mask;
+            *cert = None;
+            self.trainers.remove(w, mask);
             sched.core_released(w, now);
             first = first.min((now, w));
         }

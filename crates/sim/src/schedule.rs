@@ -119,11 +119,13 @@ pub trait SchedulePeek {
 ///
 /// Lifecycle: `begin` once with every core's starting clock, then
 /// repeatedly `next_core` → (machine runs the decided core) →
-/// `core_yielded`. Cores parked at a barrier, or — under a jitter-free
-/// policy — asleep in a certified stall storm, leave the runnable set
-/// (`runnable = false`) and re-enter through `core_released` when the
-/// machine releases the barrier or wakes them. `observe_stall` is consulted
-/// on every stall charge and may add jitter cycles.
+/// `core_yielded`. Cores parked at a barrier, or — after a batched
+/// ([`Bound::Until`]/[`Bound::Free`]) decision — asleep in a certified
+/// stall storm, leave the runnable set (`runnable = false`) and re-enter
+/// through `core_released` when the machine releases the barrier or wakes
+/// them. Under [`Bound::Step`] every stalled retry is re-executed, one
+/// decision each. `observe_stall` is consulted on every executed stall
+/// and may add jitter cycles.
 pub trait Schedule {
     /// Starts a run: `clocks[i]` is core `i`'s current clock; every core is
     /// runnable.
@@ -146,23 +148,14 @@ pub trait Schedule {
     /// A stall of the configured retry latency is being charged to `core`
     /// at clock `now`; the returned extra cycles are added to the charge
     /// (conflict time). The default policy never jitters.
+    ///
+    /// A schedule that jitters must decide with [`Bound::Step`]. After a
+    /// batched decision the machine's stall fast-forward parks a certified
+    /// storm and charges its retries in closed form when it is woken,
+    /// without consulting this method per retry, so nonzero jitter there
+    /// would change the run (debug builds assert that it stays zero).
     fn observe_stall(&mut self, _core: usize, _now: u64) -> u64 {
         0
-    }
-
-    /// `true` only if [`observe_stall`](Schedule::observe_stall) is
-    /// stateless and always returns zero, so skipping its calls cannot be
-    /// observed, and the policy always decides the runnable minimum
-    /// `(clock, id)`. The machine's stall fast-forward consults this: under
-    /// a jitter-free schedule that batches ([`Bound::Until`]/[`Bound::Free`])
-    /// a certified storm parks and is charged in closed form when woken,
-    /// while any other schedule is still consulted exactly once per charged
-    /// retry — jittered schedules like [`SeededFuzz`] draw from their RNG on
-    /// every charge, and dropping or reordering draws would change the
-    /// schedule. The conservative default keeps unknown schedules
-    /// jitter-faithful.
-    fn stall_jitter_free(&self) -> bool {
-        false
     }
 }
 
@@ -443,10 +436,6 @@ impl Schedule for DeterministicMin {
             self.queue.base = now;
         }
         self.push(now, core);
-    }
-
-    fn stall_jitter_free(&self) -> bool {
-        true
     }
 }
 

@@ -37,8 +37,4 @@ impl Schedule for RefMinHeap {
     fn core_released(&mut self, core: usize, now: u64) {
         self.heap.push(Reverse((now, core)));
     }
-
-    fn stall_jitter_free(&self) -> bool {
-        true
-    }
 }

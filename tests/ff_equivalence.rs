@@ -7,13 +7,14 @@
 //! (the shapes that actually form storms) under all seven systems, on the
 //! default deterministic schedule, where a certified storm parks until a
 //! watched block moves and is charged in closed form when woken, and under
-//! a `SeededFuzz` schedule, where a certified storm stays queued and is
-//! charged one retry per decision until a wake or its own abort ends it.
-//! The targeted specs below drive each wake condition on purpose: a change
-//! to a commit storm's watched prefix, a remote abort, a predictor read by
-//! a core the parked storm trains, and nothing left to wake at all. After
-//! every run that completes, no core may still watch a block: a leaked
-//! watcher only causes spurious wakes, which no report would show.
+//! a `SeededFuzz` schedule, which decides one step at a time: there nothing
+//! is certified, every retry is re-executed, and the run must record no
+//! storm fast-forward at all. The targeted specs below drive each wake
+//! condition on purpose: a change to a commit storm's watched prefix, a
+//! remote abort, a predictor read by a core the parked storm trains, and
+//! nothing left to wake at all. After every run that completes, no core
+//! may still watch a block: a leaked watcher only causes spurious wakes,
+//! which no report would show.
 
 use proptest::prelude::*;
 use retcon_isa::{Addr, CmpOp, Operand, Program, ProgramBuilder, Reg, WORDS_PER_BLOCK};
@@ -49,10 +50,11 @@ type Outcome = Result<(SimReport, u64, u64), String>;
 /// fast-forward on and off — on the default schedule, or on
 /// `SeededFuzz::new(seed)` when `fuzz` is `Some(seed)` — and asserts equal
 /// outcomes: the same report (and fuzz decision count and trace hash), or
-/// the same error. A run that completes must leave no watcher behind. The
+/// the same error. A run that completes must leave no watcher behind, and
+/// a fuzzed run, being stepped, must record no storm fast-forward. The
 /// fast-forwarded run is traced; returns, per system, how many storm
 /// fast-forwards core `core` took (a parked core records one per wake or
-/// predictor flush that owed it retries, a polled one one per retry).
+/// predictor flush that owed it retries).
 fn assert_ff_equivalent<const N: usize>(
     spec: &WorkloadSpec,
     systems: &[System],
@@ -89,6 +91,13 @@ fn assert_ff_equivalent<const N: usize>(
             );
             outcomes.push(outcome);
             if let Some(tracer) = machine.take_tracer() {
+                assert!(
+                    fuzz.is_none() || tracer.count(EventKind::StormFf) == 0,
+                    "{} on {} cores under {} (fuzz {fuzz:?}): a stepped run fast-forwarded",
+                    spec.name,
+                    cores,
+                    system.label()
+                );
                 let of_core = tracer.events().filter(|e| {
                     usize::from(e.core) == core && e.event_kind() == Some(EventKind::StormFf)
                 });
@@ -225,11 +234,8 @@ fn a_commit_storm_wakes_on_its_watched_prefix() {
 /// so its own abort moves nothing it watches). Core 2, older than core 1,
 /// then writes block 2 and aborts it: the parked core must restart from
 /// that key, not sleep on until core 0 commits. Under `SeededFuzz` the
-/// victim is polled instead, and nothing it watches changes at the abort:
-/// the abort itself must end its certificate and unwatch block 1. Core 2
-/// holds block 2 past core 0's commit, so the restarted victim is storming
-/// on block 2 when block 1 changes, and a block-1 watcher left behind by
-/// the abort would still be there when the victim writes block 1.
+/// same storm is stepped: every retry re-executes and none is
+/// fast-forwarded.
 #[test]
 fn a_remote_abort_wakes_the_parked_victim() {
     let victim = {
@@ -254,7 +260,10 @@ fn a_remote_abort_wakes_the_parked_victim() {
     let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1, None);
     assert!(ffs[0] > 0, "the eager victim parked and was woken: {ffs:?}");
     let ffs = assert_ff_equivalent::<1>(&spec, &SYSTEMS, SimConfig::with_cores(3), 1, Some(1));
-    assert!(ffs[0] > 0, "the eager victim was polled: {ffs:?}");
+    assert!(
+        ffs.iter().all(|&n| n == 0),
+        "a stepped run records no storm_ff: {ffs:?}"
+    );
 }
 
 /// (b) The same under DATM, through a cascade. Core 2 reads block 1, which
@@ -350,9 +359,9 @@ fn a_parked_storm_trains_the_predictor_its_victim_reads() {
 
 /// (d) Every core that could run is parked: core 0 halts inside its
 /// transaction holding block 1, core 1 stalls on it for good, core 2 waits
-/// at a barrier that only a runnable-free machine would release. Polling
-/// retries until the cycle limit; the parked run must report the same
-/// error instead of releasing the barrier.
+/// at a barrier that only a runnable-free machine would release.
+/// Re-execution retries until the cycle limit; the parked run must report
+/// the same error instead of releasing the barrier.
 #[test]
 fn nothing_left_to_wake_reaches_the_cycle_limit() {
     let abandoner = {
@@ -392,7 +401,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Each generated configuration runs twice: parked on the default
-    /// schedule, and polled under `SeededFuzz` with a drawn seed.
+    /// schedule, and stepped under `SeededFuzz` with a drawn seed.
     #[test]
     fn fast_forward_is_invisible_in_reports(
         workload in workload_strategy(),
@@ -408,6 +417,22 @@ proptest! {
                 assert_ff_equivalent_run::<1>(&spec, &SYSTEMS, fuzz);
             }
         }
+    }
+}
+
+/// Fixed fuzzed inputs beside the drawn ones: the contended counter under
+/// every system, the storm-heavy python shape scaled down, and three more
+/// fuzz seeds. A jittered schedule draws from its RNG on every executed
+/// stall, so equal decision counts and trace hashes pin that fast-forward
+/// left every retry to real execution.
+#[test]
+fn fuzzed_replay_is_identical_on_fixed_inputs() {
+    let counter = |cores| Workload::Counter.build(cores, 42);
+    assert_ff_equivalent_run::<1>(&counter(8), &SYSTEMS, Some(7));
+    let python = Workload::Python { optimized: false }.build(4, 42);
+    assert_ff_equivalent_run::<1>(&python, &[System::Retcon], Some(3));
+    for fuzz_seed in [1, 99, 12345] {
+        assert_ff_equivalent_run::<1>(&counter(4), &[System::Retcon], Some(fuzz_seed));
     }
 }
 
