@@ -1,10 +1,9 @@
 //! Seeded schedule fuzzing: many reproducible perturbations per scenario.
 //!
-//! Each run drives the scenario's machine with a
-//! [`SeededFuzz`](retcon_sim::SeededFuzz) schedule under one seed of a
-//! contiguous seed range; the whole campaign is a pure function of
-//! `(scenario, system, budget)`. Distinct interleavings are counted by the
-//! schedule's decision fingerprint.
+//! Each run drives the scenario's machine with a [`SeededFuzz`] schedule
+//! under one seed of a contiguous seed range; the whole campaign is a pure
+//! function of `(scenario, system, budget)`. Distinct interleavings are
+//! counted by the schedule's decision fingerprint.
 
 use std::collections::HashSet;
 

@@ -6,7 +6,7 @@
 //! scenario coverage by driving the simulator's scheduling seam
 //! ([`retcon_sim::Schedule`]) with two exploration engines:
 //!
-//! * **Seeded fuzzing** ([`fuzz`]) — thousands of splitmix-perturbed
+//! * **Seeded fuzzing** ([`fuzz`](mod@fuzz)) — thousands of splitmix-perturbed
 //!   schedules per configuration, each reproducible from `(config,
 //!   seed)`;
 //! * **Bounded search** ([`search`]) — a DFS over scheduling choice
@@ -19,7 +19,7 @@
 //! commutative workloads (which doubles as the cross-protocol agreement
 //! oracle — every protocol is held to the same state), conservation for
 //! transfers, and the protocols' own quiescence invariants
-//! ([`retcon_sim::Protocol::check_quiescent`]). That the oracles can fail
+//! ([`retcon_sim::AnyProtocol::check_quiescent`]). That the oracles can fail
 //! at all is checked outside the crate, by the mutation catalog under
 //! `tests/mutants/`: patches that break a real protocol, each of which
 //! `scripts/mutate.sh` must see caught.

@@ -1,26 +1,38 @@
-//! Monomorphized protocol dispatch.
+//! The protocol interface the simulator drives.
 //!
 //! The simulator calls into the concurrency-control protocol once per
 //! *instruction* (register hooks) and once per *memory access* — by far the
-//! hottest call sites in the workspace. Routing them through a trait
-//! object costs an indirect call that the optimizer cannot see
-//! through, so nothing inlines and every per-access branch is re-derived
-//! behind the call. [`AnyProtocol`] flattens the five built-in protocols
-//! into one enum whose methods dispatch with an ordinary (predictable,
-//! inlineable) `match`, the same enum-state-machine shape the related kani
-//! and mv codebases use for their hot dispatch.
+//! hottest call sites in the workspace. [`AnyProtocol`] flattens the five
+//! built-in protocols into one enum whose methods dispatch with an ordinary
+//! (predictable, inlineable) `match`, the same enum-state-machine shape the
+//! related kani and mv codebases use for their hot dispatch. Each arm passes
+//! its protocol only the arguments that protocol reads.
 
 use retcon::RetconStats;
 use retcon_isa::{Addr, BinOp, CmpOp, Reg};
 use retcon_mem::{CoreId, MemorySystem};
 
-use crate::protocol::Protocol;
 use crate::result::{CommitResult, MemResult, ProtocolStats};
 use crate::storm::{StallAction, StallStorm};
 use crate::{DatmLite, EagerTm, LazyTm, LazyVbTm, RetconTm};
 
-/// Every concurrency-control protocol, dispatched by `match` instead of
-/// vtable.
+/// A hardware concurrency-control protocol: every one the simulator runs,
+/// dispatched by `match`.
+///
+/// The simulator routes every memory access, transaction boundary and —
+/// because RETCON shadows the register file symbolically — every
+/// register-writing instruction of every core through this enum. The
+/// protocols that do not track registers compute the concrete result of a
+/// register hook and keep nothing.
+///
+/// # Abort handshake
+///
+/// A protocol may abort a *remote* core's transaction while servicing a
+/// request (contention management) or a commit. The simulator polls
+/// [`take_aborted`](AnyProtocol::take_aborted) before each instruction; a
+/// core whose flag is set rolls its control flow back to the transaction
+/// begin. Memory and speculative state have already been restored by the
+/// protocol at abort time (zero-cycle rollback, per the paper's baseline).
 ///
 /// Construct it with `From`/`Into` from any built-in protocol value:
 ///
@@ -51,9 +63,9 @@ impl<const N: usize> std::fmt::Debug for AnyProtocol<N> {
     }
 }
 
-/// Expands one protocol call across every variant. Method-call syntax
-/// picks the receiver each [`Protocol`] method wants, so one expansion
-/// serves all five arms.
+/// Expands one protocol call that every variant takes with the same
+/// arguments. Method-call syntax picks the receiver each method wants, so
+/// one expansion serves all five arms.
 macro_rules! dispatch {
     ($self:expr, $method:ident ( $($args:expr),* )) => {
         match $self {
@@ -73,7 +85,8 @@ impl<const N: usize> AnyProtocol<N> {
         dispatch!(self, name())
     }
 
-    /// Begins (or re-begins after an abort) a transaction on `core`.
+    /// Begins (or re-begins after an abort) a transaction on `core` at cycle
+    /// `now`.
     #[inline]
     pub fn tx_begin(&mut self, core: CoreId, now: u64) {
         dispatch!(self, tx_begin(core, now))
@@ -85,7 +98,9 @@ impl<const N: usize> AnyProtocol<N> {
         dispatch!(self, tx_active(core))
     }
 
-    /// Performs a load (see [`Protocol::read`]).
+    /// Performs a load of `addr` into `dst`. `addr_reg` names the register
+    /// the address was computed from (for RETCON's address-use equality
+    /// pins). No protocol reads the cycle of an access.
     #[inline]
     pub fn read(
         &mut self,
@@ -94,12 +109,20 @@ impl<const N: usize> AnyProtocol<N> {
         addr: Addr,
         addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        now: u64,
+        _now: u64,
     ) -> MemResult {
-        dispatch!(self, read(core, dst, addr, addr_reg, mem, now))
+        match self {
+            AnyProtocol::Eager(p) => p.read(core, addr, mem),
+            AnyProtocol::Lazy(p) => p.read(core, addr, mem),
+            AnyProtocol::LazyVb(p) => p.read(core, addr, mem),
+            AnyProtocol::Retcon(p) => p.read(core, dst, addr, addr_reg, mem),
+            AnyProtocol::Datm(p) => p.read(core, addr, mem),
+        }
     }
 
-    /// Performs a store (see [`Protocol::write`]).
+    /// Performs a store of `value` to `addr`. `src` names the source
+    /// register (`None` for an immediate operand); `addr_reg` is as for
+    /// [`read`](AnyProtocol::read).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn write(
@@ -110,15 +133,27 @@ impl<const N: usize> AnyProtocol<N> {
         addr: Addr,
         addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        now: u64,
+        _now: u64,
     ) -> MemResult {
-        dispatch!(self, write(core, src, value, addr, addr_reg, mem, now))
+        match self {
+            AnyProtocol::Eager(p) => p.write(core, value, addr, mem),
+            AnyProtocol::Lazy(p) => p.write(core, value, addr, mem),
+            AnyProtocol::LazyVb(p) => p.write(core, value, addr, mem),
+            AnyProtocol::Retcon(p) => p.write(core, src, value, addr, addr_reg, mem),
+            AnyProtocol::Datm(p) => p.write(core, value, addr, mem),
+        }
     }
 
-    /// Attempts to commit `core`'s transaction.
+    /// Attempts to commit `core`'s transaction at cycle `now`.
     #[inline]
     pub fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, now: u64) -> CommitResult {
-        dispatch!(self, commit(core, mem, now))
+        match self {
+            AnyProtocol::Eager(p) => p.commit(core, mem),
+            AnyProtocol::Lazy(p) => p.commit(core, mem),
+            AnyProtocol::LazyVb(p) => p.commit(core, mem),
+            AnyProtocol::Retcon(p) => p.commit(core, mem, now),
+            AnyProtocol::Datm(p) => p.commit(core, mem),
+        }
     }
 
     /// Returns and clears the "aborted by another core" flag.
@@ -127,8 +162,11 @@ impl<const N: usize> AnyProtocol<N> {
         dispatch!(self, take_aborted(core))
     }
 
-    /// Non-clearing preview of the flag (see
-    /// [`Protocol::abort_pending`]).
+    /// Non-clearing preview of [`take_aborted`](AnyProtocol::take_aborted):
+    /// `true` while `core` has a pending remote abort the simulator has
+    /// not yet delivered. Exploration pruning consults this so a core
+    /// about to restart is treated as performing its transaction begin,
+    /// not the (stale) instruction under its program counter.
     #[inline]
     pub fn abort_pending(&self, core: CoreId) -> bool {
         dispatch!(self, abort_pending(core))
@@ -137,16 +175,21 @@ impl<const N: usize> AnyProtocol<N> {
     /// Hook: `dst` was overwritten with an immediate.
     #[inline]
     pub fn on_imm(&mut self, core: CoreId, dst: Reg) {
-        dispatch!(self, on_imm(core, dst))
+        if let AnyProtocol::Retcon(p) = self {
+            p.engine_mut(core).on_imm(dst);
+        }
     }
 
     /// Hook: register move `dst <- src`.
     #[inline]
     pub fn on_mov(&mut self, core: CoreId, dst: Reg, src: Reg) {
-        dispatch!(self, on_mov(core, dst, src))
+        if let AnyProtocol::Retcon(p) = self {
+            p.engine_mut(core).on_mov(dst, src);
+        }
     }
 
-    /// Hook: ALU operation; returns the concrete result.
+    /// Hook: ALU operation; returns the concrete result. RETCON also
+    /// propagates symbolic tags.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn on_alu(
@@ -159,12 +202,17 @@ impl<const N: usize> AnyProtocol<N> {
         lhs_val: u64,
         rhs_val: u64,
     ) -> u64 {
-        dispatch!(self, on_alu(core, op, dst, lhs, rhs, lhs_val, rhs_val))
+        match self {
+            AnyProtocol::Retcon(p) => p
+                .engine_mut(core)
+                .on_alu(op, dst, lhs, rhs, lhs_val, rhs_val),
+            _ => op.apply(lhs_val, rhs_val),
+        }
     }
 
-    /// Hook: branch; returns the concrete outcome.
+    /// Hook: branch; returns the concrete outcome. RETCON also records
+    /// control-flow constraints.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn on_branch(
         &mut self,
         core: CoreId,
@@ -174,7 +222,12 @@ impl<const N: usize> AnyProtocol<N> {
         lhs_val: u64,
         rhs_val: u64,
     ) -> bool {
-        dispatch!(self, on_branch(core, cmp, lhs, rhs, lhs_val, rhs_val))
+        match self {
+            AnyProtocol::Retcon(p) => p
+                .engine_mut(core)
+                .on_branch(cmp, lhs, rhs, lhs_val, rhs_val),
+            _ => cmp.apply(lhs_val, rhs_val),
+        }
     }
 
     /// This core's protocol statistics.
@@ -183,13 +236,22 @@ impl<const N: usize> AnyProtocol<N> {
         dispatch!(self, stats(core))
     }
 
-    /// Aggregate RETCON structure statistics, if collected.
+    /// Aggregate RETCON structure statistics (Table 3); `None` for every
+    /// other protocol.
     #[inline]
     pub fn retcon_stats(&self) -> Option<RetconStats> {
-        dispatch!(self, retcon_stats())
+        self.as_retcon().map(RetconTm::retcon_stats)
     }
 
-    /// Read-only stall-storm dry run (see [`Protocol::stall_storm`]).
+    /// Read-only dry run for the simulator's stall fast-forward: if the
+    /// stalled `action` were retried by `core` right now, would it stall
+    /// again with exactly the per-retry side effects described by the
+    /// returned [`StallStorm`]? `Some` only when a retry is a provable fixed
+    /// point — it mutates nothing beyond the storm's declared side effects
+    /// and its outcome cannot change until another core runs (e.g. RETCON
+    /// returns `None` while a steal is possible, because a steal mutates
+    /// coherence state). Lazy and lazy-vb never stall, so they never admit
+    /// a storm.
     #[inline]
     pub fn stall_storm(
         &self,
@@ -197,11 +259,19 @@ impl<const N: usize> AnyProtocol<N> {
         action: StallAction,
         mem: &MemorySystem<N>,
     ) -> Option<StallStorm<N>> {
-        dispatch!(self, stall_storm(core, action, mem))
+        match self {
+            AnyProtocol::Eager(p) => p.stall_storm(core, action, mem),
+            AnyProtocol::Lazy(_) | AnyProtocol::LazyVb(_) => None,
+            AnyProtocol::Retcon(p) => p.stall_storm(core, action, mem),
+            AnyProtocol::Datm(p) => p.stall_storm(core, action),
+        }
     }
 
-    /// Applies `n` fast-forwarded stall retries (see
-    /// [`Protocol::apply_stall_retries`]).
+    /// Applies the side effects of `n` retries of the storm previously
+    /// validated by [`stall_storm`](AnyProtocol::stall_storm) — exactly
+    /// equivalent to executing the stalled instruction `n` more times.
+    /// `mem` receives the per-retry memory-statistics replay for commit
+    /// storms ([`StallStorm::prefix_hits`]).
     #[inline]
     pub fn apply_stall_retries(
         &mut self,
@@ -210,11 +280,23 @@ impl<const N: usize> AnyProtocol<N> {
         n: u64,
         mem: &mut MemorySystem<N>,
     ) {
-        dispatch!(self, apply_stall_retries(core, storm, n, mem))
+        match self {
+            AnyProtocol::Eager(p) => p.apply_stall_retries(core, n),
+            AnyProtocol::Lazy(_) | AnyProtocol::LazyVb(_) => {}
+            AnyProtocol::Retcon(p) => p.apply_stall_retries(core, storm, n, mem),
+            AnyProtocol::Datm(p) => p.apply_stall_retries(core, n),
+        }
     }
 
-    /// Checks protocol-internal invariants at a quiescent point (see
-    /// [`Protocol::check_quiescent`]).
+    /// Checks protocol-internal invariants at a *quiescent* point — no
+    /// core has an active transaction (e.g. after a completed run). All
+    /// speculative state must have been retired: undo logs and write
+    /// buffers empty, no pending abort flags, no dependence edges, and
+    /// RETCON's symbolic repair chain fully collapsed (IVB/SSB empty, no
+    /// register still carrying a symbolic tag). The exploration subsystem
+    /// calls this after every explored schedule, turning internal
+    /// bookkeeping leaks into reported violations instead of silent state
+    /// corruption carried into the next run.
     ///
     /// # Errors
     ///
@@ -255,11 +337,12 @@ from_builtin!(
 mod tests {
     use super::*;
     use crate::ConflictPolicy;
+    use retcon_mem::MemConfig;
 
     #[test]
     fn every_builtin_converts() {
         use retcon::RetconConfig;
-        let all: Vec<AnyProtocol> = vec![
+        let mut all: Vec<AnyProtocol> = vec![
             EagerTm::new(2, ConflictPolicy::OldestWins).into(),
             EagerTm::new(2, ConflictPolicy::RequesterLoses).into(),
             LazyTm::new(2).into(),
@@ -274,5 +357,25 @@ mod tests {
         );
         assert!(all[4].as_retcon().is_some());
         assert!(all[0].as_retcon().is_none());
+        // Only RETCON collects Table 3 statistics.
+        let collects: Vec<bool> = all.iter().map(|p| p.retcon_stats().is_some()).collect();
+        assert_eq!(collects, [false, false, false, false, true, false]);
+        // Lazy and lazy-vb never stall, so they admit no storm.
+        let mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
+        for p in &all[2..4] {
+            assert_eq!(p.stall_storm(CoreId(0), StallAction::Commit, &mem), None);
+            assert_eq!(
+                p.stall_storm(CoreId(0), StallAction::Read(Addr(0)), &mem),
+                None
+            );
+        }
+        // The register hooks of the protocols that track no registers
+        // compute the concrete result.
+        for p in all.iter_mut().filter(|p| p.as_retcon().is_none()) {
+            let sum = p.on_alu(CoreId(0), BinOp::Add, Reg(1), Reg(1), None, 40, 2);
+            assert_eq!(sum, BinOp::Add.apply(40, 2));
+            assert!(p.on_branch(CoreId(0), CmpOp::Lt, Reg(1), None, 1, 2));
+            assert!(!p.on_branch(CoreId(0), CmpOp::Lt, Reg(1), None, 2, 1));
+        }
     }
 }

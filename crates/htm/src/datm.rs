@@ -22,10 +22,9 @@
 //! would-be cycle, younger transaction aborts) is reproduced exactly.
 //! Commits wait for all predecessors, enforcing the dependence order.
 
-use retcon_isa::{Addr, CoreSet, Reg};
+use retcon_isa::{Addr, CoreSet};
 use retcon_mem::{AccessKind, CoreId, Footprints, FxHashSet, MemorySystem, SpecBits, UndoLog};
 
-use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::storm::{StallAction, StallStorm};
 use crate::tx::{tx_accessors, Tx};
@@ -149,27 +148,22 @@ impl<const N: usize> DatmLite<N> {
             .iter()
             .any(|&(p, s)| s == core && self.cores[p].tx.is_active())
     }
-}
 
-impl<const N: usize> Protocol<N> for DatmLite<N> {
-    fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         "datm"
     }
 
-    fn tx_begin(&mut self, core: CoreId, now: u64) {
+    pub(crate) fn tx_begin(&mut self, core: CoreId, now: u64) {
         self.cores[core.0].tx.begin(now);
     }
 
     tx_accessors!();
 
-    fn read(
+    pub(crate) fn read(
         &mut self,
         core: CoreId,
-        _dst: Reg,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         let block = addr.block().0;
         if self.tx_active(core) {
@@ -193,15 +187,12 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         }
     }
 
-    fn write(
+    pub(crate) fn write(
         &mut self,
         core: CoreId,
-        _src: Option<Reg>,
         value: u64,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         let block = addr.block().0;
         if self.tx_active(core) {
@@ -228,7 +219,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         MemResult::Value { value, latency }
     }
 
-    fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
+    pub(crate) fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>) -> CommitResult {
         if !self.tx_active(core) {
             // A cascading abort landed between the last access and commit.
             return CommitResult::Abort;
@@ -253,12 +244,7 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
         }
     }
 
-    fn stall_storm(
-        &self,
-        core: CoreId,
-        action: StallAction,
-        _mem: &MemorySystem<N>,
-    ) -> Option<StallStorm<N>> {
+    pub(crate) fn stall_storm(&self, core: CoreId, action: StallAction) -> Option<StallStorm<N>> {
         // Accesses never stall under DATM (they forward or abort). A commit
         // stalled behind an active predecessor is a fixed point: this
         // core's predecessor set only grows through its *own* accesses, so
@@ -274,18 +260,12 @@ impl<const N: usize> Protocol<N> for DatmLite<N> {
             .then_some(StallStorm::access(CoreSet::EMPTY, BlockAddr(0)))
     }
 
-    fn apply_stall_retries(
-        &mut self,
-        core: CoreId,
-        _storm: &StallStorm<N>,
-        n: u64,
-        _mem: &mut MemorySystem<N>,
-    ) {
+    pub(crate) fn apply_stall_retries(&mut self, core: CoreId, n: u64) {
         // n repetitions of `commit`'s active-predecessor stall.
         self.cores[core.0].tx.stats.stalls += n;
     }
 
-    fn check_quiescent(&self) -> Result<(), String> {
+    pub(crate) fn check_quiescent(&self) -> Result<(), String> {
         if !self.edges.is_empty() {
             return Err(format!(
                 "datm: {} dependence edges survive quiescence",
@@ -327,11 +307,11 @@ mod tests {
     }
 
     fn increment(tm: &mut DatmLite, mem: &mut MemorySystem, core: CoreId) -> MemResult {
-        let v = match tm.read(core, Reg(1), A, None, mem, 0) {
+        let v = match tm.read(core, A, mem) {
             MemResult::Value { value, .. } => value,
             other => return other,
         };
-        tm.write(core, Some(Reg(1)), v + 1, A, None, mem, 0)
+        tm.write(core, v + 1, A, mem)
     }
 
     #[test]
@@ -344,16 +324,16 @@ mod tests {
             increment(&mut tm, &mut mem, C0),
             MemResult::Value { .. }
         ));
-        let v = value(tm.read(C1, Reg(1), A, None, &mut mem, 2));
+        let v = value(tm.read(C1, A, &mut mem));
         assert_eq!(v, 1, "speculative value forwarded");
         // C1 must commit after C0.
-        assert_eq!(tm.commit(C1, &mut mem, 3), CommitResult::Stall);
+        assert_eq!(tm.commit(C1, &mut mem), CommitResult::Stall);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 4),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert!(matches!(
-            tm.commit(C1, &mut mem, 5),
+            tm.commit(C1, &mut mem),
             CommitResult::Committed { .. }
         ));
     }
@@ -386,7 +366,7 @@ mod tests {
         assert_eq!(tm.stats(C1).aborts_cycle, 1);
         // P0 commits with its two increments.
         assert!(matches!(
-            tm.commit(C0, &mut mem, 9),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert_eq!(mem.read_word(A), 2);
@@ -401,7 +381,7 @@ mod tests {
             MemResult::Value { .. }
         ));
         assert!(matches!(
-            tm.commit(C1, &mut mem, 11),
+            tm.commit(C1, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert_eq!(mem.read_word(A), 4);
@@ -413,9 +393,9 @@ mod tests {
         tm.tx_begin(C0, 0);
         tm.tx_begin(C1, 1);
         // C0 writes 5; C1 reads the forwarded 5 and writes elsewhere.
-        let _ = tm.write(C0, None, 5, A, None, &mut mem, 2);
-        assert_eq!(value(tm.read(C1, Reg(1), A, None, &mut mem, 3)), 5);
-        let _ = tm.write(C1, None, 1, Addr(64), None, &mut mem, 4);
+        let _ = tm.write(C0, 5, A, &mut mem);
+        assert_eq!(value(tm.read(C1, A, &mut mem)), 5);
+        let _ = tm.write(C1, 1, Addr(64), &mut mem);
         // Abort C0 (simulate via cascading helper): C1 must abort too.
         tm.abort_cascading(0, &mut mem);
         // The preview sees the pending flags without clearing them...
@@ -436,14 +416,14 @@ mod tests {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
         tm.tx_begin(C1, 1);
-        let _ = tm.write(C0, None, 5, Addr(0), None, &mut mem, 2);
-        let _ = tm.write(C1, None, 7, Addr(64), None, &mut mem, 3);
+        let _ = tm.write(C0, 5, Addr(0), &mut mem);
+        let _ = tm.write(C1, 7, Addr(64), &mut mem);
         assert!(matches!(
-            tm.commit(C1, &mut mem, 4),
+            tm.commit(C1, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert!(matches!(
-            tm.commit(C0, &mut mem, 5),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
     }

@@ -2,11 +2,10 @@
 //! mechanics [`RetconTm`](crate::RetconTm) builds on: transaction ages,
 //! the undo log, abort and the contention verdict.
 
-use retcon_isa::{Addr, CoreSet, Reg};
+use retcon_isa::{Addr, CoreSet};
 use retcon_mem::{AccessKind, CoreId, MemorySystem, UndoLog};
 
 use crate::cm::{decide, Age, ConflictPolicy, Decision};
-use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::storm::{StallAction, StallStorm};
 use crate::tx::{tx_accessors, Tx};
@@ -51,12 +50,12 @@ impl<const N: usize> Verdict<N> {
 /// # Example
 ///
 /// ```
-/// use retcon_htm::{EagerTm, Protocol, MemResult, ConflictPolicy};
+/// use retcon_htm::{AnyProtocol, EagerTm, MemResult, ConflictPolicy};
 /// use retcon_mem::{MemorySystem, MemConfig, CoreId};
-/// use retcon_isa::{Addr, CoreSet, Reg};
+/// use retcon_isa::{Addr, Reg};
 ///
 /// let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
-/// let mut tm = EagerTm::new(2, ConflictPolicy::OldestWins);
+/// let mut tm: AnyProtocol = EagerTm::new(2, ConflictPolicy::OldestWins).into();
 /// tm.tx_begin(CoreId(0), 0);
 /// let r = tm.write(CoreId(0), None, 7, Addr(0), None, &mut mem, 1);
 /// assert!(matches!(r, MemResult::Value { value: 7, .. }));
@@ -206,30 +205,25 @@ impl<const N: usize> EagerTm<N> {
         mem.write_word(addr, value);
         MemResult::Value { value, latency }
     }
-}
 
-impl<const N: usize> Protocol<N> for EagerTm<N> {
-    fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self.policy {
             ConflictPolicy::OldestWins => "eager",
             ConflictPolicy::RequesterLoses => "eager-abort",
         }
     }
 
-    fn tx_begin(&mut self, core: CoreId, now: u64) {
+    pub(crate) fn tx_begin(&mut self, core: CoreId, now: u64) {
         self.cores[core.0].tx.begin(now);
     }
 
     tx_accessors!();
 
-    fn read(
+    pub(crate) fn read(
         &mut self,
         core: CoreId,
-        _dst: Reg,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         if let Some(result) = self.resolve(core, addr, AccessKind::Read, mem) {
             return result;
@@ -241,15 +235,12 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         }
     }
 
-    fn write(
+    pub(crate) fn write(
         &mut self,
         core: CoreId,
-        _src: Option<Reg>,
         value: u64,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         match self.resolve(core, addr, AccessKind::Write, mem) {
             Some(result) => result,
@@ -257,7 +248,7 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         }
     }
 
-    fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
+    pub(crate) fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>) -> CommitResult {
         self.retire(core, mem);
         CommitResult::Committed {
             latency: 0,
@@ -265,7 +256,7 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
         }
     }
 
-    fn stall_storm(
+    pub(crate) fn stall_storm(
         &self,
         core: CoreId,
         action: StallAction,
@@ -279,18 +270,12 @@ impl<const N: usize> Protocol<N> for EagerTm<N> {
             .then(|| StallStorm::access(CoreSet::EMPTY, addr.block()))
     }
 
-    fn apply_stall_retries(
-        &mut self,
-        core: CoreId,
-        _storm: &StallStorm<N>,
-        n: u64,
-        _mem: &mut MemorySystem<N>,
-    ) {
+    pub(crate) fn apply_stall_retries(&mut self, core: CoreId, n: u64) {
         // n repetitions of `apply`'s StallRequester arm.
         self.cores[core.0].tx.stats.stalls += n;
     }
 
-    fn check_quiescent(&self) -> Result<(), String> {
+    pub(crate) fn check_quiescent(&self) -> Result<(), String> {
         self.cores.iter().enumerate().try_for_each(|(i, cs)| {
             cs.tx
                 .check_quiescent(self.name(), i, ("undo log", cs.undo.len()))
@@ -326,9 +311,9 @@ mod tests {
         let (mut mem, mut tm) = setup(ConflictPolicy::OldestWins);
         tm.tx_begin(C0, 0);
         assert!(tm.tx_active(C0));
-        tm.write(C0, None, 5, A, None, &mut mem, 1);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 2)), 5);
-        let r = tm.commit(C0, &mut mem, 3);
+        tm.write(C0, 5, A, &mut mem);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 5);
+        let r = tm.commit(C0, &mut mem);
         assert!(matches!(r, CommitResult::Committed { .. }));
         assert!(!tm.tx_active(C0));
         assert_eq!(tm.stats(C0).commits, 1);
@@ -339,24 +324,24 @@ mod tests {
     fn younger_requester_stalls_oldest_wins() {
         let (mut mem, mut tm) = setup(ConflictPolicy::OldestWins);
         tm.tx_begin(C0, 0);
-        tm.write(C0, None, 5, A, None, &mut mem, 1);
+        tm.write(C0, 5, A, &mut mem);
         tm.tx_begin(C1, 10);
-        assert_eq!(tm.read(C1, Reg(0), A, None, &mut mem, 11), MemResult::Stall);
+        assert_eq!(tm.read(C1, A, &mut mem), MemResult::Stall);
         assert_eq!(tm.stats(C1).stalls, 1);
         // After C0 commits, C1 proceeds.
-        tm.commit(C0, &mut mem, 12);
-        assert_eq!(value(tm.read(C1, Reg(0), A, None, &mut mem, 13)), 5);
+        tm.commit(C0, &mut mem);
+        assert_eq!(value(tm.read(C1, A, &mut mem)), 5);
     }
 
     #[test]
     fn older_requester_aborts_younger_victim() {
         let (mut mem, mut tm) = setup(ConflictPolicy::OldestWins);
         tm.tx_begin(C1, 0);
-        tm.write(C1, None, 9, A, None, &mut mem, 1);
+        tm.write(C1, 9, A, &mut mem);
         // C0 is older by birth 0? No: C1 born 0, C0 born 5 -> C0 younger.
         // Make C0 older: begin before C1... instead use non-tx access which
         // always wins.
-        let v = value(tm.read(C0, Reg(0), A, None, &mut mem, 6));
+        let v = value(tm.read(C0, A, &mut mem));
         // C1's speculative write was rolled back before the read.
         assert_eq!(v, 0);
         assert!(tm.take_aborted(C1));
@@ -370,9 +355,9 @@ mod tests {
         let (mut mem, mut tm) = setup(ConflictPolicy::OldestWins);
         tm.tx_begin(C0, 0); // older
         tm.tx_begin(C1, 5); // younger
-        tm.write(C1, None, 9, A, None, &mut mem, 6);
+        tm.write(C1, 9, A, &mut mem);
         // Older requester aborts the younger victim.
-        let v = value(tm.write(C0, None, 7, A, None, &mut mem, 7));
+        let v = value(tm.write(C0, 7, A, &mut mem));
         assert_eq!(v, 7);
         assert!(tm.take_aborted(C1));
         // C1's write rolled back, then C0's applied.
@@ -383,9 +368,9 @@ mod tests {
     fn requester_loses_policy_self_aborts() {
         let (mut mem, mut tm) = setup(ConflictPolicy::RequesterLoses);
         tm.tx_begin(C0, 0);
-        tm.write(C0, None, 5, A, None, &mut mem, 1);
+        tm.write(C0, 5, A, &mut mem);
         tm.tx_begin(C1, 2);
-        assert_eq!(tm.read(C1, Reg(0), A, None, &mut mem, 3), MemResult::Abort);
+        assert_eq!(tm.read(C1, A, &mut mem), MemResult::Abort);
         assert!(!tm.tx_active(C1));
         // Self-aborts are reported via the return value, not the flag.
         assert!(!tm.take_aborted(C1));
@@ -397,11 +382,11 @@ mod tests {
         let (mut mem, mut tm) = setup(ConflictPolicy::OldestWins);
         mem.write_word(A, 100);
         tm.tx_begin(C1, 5);
-        tm.write(C1, None, 1, A, None, &mut mem, 6);
-        tm.write(C1, None, 2, A, None, &mut mem, 7);
+        tm.write(C1, 1, A, &mut mem);
+        tm.write(C1, 2, A, &mut mem);
         assert_eq!(mem.read_word(A), 2);
         // Non-tx reader aborts C1 and sees the pre-speculative value.
-        let v = value(tm.read(C0, Reg(0), A, None, &mut mem, 8));
+        let v = value(tm.read(C0, A, &mut mem));
         assert_eq!(v, 100);
     }
 
@@ -409,16 +394,16 @@ mod tests {
     fn birth_survives_abort_for_fairness() {
         let (mut mem, mut tm) = setup(ConflictPolicy::OldestWins);
         tm.tx_begin(C1, 0);
-        tm.write(C1, None, 1, A, None, &mut mem, 1);
+        tm.write(C1, 1, A, &mut mem);
         // Non-tx access aborts C1.
-        let _ = tm.read(C0, Reg(0), A, None, &mut mem, 2);
+        let _ = tm.read(C0, A, &mut mem);
         assert!(tm.take_aborted(C1));
         // Retry keeps the original birth (0), so C1 is older than a tx born
         // at cycle 5 and now wins the same conflict.
         tm.tx_begin(C1, 3);
         tm.tx_begin(C0, 5);
-        tm.write(C0, None, 7, A, None, &mut mem, 6);
-        let r = tm.write(C1, None, 9, A, None, &mut mem, 7);
+        tm.write(C0, 7, A, &mut mem);
+        let r = tm.write(C1, 9, A, &mut mem);
         assert!(matches!(r, MemResult::Value { .. }));
         assert!(tm.take_aborted(C0));
     }
@@ -429,14 +414,14 @@ mod tests {
         mem.write_word(A, 3);
         tm.tx_begin(C0, 0);
         tm.tx_begin(C1, 1);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 2)), 3);
-        assert_eq!(value(tm.read(C1, Reg(0), A, None, &mut mem, 3)), 3);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 3);
+        assert_eq!(value(tm.read(C1, A, &mut mem)), 3);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 4),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert!(matches!(
-            tm.commit(C1, &mut mem, 5),
+            tm.commit(C1, &mut mem),
             CommitResult::Committed { .. }
         ));
     }

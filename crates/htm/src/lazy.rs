@@ -1,9 +1,8 @@
 //! Lazy conflict detection with committer-wins resolution (Figure 2(e)).
 
-use retcon_isa::{Addr, Reg};
+use retcon_isa::Addr;
 use retcon_mem::{AccessKind, CoreId, MemorySystem, WriteBuffer};
 
-use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::tx::{tx_accessors, Tx};
 
@@ -52,27 +51,22 @@ impl<const N: usize> LazyTm<N> {
         mem.write_word(addr, value);
         latency
     }
-}
 
-impl<const N: usize> Protocol<N> for LazyTm<N> {
-    fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         "lazy"
     }
 
-    fn tx_begin(&mut self, core: CoreId, now: u64) {
+    pub(crate) fn tx_begin(&mut self, core: CoreId, now: u64) {
         self.cores[core.0].tx.begin(now);
     }
 
     tx_accessors!();
 
-    fn read(
+    pub(crate) fn read(
         &mut self,
         core: CoreId,
-        _dst: Reg,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         let active = self.tx_active(core);
         if active {
@@ -93,15 +87,12 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
         }
     }
 
-    fn write(
+    pub(crate) fn write(
         &mut self,
         core: CoreId,
-        _src: Option<Reg>,
         value: u64,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         if self.tx_active(core) {
             // Lazy version management: buffer locally, no coherence action.
@@ -112,7 +103,7 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
         MemResult::Value { value, latency }
     }
 
-    fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
+    pub(crate) fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>) -> CommitResult {
         // Take the buffer so its entries can be drained while `self` aborts
         // victims; hand the allocation back afterwards (steady-state commits
         // allocate nothing).
@@ -132,7 +123,7 @@ impl<const N: usize> Protocol<N> for LazyTm<N> {
         }
     }
 
-    fn check_quiescent(&self) -> Result<(), String> {
+    pub(crate) fn check_quiescent(&self) -> Result<(), String> {
         self.cores.iter().enumerate().try_for_each(|(i, cs)| {
             cs.tx
                 .check_quiescent("lazy", i, ("write buffer", cs.wb.len()))
@@ -164,13 +155,13 @@ mod tests {
     fn writes_invisible_until_commit() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
-        tm.write(C0, None, 5, A, None, &mut mem, 1);
+        tm.write(C0, 5, A, &mut mem);
         assert_eq!(mem.read_word(A), 0);
         // Own reads forward from the write buffer.
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 2)), 5);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 5);
         // Remote reads see the old value and do not conflict in flight.
-        assert_eq!(value(tm.read(C1, Reg(0), A, None, &mut mem, 3)), 0);
-        tm.commit(C0, &mut mem, 4);
+        assert_eq!(value(tm.read(C1, A, &mut mem)), 0);
+        tm.commit(C0, &mut mem);
         assert_eq!(mem.read_word(A), 5);
     }
 
@@ -180,9 +171,9 @@ mod tests {
         tm.tx_begin(C0, 0);
         tm.tx_begin(C1, 1);
         // C1 reads A speculatively; C0 writes A and commits first.
-        let _ = tm.read(C1, Reg(0), A, None, &mut mem, 2);
-        tm.write(C0, None, 5, A, None, &mut mem, 3);
-        let r = tm.commit(C0, &mut mem, 4);
+        let _ = tm.read(C1, A, &mut mem);
+        tm.write(C0, 5, A, &mut mem);
+        let r = tm.commit(C0, &mut mem);
         assert!(matches!(r, CommitResult::Committed { .. }));
         assert!(tm.take_aborted(C1));
         assert_eq!(tm.stats(C1).aborts(), 1);
@@ -194,14 +185,14 @@ mod tests {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
         tm.tx_begin(C1, 1);
-        tm.write(C0, None, 5, Addr(0), None, &mut mem, 2);
-        tm.write(C1, None, 7, Addr(64), None, &mut mem, 3);
+        tm.write(C0, 5, Addr(0), &mut mem);
+        tm.write(C1, 7, Addr(64), &mut mem);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 4),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert!(matches!(
-            tm.commit(C1, &mut mem, 5),
+            tm.commit(C1, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert_eq!(mem.read_word(Addr(0)), 5);
@@ -213,13 +204,13 @@ mod tests {
     fn aborted_tx_buffer_discarded() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C1, 0);
-        tm.write(C1, None, 9, A, None, &mut mem, 1);
-        let _ = tm.read(C1, Reg(0), Addr(64), None, &mut mem, 2);
+        tm.write(C1, 9, A, &mut mem);
+        let _ = tm.read(C1, Addr(64), &mut mem);
         // C0 commits a write to the block C1 read: C1 aborts; its buffered
         // store to A must never surface.
         tm.tx_begin(C0, 3);
-        tm.write(C0, None, 1, Addr(64), None, &mut mem, 4);
-        tm.commit(C0, &mut mem, 5);
+        tm.write(C0, 1, Addr(64), &mut mem);
+        tm.commit(C0, &mut mem);
         assert!(tm.take_aborted(C1));
         assert_eq!(mem.read_word(A), 0);
     }
@@ -228,8 +219,8 @@ mod tests {
     fn non_tx_write_aborts_readers() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C1, 0);
-        let _ = tm.read(C1, Reg(0), A, None, &mut mem, 1);
-        let _ = tm.write(C0, None, 3, A, None, &mut mem, 2);
+        let _ = tm.read(C1, A, &mut mem);
+        let _ = tm.write(C0, 3, A, &mut mem);
         assert!(tm.take_aborted(C1));
         assert_eq!(mem.read_word(A), 3);
     }

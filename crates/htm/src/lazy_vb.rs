@@ -7,10 +7,9 @@
 //! false/silent sharing but does not allow commits where a value read has
 //! been changed remotely."*
 
-use retcon_isa::{Addr, BlockAddr, Reg};
+use retcon_isa::{Addr, BlockAddr};
 use retcon_mem::{AccessKind, CoreId, MemorySystem, WordLog, WriteBuffer};
 
-use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::tx::{tx_accessors, Tx};
 
@@ -42,12 +41,12 @@ impl CoreState {
 /// # Example
 ///
 /// ```
-/// use retcon_htm::{LazyVbTm, Protocol, MemResult, CommitResult};
+/// use retcon_htm::{AnyProtocol, CommitResult, LazyVbTm};
 /// use retcon_mem::{MemorySystem, MemConfig, CoreId};
 /// use retcon_isa::{Addr, Reg};
 ///
 /// let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
-/// let mut tm = LazyVbTm::new(2);
+/// let mut tm: AnyProtocol = LazyVbTm::new(2).into();
 /// tm.tx_begin(CoreId(0), 0);
 /// let _ = tm.read(CoreId(0), Reg(0), Addr(0), None, &mut mem, 1);
 /// // A remote write changes the value: no in-flight conflict...
@@ -69,27 +68,22 @@ impl<const N: usize> LazyVbTm<N> {
             cores: (0..num_cores).map(|_| CoreState::default()).collect(),
         }
     }
-}
 
-impl<const N: usize> Protocol<N> for LazyVbTm<N> {
-    fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         "lazy-vb"
     }
 
-    fn tx_begin(&mut self, core: CoreId, now: u64) {
+    pub(crate) fn tx_begin(&mut self, core: CoreId, now: u64) {
         self.cores[core.0].tx.begin(now);
     }
 
     tx_accessors!();
 
-    fn read(
+    pub(crate) fn read(
         &mut self,
         core: CoreId,
-        _dst: Reg,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         let cs = &mut self.cores[core.0];
         let active = cs.tx.is_active();
@@ -109,15 +103,12 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
         MemResult::Value { value, latency }
     }
 
-    fn write(
+    pub(crate) fn write(
         &mut self,
         core: CoreId,
-        _src: Option<Reg>,
         value: u64,
         addr: Addr,
-        _addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         if self.tx_active(core) {
             self.cores[core.0].wb.write(addr, value);
@@ -128,7 +119,7 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
         MemResult::Value { value, latency }
     }
 
-    fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, _now: u64) -> CommitResult {
+    pub(crate) fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>) -> CommitResult {
         let cs = &mut self.cores[core.0];
         // Step 1: reacquire and revalidate every read word by value.
         let mut latency = 0;
@@ -159,7 +150,7 @@ impl<const N: usize> Protocol<N> for LazyVbTm<N> {
         }
     }
 
-    fn check_quiescent(&self) -> Result<(), String> {
+    pub(crate) fn check_quiescent(&self) -> Result<(), String> {
         for (i, cs) in self.cores.iter().enumerate() {
             cs.tx
                 .check_quiescent("lazy-vb", i, ("write buffer", cs.wb.len()))?;
@@ -199,10 +190,10 @@ mod tests {
         let (mut mem, mut tm) = setup();
         mem.write_word(A, 3);
         tm.tx_begin(C0, 0);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 1)), 3);
-        tm.write(C0, None, 4, A, None, &mut mem, 2);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 3);
+        tm.write(C0, 4, A, &mut mem);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 3),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
         assert_eq!(mem.read_word(A), 4);
@@ -213,12 +204,12 @@ mod tests {
     fn changed_value_aborts_at_commit() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 1)), 0);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 0);
         // Remote non-tx write changes the value mid-flight: no in-flight
         // conflict under value-based detection...
-        let _ = tm.write(C1, None, 9, A, None, &mut mem, 2);
+        let _ = tm.write(C1, 9, A, &mut mem);
         // ...but commit-time validation catches it.
-        assert_eq!(tm.commit(C0, &mut mem, 3), CommitResult::Abort);
+        assert_eq!(tm.commit(C0, &mut mem), CommitResult::Abort);
         assert_eq!(tm.stats(C0).aborts_validation, 1);
     }
 
@@ -230,11 +221,11 @@ mod tests {
         let (mut mem, mut tm) = setup();
         mem.write_word(A, 5);
         tm.tx_begin(C0, 0);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 1)), 5);
-        let _ = tm.write(C1, None, 9, A, None, &mut mem, 2);
-        let _ = tm.write(C1, None, 5, A, None, &mut mem, 3);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 5);
+        let _ = tm.write(C1, 9, A, &mut mem);
+        let _ = tm.write(C1, 5, A, &mut mem);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 4),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
     }
@@ -246,10 +237,10 @@ mod tests {
         // conflicts).
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
-        assert_eq!(value(tm.read(C0, Reg(0), Addr(0), None, &mut mem, 1)), 0);
-        let _ = tm.write(C1, None, 7, Addr(1), None, &mut mem, 2);
+        assert_eq!(value(tm.read(C0, Addr(0), &mut mem)), 0);
+        let _ = tm.write(C1, 7, Addr(1), &mut mem);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 3),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
     }
@@ -258,23 +249,23 @@ mod tests {
     fn snapshot_reads_are_stable() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 1)), 0);
-        let _ = tm.write(C1, None, 9, A, None, &mut mem, 2);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 0);
+        let _ = tm.write(C1, 9, A, &mut mem);
         // The second read returns the logged value, not the remote update.
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 3)), 0);
-        assert_eq!(tm.commit(C0, &mut mem, 4), CommitResult::Abort);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 0);
+        assert_eq!(tm.commit(C0, &mut mem), CommitResult::Abort);
     }
 
     #[test]
     fn own_writes_forward() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
-        tm.write(C0, None, 8, A, None, &mut mem, 1);
-        assert_eq!(value(tm.read(C0, Reg(0), A, None, &mut mem, 2)), 8);
+        tm.write(C0, 8, A, &mut mem);
+        assert_eq!(value(tm.read(C0, A, &mut mem)), 8);
         // A read that only ever saw own writes does not validate against
         // memory at all.
         assert!(matches!(
-            tm.commit(C0, &mut mem, 3),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
     }
@@ -286,15 +277,15 @@ mod tests {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
         tm.tx_begin(C1, 1);
-        let v0 = value(tm.read(C0, Reg(0), A, None, &mut mem, 2));
-        let v1 = value(tm.read(C1, Reg(0), A, None, &mut mem, 3));
-        tm.write(C0, None, v0 + 1, A, None, &mut mem, 4);
-        tm.write(C1, None, v1 + 1, A, None, &mut mem, 5);
+        let v0 = value(tm.read(C0, A, &mut mem));
+        let v1 = value(tm.read(C1, A, &mut mem));
+        tm.write(C0, v0 + 1, A, &mut mem);
+        tm.write(C1, v1 + 1, A, &mut mem);
         assert!(matches!(
-            tm.commit(C0, &mut mem, 6),
+            tm.commit(C0, &mut mem),
             CommitResult::Committed { .. }
         ));
-        assert_eq!(tm.commit(C1, &mut mem, 7), CommitResult::Abort);
+        assert_eq!(tm.commit(C1, &mut mem), CommitResult::Abort);
         assert_eq!(mem.read_word(A), 1);
     }
 }

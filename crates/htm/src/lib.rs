@@ -5,7 +5,7 @@
 //! value-based commit validation) and **RETCON** (full symbolic repair) —
 //! and its Figure 2 additionally illustrates **Eager-Stall**, **LazyTM**
 //! and **DATM** on a two-increment counter schedule. This crate implements
-//! all of them behind one [`Protocol`] trait that the simulator drives:
+//! all of them behind one enum, [`AnyProtocol`], that the simulator drives:
 //!
 //! * [`EagerTm`] — eager conflict detection through speculative cache bits,
 //!   eager version management with an undo log, and either the baseline
@@ -39,7 +39,6 @@ mod datm;
 mod eager;
 mod lazy;
 mod lazy_vb;
-mod protocol;
 mod result;
 mod retcon_tm;
 mod storm;
@@ -51,7 +50,6 @@ pub use datm::DatmLite;
 pub use eager::EagerTm;
 pub use lazy::LazyTm;
 pub use lazy_vb::LazyVbTm;
-pub use protocol::Protocol;
 pub use result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 pub use retcon_tm::RetconTm;
 pub use storm::{StallAction, StallStorm};

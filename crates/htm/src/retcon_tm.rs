@@ -2,12 +2,11 @@
 //! top of the §2 baseline ([`EagerTm`]).
 
 use retcon::{Engine, PrecommitCursor, Repair, RetconConfig, RetconStats, StorePath};
-use retcon_isa::{Addr, BinOp, BlockAddr, CmpOp, CoreSet, Reg};
+use retcon_isa::{Addr, BlockAddr, CoreSet, Reg};
 use retcon_mem::{AccessKind, CoreId, FxHashSet, MemorySystem};
 
 use crate::cm::ConflictPolicy;
 use crate::eager::{EagerTm, Verdict};
-use crate::protocol::Protocol;
 use crate::result::{AbortCause, CommitResult, MemResult, ProtocolStats, RegUpdates};
 use crate::storm::{StallAction, StallStorm, WatchList};
 
@@ -105,14 +104,14 @@ fn acquire_kind(write: bool) -> AccessKind {
 ///
 /// ```
 /// use retcon::RetconConfig;
-/// use retcon_htm::{RetconTm, Protocol, MemResult, CommitResult};
+/// use retcon_htm::{AnyProtocol, RetconTm, MemResult, CommitResult};
 /// use retcon_mem::{MemorySystem, MemConfig, CoreId};
 /// use retcon_isa::{Addr, Reg, BinOp};
 ///
 /// let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
 /// let mut cfg = RetconConfig::default();
 /// cfg.initial_threshold = 0; // track on first touch (no warm-up)
-/// let mut tm = RetconTm::new(2, cfg);
+/// let mut tm: AnyProtocol = RetconTm::new(2, cfg).into();
 ///
 /// tm.tx_begin(CoreId(0), 0);
 /// let v = match tm.read(CoreId(0), Reg(1), Addr(0), None, &mut mem, 1) {
@@ -153,6 +152,11 @@ impl<const N: usize> RetconTm<N> {
     /// The RETCON engine of `core` (for tests and diagnostics).
     pub fn engine(&self, core: CoreId) -> &Engine {
         &self.cores[core.0].engine
+    }
+
+    /// The engine the register hooks of `core` drive.
+    pub(crate) fn engine_mut(&mut self, core: CoreId) -> &mut Engine {
+        &mut self.cores[core.0].engine
     }
 
     /// Aborts `core`'s own transaction for a RETCON-specific `cause`.
@@ -242,7 +246,7 @@ impl<const N: usize> RetconTm<N> {
             .apply(core, &verdict, mem, |aborted| cores[aborted.0].end_tx())
     }
 
-    /// The commit-storm oracle: a read-only walk of [`Protocol::commit`]'s
+    /// The commit-storm oracle: a read-only walk of `commit`'s
     /// acquisition order, deciding whether a stalled commit's retry is a
     /// fixed point. Every block ahead of the stall must re-access as a
     /// plain L1 hit — the steady state the first stalled attempt
@@ -277,14 +281,12 @@ impl<const N: usize> RetconTm<N> {
         }
         None
     }
-}
 
-impl<const N: usize> Protocol<N> for RetconTm<N> {
-    fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         "RetCon"
     }
 
-    fn tx_begin(&mut self, core: CoreId, now: u64) {
+    pub(crate) fn tx_begin(&mut self, core: CoreId, now: u64) {
         self.base.tx_begin(core, now);
         let cs = &mut self.cores[core.0];
         cs.start_cycle = now;
@@ -292,18 +294,17 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         cs.engine.begin();
     }
 
-    fn tx_active(&self, core: CoreId) -> bool {
+    pub(crate) fn tx_active(&self, core: CoreId) -> bool {
         self.base.tx_active(core)
     }
 
-    fn read(
+    pub(crate) fn read(
         &mut self,
         core: CoreId,
         dst: Reg,
         addr: Addr,
         addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         let active = self.base.tx_active(core);
         if active {
@@ -334,7 +335,7 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         MemResult::Value { value, latency }
     }
 
-    fn write(
+    pub(crate) fn write(
         &mut self,
         core: CoreId,
         src: Option<Reg>,
@@ -342,7 +343,6 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         addr: Addr,
         addr_reg: Option<Reg>,
         mem: &mut MemorySystem<N>,
-        _now: u64,
     ) -> MemResult {
         let active = self.base.tx_active(core);
         if active {
@@ -371,7 +371,12 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         self.base.plain_write(core, value, addr, mem)
     }
 
-    fn commit(&mut self, core: CoreId, mem: &mut MemorySystem<N>, now: u64) -> CommitResult {
+    pub(crate) fn commit(
+        &mut self,
+        core: CoreId,
+        mem: &mut MemorySystem<N>,
+        now: u64,
+    ) -> CommitResult {
         debug_assert!(self.base.tx_active(core));
         let cfg = *self.cores[core.0].engine.config();
         let mut serial_latency = 0u64;
@@ -451,56 +456,19 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
         }
     }
 
-    fn take_aborted(&mut self, core: CoreId) -> bool {
+    pub(crate) fn take_aborted(&mut self, core: CoreId) -> bool {
         self.base.take_aborted(core)
     }
 
-    fn abort_pending(&self, core: CoreId) -> bool {
+    pub(crate) fn abort_pending(&self, core: CoreId) -> bool {
         self.base.abort_pending(core)
     }
 
-    fn on_imm(&mut self, core: CoreId, dst: Reg) {
-        self.cores[core.0].engine.on_imm(dst);
-    }
-
-    fn on_mov(&mut self, core: CoreId, dst: Reg, src: Reg) {
-        self.cores[core.0].engine.on_mov(dst, src);
-    }
-
-    fn on_alu(
-        &mut self,
-        core: CoreId,
-        op: BinOp,
-        dst: Reg,
-        lhs: Reg,
-        rhs: Option<Reg>,
-        lhs_val: u64,
-        rhs_val: u64,
-    ) -> u64 {
-        self.cores[core.0]
-            .engine
-            .on_alu(op, dst, lhs, rhs, lhs_val, rhs_val)
-    }
-
-    fn on_branch(
-        &mut self,
-        core: CoreId,
-        cmp: CmpOp,
-        lhs: Reg,
-        rhs: Option<Reg>,
-        lhs_val: u64,
-        rhs_val: u64,
-    ) -> bool {
-        self.cores[core.0]
-            .engine
-            .on_branch(cmp, lhs, rhs, lhs_val, rhs_val)
-    }
-
-    fn stats(&self, core: CoreId) -> &ProtocolStats {
+    pub(crate) fn stats(&self, core: CoreId) -> &ProtocolStats {
         self.base.stats(core)
     }
 
-    fn stall_storm(
+    pub(crate) fn stall_storm(
         &self,
         core: CoreId,
         action: StallAction,
@@ -518,7 +486,7 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
             .then(|| StallStorm::access(conflicts, addr.block()))
     }
 
-    fn apply_stall_retries(
+    pub(crate) fn apply_stall_retries(
         &mut self,
         core: CoreId,
         storm: &StallStorm<N>,
@@ -541,25 +509,26 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
                 .predictor_mut()
                 .on_conflicts(storm.block, n32);
         }
-        self.base.apply_stall_retries(core, storm, n, mem);
+        self.base.apply_stall_retries(core, n);
         if storm.prefix_hits != 0 {
             mem.replay_l1_hits(core, n.saturating_mul(u64::from(storm.prefix_hits)));
         }
     }
 
-    fn retcon_stats(&self) -> Option<RetconStats> {
+    /// Aggregate RETCON structure statistics over every core (Table 3).
+    pub(crate) fn retcon_stats(&self) -> RetconStats {
         let mut agg = RetconStats::new();
         for cs in &self.cores {
             agg.merge(&cs.rstats);
         }
-        Some(agg)
+        agg
     }
 
     /// Repair-chain consistency: every commit/abort must collapse the
     /// symbolic state — IVB and SSB drained, no register still carrying a
     /// symbolic tag (a dangling tag would let a stale repair chain leak
     /// into the next transaction).
-    fn check_quiescent(&self) -> Result<(), String> {
+    pub(crate) fn check_quiescent(&self) -> Result<(), String> {
         self.base
             .check_quiescent()
             .map_err(|e| format!("RetCon baseline, {e}"))?;
@@ -594,6 +563,7 @@ impl<const N: usize> Protocol<N> for RetconTm<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retcon_isa::{BinOp, CmpOp};
     use retcon_mem::MemConfig;
 
     const C0: CoreId = CoreId(0);
@@ -620,10 +590,12 @@ mod tests {
 
     /// Drive one "load; add k; store" increment through the protocol.
     fn increment(tm: &mut RetconTm, mem: &mut MemorySystem, core: CoreId, addr: Addr, k: u64) {
-        let v = value(tm.read(core, Reg(1), addr, None, mem, 0));
-        let nv = tm.on_alu(core, BinOp::Add, Reg(1), Reg(1), None, v, k);
+        let v = value(tm.read(core, Reg(1), addr, None, mem));
+        let nv = tm
+            .engine_mut(core)
+            .on_alu(BinOp::Add, Reg(1), Reg(1), None, v, k);
         assert_eq!(nv, v.wrapping_add(k));
-        let r = tm.write(core, Some(Reg(1)), nv, addr, None, mem, 0);
+        let r = tm.write(core, Some(Reg(1)), nv, addr, None, mem);
         assert!(matches!(r, MemResult::Value { .. }));
     }
 
@@ -646,7 +618,7 @@ mod tests {
         assert_eq!(tm.stats(C0).commits, 1);
         assert_eq!(tm.stats(C1).commits, 1);
         assert_eq!(tm.stats(C0).aborts() + tm.stats(C1).aborts(), 0);
-        let rs = tm.retcon_stats().unwrap();
+        let rs = tm.retcon_stats();
         assert_eq!(rs.transactions, 2);
     }
 
@@ -655,21 +627,21 @@ mod tests {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
         // C0 tracks A symbolically.
-        let v = value(tm.read(C0, Reg(1), A, None, &mut mem, 1));
+        let v = value(tm.read(C0, Reg(1), A, None, &mut mem));
         assert_eq!(v, 0);
         assert!(tm.engine(C0).is_tracking(A.block()));
         // A non-tx write by C1 steals the block instead of aborting C0.
-        let _ = tm.write(C1, None, 42, A, None, &mut mem, 2);
+        let _ = tm.write(C1, None, 42, A, None, &mut mem);
         assert!(!tm.take_aborted(C0));
         assert!(tm.tx_active(C0));
         // C0's later read still sees the initial value (0).
-        assert_eq!(value(tm.read(C0, Reg(2), A, None, &mut mem, 3)), 0);
+        assert_eq!(value(tm.read(C0, Reg(2), A, None, &mut mem)), 0);
         // And C0 commits fine (no constraints were generated).
         assert!(matches!(
             tm.commit(C0, &mut mem, 4),
             CommitResult::Committed { .. }
         ));
-        let rs = tm.retcon_stats().unwrap();
+        let rs = tm.retcon_stats();
         assert_eq!(rs.sum.blocks_lost, 1);
     }
 
@@ -678,27 +650,29 @@ mod tests {
         let (mut mem, mut tm) = setup();
         mem.write_word(A, 5);
         tm.tx_begin(C0, 0);
-        let v = value(tm.read(C0, Reg(1), A, None, &mut mem, 1));
+        let v = value(tm.read(C0, Reg(1), A, None, &mut mem));
         // Branch: r1 < 10 (taken) -> constraint A < 10.
-        assert!(tm.on_branch(C0, CmpOp::Lt, Reg(1), None, v, 10));
+        assert!(tm.engine_mut(C0).on_branch(CmpOp::Lt, Reg(1), None, v, 10));
         // Remote write pushes A to 50 (stealing the block).
-        let _ = tm.write(C1, None, 50, A, None, &mut mem, 2);
+        let _ = tm.write(C1, None, 50, A, None, &mut mem);
         // Commit: constraint 50 < 10 fails -> abort + train-down.
         assert_eq!(tm.commit(C0, &mut mem, 3), CommitResult::Abort);
         assert_eq!(tm.stats(C0).aborts_validation, 1);
         assert!(!tm.engine(C0).predictor().should_track(A.block()));
-        assert_eq!(tm.retcon_stats().unwrap().violations, 1);
+        assert_eq!(tm.retcon_stats().violations, 1);
     }
 
     #[test]
     fn repair_applies_register_updates() {
         let (mut mem, mut tm) = setup();
         tm.tx_begin(C0, 0);
-        let v = value(tm.read(C0, Reg(1), A, None, &mut mem, 1));
-        let nv = tm.on_alu(C0, BinOp::Add, Reg(1), Reg(1), None, v, 3);
+        let v = value(tm.read(C0, Reg(1), A, None, &mut mem));
+        let nv = tm
+            .engine_mut(C0)
+            .on_alu(BinOp::Add, Reg(1), Reg(1), None, v, 3);
         assert_eq!(nv, 3);
         // Remote +10 steals the block.
-        let _ = tm.write(C1, None, 10, A, None, &mut mem, 2);
+        let _ = tm.write(C1, None, 10, A, None, &mut mem);
         match tm.commit(C0, &mut mem, 3) {
             CommitResult::Committed { reg_updates, .. } => {
                 assert_eq!(reg_updates.as_slice(), &[(Reg(1), 13)]);
@@ -717,14 +691,11 @@ mod tests {
         };
         let mut tm2 = RetconTm::new(2, cfg);
         tm2.tx_begin(C0, 0);
-        let _ = tm2.write(C0, None, 7, A, None, &mut mem, 1);
+        let _ = tm2.write(C0, None, 7, A, None, &mut mem);
         // Younger C1 writing the same block must stall (oldest wins), not
         // steal.
         tm2.tx_begin(C1, 5);
-        assert_eq!(
-            tm2.write(C1, None, 9, A, None, &mut mem, 6),
-            MemResult::Stall
-        );
+        assert_eq!(tm2.write(C1, None, 9, A, None, &mut mem), MemResult::Stall);
         let _ = tm; // silence unused
     }
 
@@ -737,9 +708,9 @@ mod tests {
         let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
         let mut tm = RetconTm::new(2, cfg);
         tm.tx_begin(C0, 0);
-        let _ = tm.write(C0, None, 5, A, None, &mut mem, 1);
+        let _ = tm.write(C0, None, 5, A, None, &mut mem);
         // Non-tx reader aborts the younger... no: non-tx always wins.
-        let v = value(tm.read(C1, Reg(0), A, None, &mut mem, 2));
+        let v = value(tm.read(C1, Reg(0), A, None, &mut mem));
         assert_eq!(v, 0, "speculative value rolled back");
         assert!(tm.take_aborted(C0));
     }
@@ -755,13 +726,13 @@ mod tests {
         let mut tm = RetconTm::new(2, cfg);
         tm.tx_begin(C0, 0);
         // Track block of A; two buffered stores to different words overflow.
-        let _ = tm.read(C0, Reg(1), A, None, &mut mem, 1);
+        let _ = tm.read(C0, Reg(1), A, None, &mut mem);
         assert!(matches!(
-            tm.write(C0, None, 1, Addr(1), None, &mut mem, 2),
+            tm.write(C0, None, 1, Addr(1), None, &mut mem),
             MemResult::Value { .. }
         ));
         assert_eq!(
-            tm.write(C0, None, 2, Addr(2), None, &mut mem, 3),
+            tm.write(C0, None, 2, Addr(2), None, &mut mem),
             MemResult::Abort
         );
         assert_eq!(tm.stats(C0).aborts_overflow, 1);
@@ -779,18 +750,18 @@ mod tests {
         let mut tm = RetconTm::new(2, cfg);
 
         tm.tx_begin(C1, 0);
-        let _ = tm.read(C1, Reg(1), A, None, &mut mem, 1);
+        let _ = tm.read(C1, Reg(1), A, None, &mut mem);
         assert!(!tm.engine(C1).is_tracking(A.block()), "not yet learned");
         // Non-tx write by C0: C1 is not tracking, so it aborts — and both
         // predictors observe the conflict.
-        let _ = tm.write(C0, None, 5, A, None, &mut mem, 2);
+        let _ = tm.write(C0, None, 5, A, None, &mut mem);
         assert!(tm.take_aborted(C1));
         // Retry: now the block is predicted conflicting and gets tracked.
         tm.tx_begin(C1, 3);
-        let _ = tm.read(C1, Reg(1), A, None, &mut mem, 4);
+        let _ = tm.read(C1, Reg(1), A, None, &mut mem);
         assert!(tm.engine(C1).is_tracking(A.block()));
         // This time the same remote write steals instead of aborting.
-        let _ = tm.write(C0, None, 9, A, None, &mut mem, 5);
+        let _ = tm.write(C0, None, 9, A, None, &mut mem);
         assert!(!tm.take_aborted(C1));
         assert!(matches!(
             tm.commit(C1, &mut mem, 6),

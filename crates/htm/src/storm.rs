@@ -9,12 +9,12 @@
 //! retry's outcome is a fixed point — the simulator can *compute* the storm
 //! instead of simulating it.
 //!
-//! [`Protocol::stall_storm`](crate::Protocol::stall_storm) is the read-only
-//! dry run: "if the stalled instruction were retried right now, would it
+//! [`AnyProtocol::stall_storm`](crate::AnyProtocol::stall_storm) is the
+//! read-only dry run: "if the stalled instruction were retried right now, would it
 //! stall again with exactly the same side effects?" A `Some` answer carries
 //! a [`StallStorm`] describing the side effects of one retry; the simulator
 //! then charges `n` retries in closed form and hands the storm back through
-//! [`Protocol::apply_stall_retries`](crate::Protocol::apply_stall_retries)
+//! [`AnyProtocol::apply_stall_retries`](crate::AnyProtocol::apply_stall_retries)
 //! to apply the side effects `n` times (stall counters, predictor
 //! training, cache-hit statistics for commit reacquisition walks). A
 //! `None` answer means the retry is not provably a fixed point (e.g. a
@@ -116,7 +116,7 @@ impl WatchList {
 }
 
 /// The per-retry side effects of a stable stall storm, as validated by
-/// [`Protocol::stall_storm`](crate::Protocol::stall_storm): each retry
+/// [`AnyProtocol::stall_storm`](crate::AnyProtocol::stall_storm): each retry
 /// increments the requester's stall counter, trains — under RETCON — the
 /// conflict predictor of the requester and of every core in `train_mask`
 /// on `block`, and, for commit storms, re-hits the L1 once per watched

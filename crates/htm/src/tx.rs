@@ -16,7 +16,7 @@ pub(crate) struct Tx {
     /// oldest transaction eventually wins.
     birth: Option<u64>,
     /// Aborted by another core, not yet delivered through
-    /// [`Protocol::take_aborted`](crate::Protocol::take_aborted).
+    /// [`AnyProtocol::take_aborted`](crate::AnyProtocol::take_aborted).
     aborted: bool,
     pub(crate) stats: ProtocolStats,
 }
@@ -109,23 +109,23 @@ impl Tx {
     }
 }
 
-/// The four [`Protocol`](crate::Protocol) methods that only read or clear
-/// the [`Tx`] of `self.cores[core]`, written once for every protocol.
+/// The four protocol methods that only read or clear the [`Tx`] of
+/// `self.cores[core]`, written once for every protocol that keeps its own.
 macro_rules! tx_accessors {
     () => {
-        fn tx_active(&self, core: CoreId) -> bool {
+        pub(crate) fn tx_active(&self, core: CoreId) -> bool {
             self.cores[core.0].tx.is_active()
         }
 
-        fn take_aborted(&mut self, core: CoreId) -> bool {
+        pub(crate) fn take_aborted(&mut self, core: CoreId) -> bool {
             self.cores[core.0].tx.take_aborted()
         }
 
-        fn abort_pending(&self, core: CoreId) -> bool {
+        pub(crate) fn abort_pending(&self, core: CoreId) -> bool {
             self.cores[core.0].tx.abort_pending()
         }
 
-        fn stats(&self, core: CoreId) -> &ProtocolStats {
+        pub(crate) fn stats(&self, core: CoreId) -> &ProtocolStats {
             &self.cores[core.0].tx.stats
         }
     };

@@ -3,22 +3,22 @@
 //! structure overflow.
 
 use retcon::RetconConfig;
-use retcon_htm::{CommitResult, MemResult, Protocol, RetconTm};
-use retcon_isa::{Addr, BinOp, Reg};
+use retcon_htm::{AnyProtocol, CommitResult, MemResult, RetconTm};
+use retcon_isa::{Addr, BinOp, CmpOp, Reg};
 use retcon_mem::{CoreId, MemConfig, MemorySystem};
 
 const C0: CoreId = CoreId(0);
 const C1: CoreId = CoreId(1);
 const A: Addr = Addr(0);
 
-fn setup() -> (MemorySystem, RetconTm) {
+fn setup() -> (MemorySystem, AnyProtocol) {
     let cfg = RetconConfig {
         initial_threshold: 0,
         ..RetconConfig::default()
     };
     (
         MemorySystem::new(MemConfig::default(), 2),
-        RetconTm::new(2, cfg),
+        RetconTm::new(2, cfg).into(),
     )
 }
 
@@ -30,9 +30,9 @@ fn value(r: MemResult) -> u64 {
 }
 
 /// Track a counter and buffer an increment on `core`.
-fn tracked_increment(tm: &mut RetconTm, mem: &mut MemorySystem, core: CoreId, now: u64) {
+fn tracked_increment(tm: &mut AnyProtocol, mem: &mut MemorySystem, core: CoreId, now: u64) {
     let v = value(tm.read(core, Reg(1), A, None, mem, now));
-    let nv = Protocol::<1>::on_alu(tm, core, BinOp::Add, Reg(1), Reg(1), None, v, 1);
+    let nv = tm.on_alu(core, BinOp::Add, Reg(1), Reg(1), None, v, 1);
     assert!(matches!(
         tm.write(core, Some(Reg(1)), nv, A, None, mem, now),
         MemResult::Value { .. }
@@ -48,11 +48,11 @@ fn commit_stalls_behind_older_writer_then_succeeds() {
         ..RetconConfig::default()
     };
     let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 2);
-    let mut tm = RetconTm::new(2, cfg);
-    Protocol::<1>::tx_begin(&mut tm, C0, 0);
+    let mut tm: AnyProtocol = RetconTm::new(2, cfg).into();
+    tm.tx_begin(C0, 0);
     let _ = tm.write(C0, None, 7, A, None, &mut mem, 1);
 
-    Protocol::<1>::tx_begin(&mut tm, C1, 10);
+    tm.tx_begin(C1, 10);
     // C1 writes a different word of the same block: hard conflict with
     // C0's speculative write; younger C1 stalls.
     assert_eq!(
@@ -80,14 +80,14 @@ fn commit_stalls_behind_older_writer_then_succeeds() {
 fn pending_commit_survives_steal_between_retries() {
     let (mut mem, mut tm) = setup();
     // C1 (younger) tracks A and buffers an increment.
-    Protocol::<1>::tx_begin(&mut tm, C0, 0); // older, will hold a hard conflict later
-    Protocol::<1>::tx_begin(&mut tm, C1, 5);
+    tm.tx_begin(C0, 0); // older, will hold a hard conflict later
+    tm.tx_begin(C1, 5);
     tracked_increment(&mut tm, &mut mem, C1, 6);
     // C0 non-tracked hard write to a *different* block that C1 also needs:
     // give C1 a second tracked block with a buffered store.
     let b = Addr(64);
     let v = value(tm.read(C1, Reg(2), b, None, &mut mem, 7));
-    let nv = Protocol::<1>::on_alu(&mut tm, C1, BinOp::Add, Reg(2), Reg(2), None, v, 1);
+    let nv = tm.on_alu(C1, BinOp::Add, Reg(2), Reg(2), None, v, 1);
     let _ = tm.write(C1, Some(Reg(2)), nv, b, None, &mut mem, 8);
     // Older C0 writes block B hard (plain path: B was never read by C0, but
     // C0's engine would track it at threshold 0 — force plain by reading it
@@ -101,7 +101,7 @@ fn pending_commit_survives_steal_between_retries() {
     // we want to exercise.
     let _ = tm.write(C0, None, 42, b, None, &mut mem, 9);
     // C1's tracked copy of B was stolen, not aborted.
-    assert!(!Protocol::<1>::take_aborted(&mut tm, C1));
+    assert!(!tm.take_aborted(C1));
     // C0 commits its blind write (it was buffered symbolically).
     assert!(matches!(
         tm.commit(C0, &mut mem, 10),
@@ -131,9 +131,9 @@ fn overflow_abort_recovers_and_makes_progress() {
         ..RetconConfig::default()
     };
     let mut mem: MemorySystem = MemorySystem::new(MemConfig::default(), 1);
-    let mut tm = RetconTm::new(1, cfg);
+    let mut tm: AnyProtocol = RetconTm::new(1, cfg).into();
 
-    Protocol::<1>::tx_begin(&mut tm, C0, 0);
+    tm.tx_begin(C0, 0);
     let _ = tm.read(C0, Reg(1), Addr(0), None, &mut mem, 1); // tracks block 0
     let _ = tm.write(C0, None, 1, Addr(0), None, &mut mem, 2);
     let _ = tm.write(C0, None, 2, Addr(1), None, &mut mem, 3);
@@ -142,11 +142,16 @@ fn overflow_abort_recovers_and_makes_progress() {
         tm.write(C0, None, 3, Addr(2), None, &mut mem, 4),
         MemResult::Abort
     );
-    assert_eq!(Protocol::<1>::stats(&tm, C0).aborts_overflow, 1);
+    assert_eq!(tm.stats(C0).aborts_overflow, 1);
     // Retry: the predictor was trained down, the block is no longer
     // tracked, all three stores take the plain path, and the tx commits.
-    Protocol::<1>::tx_begin(&mut tm, C0, 5);
-    assert!(!tm.engine(C0).predictor().should_track(Addr(0).block()));
+    tm.tx_begin(C0, 5);
+    assert!(!tm
+        .as_retcon()
+        .unwrap()
+        .engine(C0)
+        .predictor()
+        .should_track(Addr(0).block()));
     for (i, addr) in [Addr(0), Addr(1), Addr(2)].into_iter().enumerate() {
         assert!(matches!(
             tm.write(C0, None, (i + 1) as u64, addr, None, &mut mem, 6),
@@ -169,25 +174,14 @@ fn steal_preserves_constraints_across_multiple_writers() {
     // committed value.
     let (mut mem, mut tm) = setup();
     mem.write_word(A, 100);
-    Protocol::<1>::tx_begin(&mut tm, C0, 0);
+    tm.tx_begin(C0, 0);
     let v = value(tm.read(C0, Reg(1), A, None, &mut mem, 1));
     assert_eq!(v, 100);
     // Branch: value < 1000 (taken) -> constraint A < 1000.
-    assert!(Protocol::<1>::on_branch(
-        &mut tm,
-        C0,
-        retcon_isa::CmpOp::Lt,
-        Reg(1),
-        None,
-        v,
-        1000
-    ));
+    assert!(tm.on_branch(C0, CmpOp::Lt, Reg(1), None, v, 1000));
     for (i, remote) in [200u64, 300, 400].into_iter().enumerate() {
         let _ = tm.write(C1, None, remote, A, None, &mut mem, 2 + i as u64);
-        assert!(
-            !Protocol::<1>::take_aborted(&mut tm, C0),
-            "steal #{i} must not abort"
-        );
+        assert!(!tm.take_aborted(C0), "steal #{i} must not abort");
     }
     // 400 < 1000: constraint holds, commit succeeds, register repairs.
     match tm.commit(C0, &mut mem, 10) {
@@ -198,18 +192,10 @@ fn steal_preserves_constraints_across_multiple_writers() {
     }
 
     // Same setup, but the final remote value violates the constraint.
-    Protocol::<1>::tx_begin(&mut tm, C0, 20);
+    tm.tx_begin(C0, 20);
     let v = value(tm.read(C0, Reg(1), A, None, &mut mem, 21));
-    assert!(Protocol::<1>::on_branch(
-        &mut tm,
-        C0,
-        retcon_isa::CmpOp::Lt,
-        Reg(1),
-        None,
-        v,
-        1000
-    ));
+    assert!(tm.on_branch(C0, CmpOp::Lt, Reg(1), None, v, 1000));
     let _ = tm.write(C1, None, 5000, A, None, &mut mem, 22);
     assert_eq!(tm.commit(C0, &mut mem, 23), CommitResult::Abort);
-    assert_eq!(Protocol::<1>::stats(&tm, C0).aborts_validation, 1);
+    assert_eq!(tm.stats(C0).aborts_validation, 1);
 }

@@ -1,11 +1,9 @@
-//! CSV emission and parsing for experiment records.
+//! CSV emission for experiment records.
 //!
 //! The CSV form is a **flat projection** for spreadsheets and plotting
 //! scripts: one row per run, per-core detail aggregated into the four
-//! breakdown buckets (the lossless form is the JSON emitter in
-//! [`crate::record`]). The projection is *stable*: parsing a CSV and
-//! re-emitting it reproduces the bytes exactly — the `emit ∘ parse ∘ emit
-//! = emit` property the test suite pins.
+//! breakdown buckets. It is output only: the lossless form, and the one
+//! `check --from` reads back, is the JSON of [`crate::record`].
 //!
 //! Layout:
 //!
@@ -21,10 +19,10 @@
 //! label in this workspace is comma-free, and the emitter rejects rather
 //! than quietly corrupts if that ever changes.
 
-use crate::record::{ExperimentRecord, RunRecord};
-use retcon::{RetconStats, TxSnapshot};
+use crate::record::ExperimentRecord;
+use retcon::TxSnapshot;
 use retcon_htm::ProtocolStats;
-use retcon_sim::{CoreReport, SimReport, TimeBreakdown};
+use retcon_sim::TimeBreakdown;
 
 /// The fixed column set, in emission order.
 pub fn columns() -> &'static [&'static str] {
@@ -76,19 +74,6 @@ fn knobs_cell(knobs: &[(String, String)]) -> Result<String, String> {
     Ok(parts.join(";"))
 }
 
-fn parse_knobs(cell: &str) -> Result<Vec<(String, String)>, String> {
-    if cell.is_empty() {
-        return Ok(Vec::new());
-    }
-    cell.split(';')
-        .map(|part| {
-            part.split_once('=')
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .ok_or_else(|| format!("malformed knob `{part}`"))
-        })
-        .collect()
-}
-
 /// Emits the experiment as CSV (see the module docs for the layout).
 ///
 /// # Errors
@@ -101,8 +86,7 @@ pub fn to_csv(exp: &ExperimentRecord) -> Result<String, String> {
     out.push_str(&format!("# experiment={}\n", exp.name));
     out.push_str(&format!("# seed={}\n", exp.seed));
     for (k, v) in &exp.meta {
-        // '\r' matters too: `lines()` strips a trailing CR on parse, which
-        // would silently corrupt the round trip instead of failing loudly.
+        // A line break ('\r' included) would end the `# meta` line early.
         if k.contains('=') || k.contains('\n') || k.contains('\r') {
             return Err(format!("meta key `{k}` contains a delimiter"));
         }
@@ -151,134 +135,12 @@ pub fn to_csv(exp: &ExperimentRecord) -> Result<String, String> {
     Ok(out)
 }
 
-fn parse_u64(cell: &str, line: usize, col: &str) -> Result<u64, String> {
-    cell.parse()
-        .map_err(|_| format!("line {line}: column `{col}` is not an integer: `{cell}`"))
-}
-
-/// Parses the [`to_csv`] form back into an experiment record.
-///
-/// The reconstruction carries the flat projection: per-core detail is
-/// collapsed into a single aggregate [`CoreReport`] whose `finished_at`
-/// is the run's total cycles. Re-emitting the result reproduces the input
-/// bytes.
-///
-/// # Errors
-///
-/// Reports the first malformed line, with its line number.
-pub fn from_csv(text: &str) -> Result<ExperimentRecord, String> {
-    let mut name = None;
-    let mut seed = None;
-    let mut meta = Vec::new();
-    let mut runs = Vec::new();
-    let mut saw_header = false;
-    let expected = columns();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if let Some(comment) = line.strip_prefix("# ") {
-            if let Some(v) = comment.strip_prefix("experiment=") {
-                name = Some(v.to_string());
-            } else if let Some(v) = comment.strip_prefix("seed=") {
-                seed = Some(parse_u64(v, lineno, "seed")?);
-            } else if let Some(entry) = comment.strip_prefix("meta ") {
-                let (k, v) = entry
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {lineno}: malformed meta line"))?;
-                meta.push((k.to_string(), v.to_string()));
-            } else {
-                return Err(format!("line {lineno}: unknown comment `{comment}`"));
-            }
-            continue;
-        }
-        if !saw_header {
-            if line != expected.join(",") {
-                return Err(format!("line {lineno}: unexpected header"));
-            }
-            saw_header = true;
-            continue;
-        }
-        if line.is_empty() {
-            continue;
-        }
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != expected.len() {
-            return Err(format!(
-                "line {lineno}: {} cells, expected {}",
-                cells.len(),
-                expected.len()
-            ));
-        }
-        let cell = |col: &str| -> &str {
-            let i = expected
-                .iter()
-                .position(|c| *c == col)
-                .expect("known column");
-            cells[i]
-        };
-        let cycles = parse_u64(cell("cycles"), lineno, "cycles")?;
-        let mut buckets = [0u64; 4];
-        for (slot, field) in buckets.iter_mut().zip(TimeBreakdown::FIELDS) {
-            *slot = parse_u64(cell(field), lineno, field)?;
-        }
-        let mut stats = [0u64; 6];
-        for (slot, field) in stats.iter_mut().zip(ProtocolStats::FIELDS) {
-            *slot = parse_u64(cell(field), lineno, field)?;
-        }
-        let retcon = match cell("retcon") {
-            "0" => None,
-            "1" => {
-                let snapshot = |prefix: &str| -> Result<TxSnapshot, String> {
-                    let mut values = [0u64; 6];
-                    for (slot, field) in values.iter_mut().zip(TxSnapshot::FIELDS) {
-                        let col = format!("{prefix}_{field}");
-                        *slot = parse_u64(cell(&col), lineno, &col)?;
-                    }
-                    Ok(TxSnapshot::from_array(values))
-                };
-                Some(RetconStats {
-                    transactions: parse_u64(cell("transactions"), lineno, "transactions")?,
-                    tx_cycles: parse_u64(cell("tx_cycles"), lineno, "tx_cycles")?,
-                    violations: parse_u64(cell("violations"), lineno, "violations")?,
-                    sum: snapshot("sum")?,
-                    max: snapshot("max")?,
-                })
-            }
-            other => return Err(format!("line {lineno}: bad retcon flag `{other}`")),
-        };
-        runs.push(RunRecord {
-            workload: cell("workload").to_string(),
-            system: cell("system").to_string(),
-            cores: parse_u64(cell("cores"), lineno, "cores")?,
-            seed: parse_u64(cell("seed"), lineno, "seed")?,
-            knobs: parse_knobs(cell("knobs")).map_err(|e| format!("line {lineno}: {e}"))?,
-            seq_cycles: parse_u64(cell("seq_cycles"), lineno, "seq_cycles")?,
-            report: SimReport {
-                protocol_name: cell("protocol").to_string(),
-                cycles,
-                per_core: vec![CoreReport {
-                    breakdown: TimeBreakdown::from_array(buckets),
-                    instructions: parse_u64(cell("instructions"), lineno, "instructions")?,
-                    finished_at: cycles,
-                }],
-                protocol: ProtocolStats::from_array(stats),
-                retcon,
-            },
-        });
-    }
-    if !saw_header {
-        return Err("missing CSV header".to_string());
-    }
-    Ok(ExperimentRecord {
-        name: name.ok_or("missing `# experiment=` line")?,
-        seed: seed.ok_or("missing `# seed=` line")?,
-        meta,
-        runs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RunRecord;
+    use retcon::RetconStats;
+    use retcon_sim::{CoreReport, SimReport};
 
     fn sample() -> ExperimentRecord {
         let mut report = SimReport {
@@ -343,22 +205,26 @@ mod tests {
 
     #[test]
     fn csv_projection_is_stable() {
-        let exp = sample();
-        let csv = to_csv(&exp).unwrap();
-        let parsed = from_csv(&csv).unwrap();
-        // The projection collapses per-core detail...
-        assert_eq!(parsed.runs[0].report.per_core.len(), 1);
-        // ...but preserves aggregates and context exactly...
-        assert_eq!(
-            parsed.runs[0].report.breakdown(),
-            exp.runs[0].report.breakdown()
+        // Per-core detail collapses into the run's aggregates; the
+        // knobs, metadata and RETCON statistics are carried verbatim.
+        let expected = concat!(
+            "# experiment=sample\n",
+            "# seed=42\n",
+            "# meta k=v with = sign\n",
+            "workload,system,protocol,cores,seed,knobs,seq_cycles,cycles,",
+            "busy,conflict,barrier,other,instructions,",
+            "commits,aborts_conflict,aborts_validation,aborts_overflow,aborts_cycle,stalls,",
+            "retcon,transactions,tx_cycles,violations,",
+            "sum_blocks_lost,sum_blocks_tracked,sum_symbolic_registers,",
+            "sum_private_stores,sum_constraint_addrs,sum_commit_cycles,",
+            "max_blocks_lost,max_blocks_tracked,max_symbolic_registers,",
+            "max_private_stores,max_constraint_addrs,max_commit_cycles\n",
+            "counter,RetCon,RetCon,2,42,ivb=4,900,500,250,200,0,50,100,5,1,0,0,0,2,",
+            "1,1,60,0,1,2,3,4,5,6,1,2,3,4,5,6\n",
+            "counter,eager,eager,1,42,,0,900,0,0,0,0,0,0,0,0,0,0,0,",
+            "0,,,,,,,,,,,,,,,\n",
         );
-        assert_eq!(parsed.runs[0].report.protocol, exp.runs[0].report.protocol);
-        assert_eq!(parsed.runs[0].report.retcon, exp.runs[0].report.retcon);
-        assert_eq!(parsed.runs[0].knobs, exp.runs[0].knobs);
-        assert_eq!(parsed.meta, exp.meta);
-        // ...and is byte-stable under re-emission.
-        assert_eq!(to_csv(&parsed).unwrap(), csv);
+        assert_eq!(to_csv(&sample()).unwrap(), expected);
     }
 
     #[test]
@@ -370,8 +236,6 @@ mod tests {
 
     #[test]
     fn csv_rejects_line_breaks_in_meta() {
-        // A trailing '\r' would survive emission but be stripped by the
-        // parser's `lines()`, corrupting the round trip — reject it.
         let mut exp = sample();
         exp.meta = vec![("k".to_string(), "v\r".to_string())];
         assert!(to_csv(&exp).is_err());
@@ -379,20 +243,5 @@ mod tests {
         assert!(to_csv(&exp).is_err());
         exp.meta = vec![("k".to_string(), "v\nx".to_string())];
         assert!(to_csv(&exp).is_err());
-    }
-
-    #[test]
-    fn csv_parse_reports_line_numbers() {
-        let exp = sample();
-        let mut csv = to_csv(&exp).unwrap();
-        csv.push_str("short,row\n");
-        let err = from_csv(&csv).unwrap_err();
-        assert!(err.contains("line"), "{err}");
-    }
-
-    #[test]
-    fn csv_requires_header_and_name() {
-        assert!(from_csv("").is_err());
-        assert!(from_csv(&columns().join(",")).is_err());
     }
 }

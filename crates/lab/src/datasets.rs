@@ -519,7 +519,7 @@ mod tests {
         // fig2 runs the counter under five designs at two cores.
         let fig2 = Dataset::Fig2.jobs();
         assert_eq!(fig2.len(), 5);
-        assert!(fig2.iter().all(|j| j.cores == 2));
+        assert!(fig2.iter().all(|j| j.key.cores == 2));
         // scaling: three workloads, six core counts, two systems.
         assert_eq!(Dataset::Scaling.jobs().len(), 3 * 6 * 2);
         // ablation_sizes: 3 workloads × (1 + 5 + 4 + 4) + yada (1 + 4).

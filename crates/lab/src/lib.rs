@@ -6,9 +6,9 @@
 //!
 //! 1. **records** ([`record`], [`csv`]) — [`record::ExperimentRecord`] /
 //!    [`record::RunRecord`] capture each run's full context and
-//!    [`retcon_sim::SimReport`] cycle breakdown, with hand-rolled JSON
-//!    (lossless) and CSV (flat, byte-stable) emitters *and* parsers, so
-//!    result sets round-trip offline with no external dependencies;
+//!    [`retcon_sim::SimReport`] cycle breakdown, with a hand-rolled JSON
+//!    emitter and parser (lossless, so result sets round-trip offline with
+//!    no external dependencies) and a flat CSV projection for plotting;
 //! 2. **runner** ([`runner`]) — a `std::thread`-scoped job-parallel
 //!    executor that fans a job list across N workers and returns records
 //!    bit-identical to serial execution (pinned by the root determinism

@@ -27,18 +27,8 @@ pub use crate::engine::ReportCache;
 /// plus the display-only knob labels recorded alongside the run.
 #[derive(Debug, Clone)]
 pub struct Job {
-    /// Workload to build.
-    pub workload: Workload,
-    /// System to run it under.
-    pub system: System,
-    /// Core count.
-    pub cores: usize,
-    /// Workload-build seed.
-    pub seed: u64,
-    /// When set, overrides the RETCON configuration (structure-size
-    /// sweeps); the protocol is then a [`retcon_htm::RetconTm`] regardless
-    /// of `system`'s default mapping.
-    pub cfg: Option<RetconConfig>,
+    /// The simulation inputs this job's report is a pure function of.
+    pub key: RunKey,
     /// Knob labels recorded alongside the run (e.g. `("ivb", "4")`).
     /// Deliberately NOT part of the simulation key — two sweep points
     /// whose configs coincide share one simulation.
@@ -49,16 +39,13 @@ impl Job {
     /// A plain run of `workload` under `system`.
     pub fn new(workload: Workload, system: System, cores: usize, seed: u64) -> Job {
         Job {
-            workload,
-            system,
-            cores,
-            seed,
-            cfg: None,
+            key: RunKey::new(workload, system, cores, seed),
             knobs: Vec::new(),
         }
     }
 
-    /// A RETCON run with an explicit configuration and its knob labels.
+    /// A RETCON run with an explicit configuration and its knob labels:
+    /// the protocol is a [`retcon_htm::RetconTm`] under `cfg`.
     pub fn with_cfg(
         workload: Workload,
         cores: usize,
@@ -67,45 +54,38 @@ impl Job {
         knobs: Vec<(String, String)>,
     ) -> Job {
         Job {
-            workload,
-            system: System::Retcon,
-            cores,
-            seed,
-            cfg: Some(cfg),
+            key: RunKey {
+                cfg: Some(cfg),
+                ..RunKey::new(workload, System::Retcon, cores, seed)
+            },
             knobs,
         }
     }
 
     /// The simulation inputs this job's report is a pure function of.
     pub fn key(&self) -> RunKey {
-        RunKey {
-            workload: self.workload,
-            system: self.system,
-            cfg: self.cfg,
-            cores: self.cores,
-            seed: self.seed,
-        }
+        self.key.clone()
     }
 }
 
 fn record_from(job: &Job, report: retcon_sim::SimReport) -> RunRecord {
-    let mut record = record_for(&job.key(), report);
+    let mut record = record_for(&job.key, report);
     record.knobs = job.knobs.clone();
     record
 }
 
 fn execute_cached(job: &Job, cache: &dyn SimCache) -> Result<RunRecord, SimError> {
-    let key = job.key();
-    let report = match cache.lookup(&key) {
+    let key = &job.key;
+    let report = match cache.lookup(key) {
         Some(report) => report,
         None => {
             // Simulate outside any cache lock: sims run for milliseconds
             // to seconds and must not serialize the worker pool.
             let t = Instant::now();
-            let report = simulate(&key)?;
+            let report = simulate(key)?;
             let micros = t.elapsed().as_micros() as u64;
             retcon_obs::phase::add(retcon_obs::phase::Phase::Simulate, micros);
-            cache.insert(&key, &report, micros);
+            cache.insert(key, &report, micros);
             report
         }
     };
@@ -122,7 +102,7 @@ fn execute_cached(job: &Job, cache: &dyn SimCache) -> Result<RunRecord, SimError
 /// Propagates [`SimError`] (cycle-limit or validation failures — both
 /// indicate workload bugs, so callers treat them as fatal).
 pub fn execute(job: &Job) -> Result<RunRecord, SimError> {
-    Ok(record_from(job, simulate(&job.key())?))
+    Ok(record_from(job, simulate(&job.key)?))
 }
 
 /// Runs every job, fanning out across `workers` threads (`<= 1` means

@@ -1,7 +1,7 @@
 //! Record serialization properties: the JSON emitters are lossless
-//! inverses of the parsers over *arbitrary* records, the CSV projection is
-//! byte-stable, and one known seed-42 run is pinned as a golden snapshot
-//! so the on-disk schema cannot drift silently.
+//! inverses of the parsers over *arbitrary* records, the CSV projection has
+//! one full row per run, and one known seed-42 run is pinned as a golden
+//! snapshot so the on-disk schema cannot drift silently.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -147,24 +147,17 @@ proptest! {
         prop_assert_eq!(&through_text, &exp);
     }
 
-    /// The CSV projection is stable: emit ∘ parse ∘ emit == emit, and the
-    /// parse preserves every aggregate the projection keeps.
+    /// The CSV projection is rectangular: after the comment lines and the
+    /// header, one data row per run, each with one cell per column.
     #[test]
-    fn csv_projection_is_byte_stable(exp in experiment_strategy()) {
-        let first = csv::to_csv(&exp).unwrap();
-        let parsed = csv::from_csv(&first).unwrap();
-        prop_assert_eq!(csv::to_csv(&parsed).unwrap(), first);
-        prop_assert_eq!(&parsed.name, &exp.name);
-        prop_assert_eq!(parsed.seed, exp.seed);
-        prop_assert_eq!(&parsed.meta, &exp.meta);
-        prop_assert_eq!(parsed.runs.len(), exp.runs.len());
-        for (p, e) in parsed.runs.iter().zip(&exp.runs) {
-            prop_assert_eq!(p.report.breakdown(), e.report.breakdown());
-            prop_assert_eq!(&p.report.protocol, &e.report.protocol);
-            prop_assert_eq!(&p.report.retcon, &e.report.retcon);
-            prop_assert_eq!(p.report.total_instructions(), e.report.total_instructions());
-            prop_assert_eq!(&p.knobs, &e.knobs);
-            prop_assert_eq!(p.seq_cycles, e.seq_cycles);
+    fn csv_has_one_full_row_per_run(exp in experiment_strategy()) {
+        let text = csv::to_csv(&exp).unwrap();
+        let mut lines = text.lines().skip_while(|l| l.starts_with("# "));
+        prop_assert_eq!(lines.next(), Some(csv::columns().join(",").as_str()));
+        let rows: Vec<&str> = lines.collect();
+        prop_assert_eq!(rows.len(), exp.runs.len());
+        for row in rows {
+            prop_assert_eq!(row.split(',').count(), csv::columns().len());
         }
     }
 }

@@ -77,7 +77,7 @@ impl<const N: usize> Entry<N> {
 }
 
 /// Coherence state of one block as seen by the directory (a view assembled
-/// on demand; the directory's storage is the compact [`Entry`]).
+/// on demand; the directory's storage is the compact `Entry`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirState {
     /// No core caches the block.

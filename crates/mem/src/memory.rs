@@ -20,7 +20,7 @@ const DENSE_PAGES: u64 = 4096;
 ///
 /// Storage is a paged flat store with a two-level index. Workloads allocate
 /// addresses densely from zero (see `retcon_workloads::Alloc`), so the
-/// first [`DENSE_PAGES`] page slots are a plain `Vec` — the hot-path word
+/// first `DENSE_PAGES` page slots are a plain `Vec` — the hot-path word
 /// load/store is two array indexes, no hashing at all. Pages beyond the
 /// dense window (sparse test patterns, adversarial addresses) fall back to
 /// a small [`FxHashMap`]. Either way there are no per-word map entries and

@@ -5,7 +5,7 @@
 //! in-order x86 cores at 1 IPC). This crate provides the equivalent
 //! execution substrate: each core interprets a [`Program`] in the
 //! `retcon-isa` IR, every memory operation is routed through a
-//! concurrency-control [`Protocol`] (crate `retcon-htm`) over the shared
+//! concurrency-control protocol, an [`AnyProtocol`] (crate `retcon-htm`), over the shared
 //! [`MemorySystem`] (crate `retcon-mem`), and a global scheduler advances
 //! whichever core has the smallest local clock — making every run exactly
 //! reproducible.
@@ -88,7 +88,7 @@ pub use tape::InputTape;
 // Re-exports so workload crates need only depend on `retcon-sim`.
 pub use retcon_htm::{
     AbortCause, AnyProtocol, CommitResult, ConflictPolicy, DatmLite, EagerTm, LazyTm, LazyVbTm,
-    MemResult, Protocol, ProtocolStats, RegUpdates, RetconTm,
+    MemResult, ProtocolStats, RegUpdates, RetconTm,
 };
 pub use retcon_isa::Program;
 pub use retcon_mem::{MemConfig, MemorySystem};

@@ -65,8 +65,9 @@ impl Decision {
 
 /// The action a core will attempt on its next instruction, as visible to a
 /// schedule *before* it decides. Exploration policies use this to prune:
-/// two eligible cores whose next actions are [independent]
-/// (`CoreAction::conflicts_with`) need not be explored in both orders.
+/// two eligible cores whose next actions are
+/// [independent](CoreAction::conflicts_with) need not be explored in both
+/// orders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreAction {
     /// A load of the given cache block.

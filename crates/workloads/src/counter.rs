@@ -14,7 +14,7 @@ const WORK: u32 = 10;
 /// across `num_cores`, each performing `load; +1; store; work; load; +1;
 /// store` on the single shared counter — the exact schedule of Figure 2.
 /// Total transactions the counter workload commits at `num_cores`
-/// ([`TOTAL_TXS`] rounded to an even per-core split).
+/// (`TOTAL_TXS` rounded to an even per-core split).
 pub fn total_transactions(num_cores: usize) -> u64 {
     (TOTAL_TXS / num_cores as u64).max(1) * num_cores as u64
 }
