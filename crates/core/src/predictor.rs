@@ -8,7 +8,7 @@
 //! observation of 100 conflicts on that block before attempting symbolic
 //! tracking on that block again."*
 
-use retcon_isa::table::BlockTable;
+use retcon_isa::fx::FxHashMap;
 use retcon_isa::BlockAddr;
 
 /// Per-block conflict-history predictor deciding which blocks to track
@@ -17,6 +17,11 @@ use retcon_isa::BlockAddr;
 /// A block becomes trackable once it has been observed in `initial_threshold`
 /// conflicts; a constraint violation at commit raises the bar by
 /// `violation_backoff` further conflicts.
+///
+/// One entry per block the predictor was trained on, in a map: a core
+/// trains on the few blocks it conflicts on, which a table indexed by
+/// block number would pay for up to the highest of them (DESIGN.md "Keyed
+/// tables").
 ///
 /// # Example
 ///
@@ -36,14 +41,11 @@ use retcon_isa::BlockAddr;
 pub struct Predictor {
     initial_threshold: u32,
     violation_backoff: u32,
-    entries: BlockTable<Entry>,
+    entries: FxHashMap<u64, Entry>,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    /// `false` until the block's first conflict/violation is recorded (the
-    /// dense-table equivalent of map absence).
-    seen: bool,
     conflicts: u32,
     /// Conflicts required before tracking; starts at `initial_threshold` and
     /// is raised on violations.
@@ -58,35 +60,27 @@ impl Predictor {
         Predictor {
             initial_threshold,
             violation_backoff,
-            entries: BlockTable::new(),
+            entries: FxHashMap::default(),
         }
     }
 
     /// Should loads from `block` initiate symbolic tracking?
     #[inline]
     pub fn should_track(&self, block: BlockAddr) -> bool {
-        let e = self.entries.get(block.0);
-        if e.seen {
-            e.conflicts >= e.required
-        } else {
-            self.initial_threshold == 0
+        match self.entries.get(&block.0) {
+            Some(e) => e.conflicts >= e.required,
+            None => self.initial_threshold == 0,
         }
     }
 
-    /// The entry for `block`, initialized on first touch (map-absence
-    /// equivalent).
+    /// The entry for `block`, initialized on first touch.
     #[inline]
     fn entry(&mut self, block: BlockAddr) -> &mut Entry {
-        let threshold = self.initial_threshold;
-        let e = self.entries.entry(block.0);
-        if !e.seen {
-            *e = Entry {
-                seen: true,
-                conflicts: 0,
-                required: threshold,
-            };
-        }
-        e
+        let required = self.initial_threshold;
+        self.entries.entry(block.0).or_insert(Entry {
+            conflicts: 0,
+            required,
+        })
     }
 
     /// Records that a conflict was observed on `block` (an abort or stall

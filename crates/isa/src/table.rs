@@ -9,8 +9,11 @@
 //!   (`retcon_workloads::Alloc`), so block numbers are small: a
 //!   direct-indexed `Vec` answers the common case with a bounds check and
 //!   an array load, and only sparse keys (large literals in tests) fall
-//!   back to a hash map. Directory entries, footprint rows, watcher
-//!   counts and the tracking predictor live here for the whole run.
+//!   back to a hash map. Directory entries, footprint rows and watcher
+//!   counts live here for the whole run: one table each per machine,
+//!   touched on every access. A per-core table trained on a few blocks
+//!   (the tracking predictor) is a plain Fx map instead, since a dense
+//!   window per core reaches the highest block that core ever saw.
 //! * [`EpochMap`] — a *per-transaction* map, cleared at every commit and
 //!   abort: a plain Fx map, since a dense window sized by the highest key
 //!   a core ever touched would outlive every transaction that touched it.

@@ -1,6 +1,8 @@
 //! The multicore machine: per-core interpreters plus the global scheduler.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use retcon_htm::{AnyProtocol, CommitResult, MemResult, StallAction, StallStorm};
 use retcon_isa::{Addr, BlockAddr, CoreSet, Instr, Operand, Pc, Program, ValidateError, NUM_REGS};
@@ -148,10 +150,14 @@ pub struct Machine<const N: usize = 1> {
     mem: MemorySystem<N>,
     protocol: AnyProtocol<N>,
     cores: Vec<Core>,
-    /// One program per core, stored beside (not inside) the cores so the
+    /// The programs this machine's cores run: core `c` runs
+    /// `programs[first + c]`. Stored beside (not inside) the cores so the
     /// batched interpreter can hold the current basic block's instruction
-    /// slice across the mutable per-core state it updates.
-    programs: Vec<Program>,
+    /// slice across the mutable per-core state it updates, and shared, so
+    /// the shards of one workload index one slice instead of copying it.
+    programs: Arc<[Program]>,
+    /// The global index of this machine's core 0 in `programs`.
+    first: usize,
     /// Whether stall-retry storms may be fast-forwarded analytically (see
     /// [`Cert`]). On by default; equivalence tests disable it to compare
     /// against step-by-step retry execution.
@@ -241,25 +247,52 @@ impl<const N: usize> Machine<N> {
     pub fn new(
         cfg: SimConfig,
         protocol: impl Into<AnyProtocol<N>>,
-        programs: Vec<Program>,
+        programs: impl Into<Arc<[Program]>>,
+    ) -> Self {
+        let programs = programs.into();
+        let cores = 0..programs.len();
+        Self::with_programs(cfg, protocol, programs, cores)
+    }
+
+    /// Creates a machine whose core `i` runs `programs[cores.start + i]`:
+    /// the shards of one workload share its programs this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores.len() != cfg.num_cores` or `cores` reaches past
+    /// `programs`.
+    pub fn with_programs(
+        cfg: SimConfig,
+        protocol: impl Into<AnyProtocol<N>>,
+        programs: Arc<[Program]>,
+        cores: Range<usize>,
     ) -> Self {
         assert_eq!(
-            programs.len(),
+            cores.len(),
             cfg.num_cores,
             "need exactly one program per core"
         );
         Machine {
             mem: MemorySystem::new(cfg.mem, cfg.num_cores),
             protocol: protocol.into(),
-            cores: programs.iter().map(|p| Core::new(p.entry())).collect(),
-            certs: vec![None; programs.len()],
+            cores: programs[cores.clone()]
+                .iter()
+                .map(|p| Core::new(p.entry()))
+                .collect(),
+            certs: vec![None; cores.len()],
             trainers: Trainers::default(),
             footprint: None,
             tracer: None,
             programs,
+            first: cores.start,
             cfg,
             fast_forward: true,
         }
+    }
+
+    /// The programs this machine's cores run, by local core index.
+    fn programs(&self) -> &[Program] {
+        &self.programs[self.first..self.first + self.cores.len()]
     }
 
     /// Enables block-footprint recording: every block a core reaches
@@ -367,7 +400,7 @@ impl<const N: usize> Machine<N> {
     /// [`SimError::InvalidProgram`] if any program fails validation;
     /// [`SimError::CycleLimit`] if the run exceeds the configured cap.
     pub fn run_with<S: Schedule + ?Sized>(&mut self, sched: &mut S) -> Result<SimReport, SimError> {
-        for (i, program) in self.programs.iter().enumerate() {
+        for (i, program) in self.programs().iter().enumerate() {
             program
                 .validate()
                 .map_err(|error| SimError::InvalidProgram { core: i, error })?;
@@ -389,7 +422,7 @@ impl<const N: usize> Machine<N> {
         loop {
             let decision = sched.next_core(&MachinePeek {
                 cores: &self.cores,
-                programs: &self.programs,
+                programs: self.programs(),
                 protocol: &self.protocol,
             });
             match decision {
@@ -510,6 +543,7 @@ impl<const N: usize> Machine<N> {
             protocol,
             cores,
             programs,
+            first,
             certs,
             trainers,
             footprint,
@@ -587,7 +621,7 @@ impl<const N: usize> Machine<N> {
                 }
             }};
         }
-        let program = &programs[c];
+        let program = &programs[*first + c];
         // Current basic block's instruction slice, refreshed only on
         // control transfers: the straight-line fetch is one indexed load.
         let mut block = core.pc.block;
@@ -1037,7 +1071,9 @@ mod tests {
 
     fn run_counter(protocol: impl Into<AnyProtocol>, cores: usize, iters: u64) -> (SimReport, u64) {
         let cfg = SimConfig::with_cores(cores);
-        let programs = (0..cores).map(|_| counter_program(0, iters, 5)).collect();
+        let programs = (0..cores)
+            .map(|_| counter_program(0, iters, 5))
+            .collect::<Vec<_>>();
         let mut m: Machine = Machine::new(cfg, protocol, programs);
         let report = m.run().expect("run completes");
         (report, m.mem().read_word(Addr(0)))

@@ -104,6 +104,15 @@ pub enum ShardedOutcome {
 /// with footprint tracking left to this function — it is switched on
 /// here so the disjointness check can never be forgotten.
 ///
+/// Every shard's machine is built on the calling thread and run on a
+/// scoped thread of its own while the caller waits. A thread's first
+/// allocation claims an allocator arena that outlives the thread: built
+/// here, the machines share the caller's heap instead of each filling an
+/// arena of its own, and a shard thread that grows a table (`realloc`)
+/// grows it where it was built. The caller runs no shard itself: while it
+/// ran shard 0, the serial runs it made afterwards ran slower (DESIGN.md
+/// § Sharding, "Thread model").
+///
 /// `trace_capacity` turns on event tracing: each shard machine records
 /// into a private ring (the capacity split evenly across shards) and a
 /// successful merge concatenates the streams in shard order. Tracing
@@ -119,35 +128,40 @@ pub fn run_sharded<const N: usize, F>(
     build: F,
 ) -> Result<ShardedOutcome, SimError>
 where
-    F: Fn(Range<usize>) -> Machine<N> + Sync,
+    F: Fn(Range<usize>) -> Machine<N>,
 {
     let ranges = shard_ranges(num_cores, shards);
     let per_shard = trace_capacity.map(|capacity| capacity.div_ceil(shards).max(1));
-    let mut outcomes: Vec<Option<Result<_, SimError>>> = Vec::new();
-    outcomes.resize_with(ranges.len(), || None);
-    std::thread::scope(|scope| {
-        for (range, slot) in ranges.iter().zip(outcomes.iter_mut()) {
-            let build = &build;
-            scope.spawn(move || {
-                let mut machine = build(range.clone());
-                machine.set_track_footprint(true);
-                if let Some(capacity) = per_shard {
-                    machine.set_tracer(RingTracer::with_capacity(capacity));
-                }
-                *slot = Some(machine.run().map(|report| {
-                    let footprint = machine
-                        .take_footprint()
-                        .expect("footprint tracking enabled above");
-                    (report, footprint, machine.take_tracer())
-                }));
-            });
-        }
+    let machines: Vec<Machine<N>> = ranges
+        .iter()
+        .map(|range| {
+            let mut machine = build(range.clone());
+            machine.set_track_footprint(true);
+            if let Some(capacity) = per_shard {
+                machine.set_tracer(RingTracer::with_capacity(capacity));
+            }
+            machine
+        })
+        .collect();
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = machines
+            .into_iter()
+            .map(|machine| scope.spawn(move || run_shard(machine)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|thread| {
+                thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
     let mut reports = Vec::with_capacity(ranges.len());
     let mut footprints = Vec::with_capacity(ranges.len());
     let mut tracers = Vec::with_capacity(ranges.len());
-    for slot in outcomes {
-        let (report, footprint, tracer) = slot.expect("every shard thread ran")?;
+    for outcome in outcomes {
+        let (report, footprint, tracer) = outcome?;
         reports.push(report);
         footprints.push(footprint);
         tracers.push(tracer);
@@ -174,6 +188,19 @@ where
         merged
     });
     Ok(ShardedOutcome::Merged(merge_reports(reports), merged_trace))
+}
+
+/// What one shard's run leaves for the merge: its report, the blocks its
+/// cores touched and its event stream, if traced.
+type ShardRun = (SimReport, retcon_mem::FxHashSet<u64>, Option<RingTracer>);
+
+/// Runs one shard machine built by [`run_sharded`].
+fn run_shard<const N: usize>(mut machine: Machine<N>) -> Result<ShardRun, SimError> {
+    let report = machine.run()?;
+    let footprint = machine
+        .take_footprint()
+        .expect("footprint tracking enabled by run_sharded");
+    Ok((report, footprint, machine.take_tracer()))
 }
 
 /// Merges shard reports (in shard order) into the serial-equivalent

@@ -59,7 +59,7 @@ pub fn build(num_cores: usize, _seed: u64) -> WorkloadSpec {
         name: "counter",
         tapes: vec![Vec::new(); num_cores],
         init: Vec::new(),
-        programs,
+        programs: programs.into(),
     }
 }
 
@@ -79,7 +79,7 @@ mod tests {
         for cores in [1, 2, 7, 32] {
             let spec = build(cores, 0);
             assert_eq!(spec.num_cores(), cores);
-            for p in &spec.programs {
+            for p in spec.programs.iter() {
                 assert!(p.validate().is_ok());
             }
         }

@@ -54,7 +54,7 @@ pub fn counter(num_cores: usize, iters: u64) -> WorkloadSpec {
         name: "x-counter",
         tapes: vec![Vec::new(); num_cores],
         init: Vec::new(),
-        programs,
+        programs: programs.into(),
     }
 }
 
@@ -122,7 +122,7 @@ pub fn pool(
             name: "x-pool",
             tapes,
             init: Vec::new(),
-            programs,
+            programs: programs.into(),
         },
         expected,
     )
@@ -179,7 +179,7 @@ pub fn transfer(num_cores: usize, pool: u64, iters: u64, seed: u64) -> (Workload
             name: "x-transfer",
             tapes,
             init: (0..pool).map(|i| (Addr(i * 8), INITIAL)).collect(),
-            programs,
+            programs: programs.into(),
         },
         INITIAL * pool,
     )
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn counter_oracle_holds_under_default_schedule() {
         let spec = counter(3, 4);
-        for p in &spec.programs {
+        for p in spec.programs.iter() {
             assert!(p.validate().is_ok());
         }
         let cfg = retcon_sim::SimConfig::with_cores(3);

@@ -69,7 +69,7 @@ pub fn build(num_cores: usize, seed: u64, resizable: bool) -> WorkloadSpec {
     }
     WorkloadSpec {
         name: if resizable { "genome-sz" } else { "genome" },
-        programs,
+        programs: programs.into(),
         tapes,
         init: Vec::new(),
     }
@@ -84,7 +84,7 @@ mod tests {
     fn programs_validate() {
         for resizable in [false, true] {
             let spec = build(4, 1, resizable);
-            for p in &spec.programs {
+            for p in spec.programs.iter() {
                 assert!(p.validate().is_ok());
             }
             assert_eq!(spec.tapes[0].len() as u64, TOTAL_INSERTS / 4);

@@ -166,7 +166,7 @@ pub fn build(num_cores: usize, seed: u64, optimized: bool, resizable: bool) -> W
             (true, false) => "intruder_opt",
             (true, true) => "intruder_opt-sz",
         },
-        programs,
+        programs: programs.into(),
         tapes,
         init,
     }
@@ -181,7 +181,7 @@ mod tests {
     fn all_variants_validate() {
         for (optimized, resizable) in [(false, false), (true, false), (true, true)] {
             let spec = build(4, 2, optimized, resizable);
-            for p in &spec.programs {
+            for p in spec.programs.iter() {
                 assert!(p.validate().is_ok());
             }
         }

@@ -84,7 +84,7 @@ pub fn build(num_cores: usize, seed: u64) -> WorkloadSpec {
 
     WorkloadSpec {
         name: "kmeans",
-        programs,
+        programs: programs.into(),
         tapes,
         init: Vec::new(),
     }
@@ -98,7 +98,7 @@ mod tests {
     #[test]
     fn programs_validate() {
         let spec = build(4, 3);
-        for p in &spec.programs {
+        for p in spec.programs.iter() {
             assert!(p.validate().is_ok());
         }
     }

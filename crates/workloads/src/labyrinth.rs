@@ -103,7 +103,7 @@ pub fn build(num_cores: usize, seed: u64) -> WorkloadSpec {
 
     WorkloadSpec {
         name: "labyrinth",
-        programs,
+        programs: programs.into(),
         tapes,
         init: Vec::new(),
     }
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn programs_validate() {
         let spec = build(4, 4);
-        for p in &spec.programs {
+        for p in spec.programs.iter() {
             assert!(p.validate().is_ok());
         }
     }

@@ -60,6 +60,7 @@ use retcon_sim::{
     RetconTm, ShardedOutcome, SimConfig, SimError, SimReport,
 };
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The widest supported machine: 16 `CoreSet` words of 64 cores each.
 pub const MAX_SIM_CORES: usize = 1024;
@@ -415,6 +416,13 @@ fn run_class<const N: usize>(
         num_cores,
         "spec was built for a different core count"
     );
+    // Validated here, by global core number, before the strategy is
+    // chosen: a shard's machine names a bad program by its local index.
+    for (core, program) in spec.programs.iter().enumerate() {
+        program
+            .validate()
+            .map_err(|error| SimError::InvalidProgram { core, error })?;
+    }
     // The machine for a contiguous range of the spec's cores, locally
     // numbered from zero: the whole spec serially, one shard otherwise.
     let build = |range: Range<usize>| {
@@ -472,7 +480,8 @@ fn build_machine<const N: usize>(
     protocol: impl Into<AnyProtocol<N>>,
     cfg: SimConfig,
 ) -> Machine<N> {
-    let mut machine = Machine::new(cfg, protocol, spec.programs[range.clone()].to_vec());
+    let mut machine =
+        Machine::with_programs(cfg, protocol, Arc::clone(&spec.programs), range.clone());
     for (i, tape) in spec.tapes[range].iter().enumerate() {
         machine.set_tape(i, tape.clone());
     }

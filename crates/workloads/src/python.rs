@@ -145,7 +145,7 @@ pub fn build(num_cores: usize, seed: u64, optimized: bool) -> WorkloadSpec {
 
     WorkloadSpec {
         name: if optimized { "python_opt" } else { "python" },
-        programs,
+        programs: programs.into(),
         tapes,
         init,
     }
@@ -160,7 +160,7 @@ mod tests {
     fn both_variants_validate() {
         for optimized in [false, true] {
             let spec = build(4, 8, optimized);
-            for p in &spec.programs {
+            for p in spec.programs.iter() {
                 assert!(p.validate().is_ok());
             }
         }

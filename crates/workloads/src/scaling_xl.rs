@@ -72,7 +72,7 @@ pub fn build(num_cores: usize, _seed: u64) -> WorkloadSpec {
         name: "scaling_xl",
         tapes: vec![Vec::new(); num_cores],
         init: Vec::new(),
-        programs,
+        programs: programs.into(),
     }
 }
 
@@ -94,7 +94,7 @@ mod tests {
         for cores in [1, 7, 8, 9, 64, 65] {
             let spec = build(cores, 0);
             assert_eq!(spec.num_cores(), cores);
-            for p in &spec.programs {
+            for p in spec.programs.iter() {
                 assert!(p.validate().is_ok());
             }
         }

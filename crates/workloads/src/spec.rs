@@ -1,5 +1,7 @@
 //! Workload specifications and memory layout allocation.
 
+use std::sync::Arc;
+
 use retcon_isa::{Addr, Program, WORDS_PER_BLOCK};
 
 /// A fully-built workload: one program and input tape per core, plus the
@@ -8,8 +10,10 @@ use retcon_isa::{Addr, Program, WORDS_PER_BLOCK};
 pub struct WorkloadSpec {
     /// Display name (Table 2 label).
     pub name: &'static str,
-    /// One program per core.
-    pub programs: Vec<Program>,
+    /// One program per core, shared: every machine built from the spec
+    /// (one per shard in a sharded run) runs its range of this slice
+    /// without copying an instruction.
+    pub programs: Arc<[Program]>,
     /// One input tape per core (pre-randomized keys etc.).
     pub tapes: Vec<Vec<u64>>,
     /// Initial nonzero memory words.

@@ -75,7 +75,7 @@ pub fn build(num_cores: usize, seed: u64) -> WorkloadSpec {
 
     WorkloadSpec {
         name: "ssca2",
-        programs,
+        programs: programs.into(),
         tapes,
         init: Vec::new(),
     }
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn programs_validate() {
         let spec = build(4, 5);
-        for p in &spec.programs {
+        for p in spec.programs.iter() {
             assert!(p.validate().is_ok());
         }
     }

@@ -88,7 +88,7 @@ pub fn build(num_cores: usize, seed: u64) -> WorkloadSpec {
 
     WorkloadSpec {
         name: "yada",
-        programs,
+        programs: programs.into(),
         tapes,
         init,
     }
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn programs_validate() {
         let spec = build(4, 7);
-        for p in &spec.programs {
+        for p in spec.programs.iter() {
             assert!(p.validate().is_ok());
         }
     }

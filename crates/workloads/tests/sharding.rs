@@ -6,6 +6,8 @@
 //! the serialization boundary: the merged report's JSON must be *equal as
 //! bytes* to the serial run's, at every size class the shards cross.
 
+use retcon_isa::{BasicBlock, Program};
+use retcon_sim::SimError;
 use retcon_workloads::{run, run_spec, run_spec_sized, System, Workload};
 
 /// Serial vs sharded, compared on the serialized report.
@@ -84,6 +86,26 @@ fn barrier_workloads_are_refused_and_run_serially() {
         direct.to_json().to_string(),
         via_sized.to_json().to_string()
     );
+}
+
+#[test]
+fn sharded_invalid_program_names_the_global_core() {
+    // A bad program on core 12 of 16. Two shards run cores 8..16 as the
+    // second machine's local cores 0..8, where the same program is core 4:
+    // the error must name the core of the spec, whichever way it ran.
+    let mut spec = Workload::ScalingXl.build(16, 42);
+    let mut programs = spec.programs.to_vec();
+    programs[12] = Program {
+        blocks: vec![BasicBlock { instrs: Vec::new() }],
+    };
+    spec.programs = programs.into();
+    for shards in [1, 2] {
+        let err = run_spec_sized(&spec, System::Retcon, 16, shards).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidProgram { core: 12, .. }),
+            "{shards} shard(s): {err}"
+        );
+    }
 }
 
 #[test]

@@ -53,7 +53,9 @@ fn run(system: System, pool: u64, trackable: bool) -> u64 {
     let mut machine = Machine::new(
         SimConfig::with_cores(CORES),
         system.protocol(CORES),
-        (0..CORES).map(|_| build_program(pool, trackable)).collect(),
+        (0..CORES)
+            .map(|_| build_program(pool, trackable))
+            .collect::<Vec<_>>(),
     );
     let mut rng = SplitMix64::new(3);
     for core in 0..CORES {

@@ -54,7 +54,7 @@ fn run(system: System, resizable: bool) -> (u64, u64, u64) {
         system.protocol(CORES),
         (0..CORES)
             .map(|_| build_program(&table, INSERTS_PER_CORE))
-            .collect(),
+            .collect::<Vec<_>>(),
     );
     let mut rng = SplitMix64::new(99);
     for core in 0..CORES {

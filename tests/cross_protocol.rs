@@ -55,7 +55,7 @@ fn final_state(
         system.protocol(cores),
         (0..cores)
             .map(|_| additive_program(pool, iters, updates, work))
-            .collect(),
+            .collect::<Vec<_>>(),
     );
     let mut rng = SplitMix64::new(seed);
     for c in 0..cores {

@@ -145,7 +145,7 @@ fn wide_conflict(readers: usize) -> WorkloadSpec {
     WorkloadSpec {
         name: "wide_conflict",
         tapes: vec![Vec::new(); programs.len()],
-        programs,
+        programs: programs.into(),
         init: vec![(Addr(0), 1)],
     }
 }
@@ -173,7 +173,7 @@ fn hand_spec(name: &'static str, programs: Vec<Program>) -> WorkloadSpec {
     WorkloadSpec {
         name,
         tapes: vec![Vec::new(); programs.len()],
-        programs,
+        programs: programs.into(),
         init: Vec::new(),
     }
 }

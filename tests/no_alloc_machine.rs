@@ -56,7 +56,7 @@ fn counter_program(addr: u64, iters: u64) -> Program {
 /// own block-private counter.
 fn heap_events_of_run(system: System, cores: usize, iters: u64, shared: bool) -> u64 {
     let before = alloc_counter::heap_events();
-    let programs = (0..cores)
+    let programs: Vec<_> = (0..cores)
         .map(|c| {
             let addr = if shared {
                 0

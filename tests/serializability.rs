@@ -63,7 +63,7 @@ fn check_no_lost_updates(
         system.protocol(cores),
         (0..cores)
             .map(|_| pool_counter_program(pool, iters, incs, work))
-            .collect(),
+            .collect::<Vec<_>>(),
     );
     let mut rng = retcon_workloads::SplitMix64::new(seed);
     for c in 0..cores {
@@ -200,7 +200,7 @@ fn transfer_conservation_under_all_systems() {
         let mut machine = Machine::new(
             SimConfig::with_cores(cores),
             system.protocol(cores),
-            (0..cores).map(|_| build()).collect(),
+            (0..cores).map(|_| build()).collect::<Vec<_>>(),
         );
         let initial_total = 1000 * pool;
         for i in 0..pool {
