@@ -7,9 +7,7 @@
 //! result vector is byte-identical at any worker count — the same
 //! determinism contract as the `retcon-lab` dataset runner.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use retcon_obs::pool::ordered_map;
 use retcon_sim::{SimConfig, SimReport};
 use retcon_workloads::{machine_for, System};
 
@@ -241,30 +239,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignResult {
 /// serial); results return **in campaign order**, so record assembly is
 /// byte-identical at any worker count.
 pub fn run_campaigns(campaigns: &[Campaign], workers: usize) -> Vec<CampaignResult> {
-    if workers <= 1 || campaigns.len() <= 1 {
-        return campaigns.iter().map(run_campaign).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CampaignResult>>> =
-        campaigns.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(campaigns.len()) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(c) = campaigns.get(i) else { break };
-                let result = run_campaign(c);
-                *slots[i].lock().expect("campaign slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("campaign slot poisoned")
-                .expect("every campaign index was claimed")
-        })
-        .collect()
+    ordered_map(campaigns, workers, run_campaign)
 }
 
 /// The explore suite at a given scale. `quick` is the CI smoke budget —

@@ -1,6 +1,6 @@
 //! Command-line plumbing of the `retcon-lab` binary.
 
-use crate::checks::{self, Check};
+use crate::checks;
 use crate::csv;
 use crate::datasets::Dataset;
 use crate::record::ExperimentRecord;
@@ -265,17 +265,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The datasets the full check table reads.
-fn checked_datasets(checks: &[Check]) -> Vec<Dataset> {
-    let mut datasets: Vec<Dataset> = Vec::new();
-    for check in checks {
-        if !datasets.contains(&check.dataset) {
-            datasets.push(check.dataset);
-        }
-    }
-    datasets
-}
-
 fn load_or_collect(
     dataset: Dataset,
     in_dir: Option<&Path>,
@@ -339,7 +328,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         let checks = checks::full_checks();
         let mut records = BTreeMap::new();
         let cache = ReportCache::new();
-        for dataset in checked_datasets(&checks) {
+        for dataset in checks::datasets(&checks) {
             match load_or_collect(dataset, in_dir.as_deref(), jobs, &cache) {
                 Ok(record) => {
                     records.insert(dataset.name().to_string(), record);

@@ -69,6 +69,8 @@ pub const SSB_SWEEP: [usize; 4] = [2, 8, 32, 128];
 pub const CB_SWEEP: [usize; 4] = [1, 4, 16, 64];
 /// The predictor violation-backoff values `ablation_sizes` sweeps (yada).
 pub const BACKOFF_SWEEP: [u32; 4] = [0, 10, 100, 1000];
+/// The core count of Figure 2's counter schedule.
+pub(crate) const FIG2_CORES: usize = 2;
 /// The core counts the `scaling` sweep visits.
 pub const SCALING_CORES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// The core counts the `scaling_xl` sweep visits — one per `CoreSet`
@@ -182,7 +184,7 @@ impl Dataset {
                     System::Eager,
                     System::Lazy,
                 ] {
-                    jobs.push(Job::new(Workload::Counter, s, 2, SEED));
+                    jobs.push(Job::new(Workload::Counter, s, FIG2_CORES, SEED));
                 }
             }
             Dataset::Fig3 => {

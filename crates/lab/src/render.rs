@@ -4,10 +4,16 @@
 //! harness has always printed: `retcon-lab -- run <dataset>` builds an
 //! [`ExperimentRecord`] and renders it through here, so stdout output and
 //! machine-readable output come from the same data.
+//!
+//! What the paper claims about a figure is not restated here: a dataset
+//! read by rows of [`full_checks`] prints those rows' outcomes on the
+//! record (Figure 9 as its verdict column, every other dataset below its
+//! table).
 
+use crate::checks::{evaluate, full_checks, Check, CheckOutcome};
 use crate::datasets::{
     ablation_workloads, scaling_workloads, table2_descriptions, Dataset, BACKOFF_SWEEP, CB_SWEEP,
-    IVB_SWEEP, SCALING_CORES, SSB_SWEEP, XL_SCALING_CORES,
+    FIG2_CORES, IVB_SWEEP, SCALING_CORES, SSB_SWEEP, XL_SCALING_CORES,
 };
 use crate::record::{ExperimentRecord, RunRecord};
 use retcon_workloads::{System, Workload};
@@ -45,9 +51,10 @@ fn breakdown_row(run: &RunRecord, reference_total: u64) -> (f64, f64, f64, f64) 
     )
 }
 
-/// Renders `record` as the dataset's historical stdout table.
+/// Renders `record` as the dataset's historical stdout table, followed by
+/// the outcomes of the paper claims that read it.
 pub fn render(dataset: Dataset, record: &ExperimentRecord) -> String {
-    match dataset {
+    let mut out = match dataset {
         Dataset::Table1 => render_table1(record),
         Dataset::Table2 => render_table2(record),
         Dataset::Fig1 => render_fig1(record),
@@ -61,7 +68,33 @@ pub fn render(dataset: Dataset, record: &ExperimentRecord) -> String {
         Dataset::AblationSizes => render_ablation_sizes(record),
         Dataset::Scaling => render_scaling(record),
         Dataset::ScalingXl => render_scaling_xl(record),
+    };
+    // Figure 9 prints its rows' outcomes as its verdict column.
+    let claims = match dataset {
+        Dataset::Fig9 => Vec::new(),
+        _ => claims(dataset, record),
+    };
+    if !claims.is_empty() {
+        let _ = writeln!(out, "\nPaper claims (`retcon-lab check` rows):");
+        for (_, o) in &claims {
+            let status = if o.passed { "PASS" } else { "FAIL" };
+            let _ = writeln!(out, "{status}  {}: {}", o.name, o.detail);
+        }
     }
+    out
+}
+
+/// The full table's rows that read `dataset`, each with its outcome on
+/// `record`.
+fn claims(dataset: Dataset, record: &ExperimentRecord) -> Vec<(Check, CheckOutcome)> {
+    full_checks()
+        .into_iter()
+        .filter(|c| c.dataset == dataset)
+        .map(|c| {
+            let outcome = evaluate(&c, record);
+            (c, outcome)
+        })
+        .collect()
 }
 
 fn meta_or(record: &ExperimentRecord, key: &str) -> String {
@@ -217,7 +250,7 @@ fn render_fig2(r: &ExperimentRecord) -> String {
         "system", "cycles", "commits", "aborts", "stalls", "final-count"
     );
     for (label, system) in fig2_rows() {
-        let Some(run) = r.find_at("counter", system.label(), 2) else {
+        let Some(run) = r.find_at("counter", system.label(), FIG2_CORES as u64) else {
             continue;
         };
         let _ = writeln!(
@@ -231,19 +264,6 @@ fn render_fig2(r: &ExperimentRecord) -> String {
             run.report.protocol.commits * 2,
         );
     }
-    let aborts = |s: System| {
-        r.find_at("counter", s.label(), 2)
-            .map(|run| run.report.protocol.aborts())
-            .unwrap_or(0)
-    };
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "RetCon aborts: {} (expected 0 after predictor warmup); eager aborts: {}; lazy aborts: {}",
-        aborts(System::Retcon),
-        aborts(System::EagerAbort),
-        aborts(System::Lazy),
-    );
     out
 }
 
@@ -271,14 +291,6 @@ fn render_fig3(r: &ExperimentRecord) -> String {
             run.report.abort_ratio()
         );
     }
-    let _ = writeln!(
-        out,
-        "\nExpected shape: intruder_opt and vacation_opt jump past 20x;"
-    );
-    let _ = writeln!(
-        out,
-        "the -sz variants and python(-_opt) stay conflict-bound."
-    );
     out
 }
 
@@ -321,44 +333,19 @@ fn render_fig4(r: &ExperimentRecord) -> String {
     out
 }
 
-/// Checks a Figure 9 row against the paper's qualitative claim.
-pub fn fig9_shape_verdict(w: Workload, eager: f64, lazy_vb: f64, retcon: f64) -> &'static str {
-    let rescued = retcon > 2.0 * lazy_vb.max(eager);
-    match w.label() {
-        // Auxiliary-data workloads: RETCON must be the clear winner.
-        "genome-sz" | "intruder_opt-sz" | "vacation_opt-sz" | "python_opt" => {
-            if rescued {
-                "OK: RetCon rescues (paper: same)"
-            } else {
-                "MISMATCH: expected RetCon >> others"
-            }
-        }
-        // Vacation base: lazy-vb (and RETCON) beat eager.
-        "vacation" => {
-            if lazy_vb > 1.5 * eager && retcon > 1.5 * eager {
-                "OK: value-based detection helps (paper: same)"
-            } else {
-                "MISMATCH: expected lazy-vb/RetCon > eager"
-            }
-        }
-        // Unrepairable workloads: all three within a small factor.
-        "intruder" | "yada" | "python" => {
-            if retcon < 2.0 * eager.max(1.0) {
-                "OK: repair cannot help (paper: same)"
-            } else {
-                "MISMATCH: unexpected RetCon win"
-            }
-        }
-        // Insensitive workloads: RETCON must track eager in *both*
-        // directions (a regression to a fraction of eager is as much a
-        // mismatch as an unexpected win), and both runs must exist.
-        _ => {
-            if retcon > 0.0 && eager > 0.0 && retcon < 2.0 * eager && eager < 2.0 * retcon {
-                "OK: insensitive (paper: same)"
-            } else {
-                "MISMATCH"
-            }
-        }
+/// A Figure 9 row's verdict: the outcomes of the full-table rows that
+/// name workload `w` in any cell.
+fn fig9_verdict(claims: &[(Check, CheckOutcome)], w: Workload) -> String {
+    let named: Vec<&CheckOutcome> = claims
+        .iter()
+        .filter(|(c, _)| c.expect.cells().iter().any(|cell| cell.0 == w))
+        .map(|(_, o)| o)
+        .collect();
+    let failed: Vec<&str> = named.iter().filter(|o| !o.passed).map(|o| o.name).collect();
+    match (named.len(), failed.len()) {
+        (0, _) => "no claim".to_string(),
+        (n, 0) => format!("OK ({n}/{n} rows)"),
+        (n, k) => format!("MISMATCH ({k}/{n} rows fail): {}", failed.join("; ")),
     }
 }
 
@@ -371,27 +358,21 @@ fn render_fig9(r: &ExperimentRecord) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<18} {:>8} {:>8} {:>8} {:>8}   shape check",
+        "{:<18} {:>8} {:>8} {:>8} {:>8}   paper claims",
         "workload", "eager", "lazy-vb", "RetCon", "datm"
     );
+    let claims = claims(Dataset::Fig9, r);
     for w in Workload::fig9() {
-        let speedup = |s: System| r.speedup_of(w.label(), s.label()).unwrap_or(0.0);
-        let (eager, lazy_vb, retcon, datm) = (
-            speedup(System::Eager),
-            speedup(System::LazyVb),
-            speedup(System::Retcon),
-            speedup(System::Datm),
-        );
-        let verdict = fig9_shape_verdict(w, eager, lazy_vb, retcon);
+        let speedup = |s: System| fmt_speedup(r.speedup_of(w.label(), s.label()).unwrap_or(0.0));
         let _ = writeln!(
             out,
             "{:<18}{}{}{}{}   {}",
             w.label(),
-            fmt_speedup(eager),
-            fmt_speedup(lazy_vb),
-            fmt_speedup(retcon),
-            fmt_speedup(datm),
-            verdict
+            speedup(System::Eager),
+            speedup(System::LazyVb),
+            speedup(System::Retcon),
+            speedup(System::Datm),
+            fig9_verdict(&claims, w)
         );
     }
     out
@@ -433,11 +414,6 @@ fn render_fig10(r: &ExperimentRecord) -> String {
         }
         let _ = writeln!(out);
     }
-    let _ = writeln!(
-        out,
-        "Expected shape: RetCon's conflict component collapses on the -sz"
-    );
-    let _ = writeln!(out, "variants and python_opt; elsewhere bars match eager.");
     out
 }
 
@@ -725,5 +701,10 @@ mod tests {
             assert!(text.contains(label), "missing {label}:\n{text}");
         }
         assert!(text.contains("final-count"));
+        // The abort claim is the check table's row, evaluated on the record.
+        assert!(
+            text.contains("PASS  fig2: RetCon runs the counter essentially abort-free"),
+            "{text}"
+        );
     }
 }

@@ -15,10 +15,9 @@
 use crate::engine::{record_for, simulate, RunKey, SimCache};
 use crate::record::RunRecord;
 use retcon::RetconConfig;
+use retcon_obs::pool::ordered_map;
 use retcon_sim::SimError;
 use retcon_workloads::{System, Workload};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 pub use crate::engine::ReportCache;
@@ -131,31 +130,7 @@ pub fn run_jobs_cached(
     workers: usize,
     cache: &dyn SimCache,
 ) -> Result<Vec<RunRecord>, SimError> {
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(|job| execute_cached(job, cache)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<RunRecord, SimError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(jobs.len()) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let result = execute_cached(job, cache);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    let mut records = Vec::with_capacity(jobs.len());
-    for slot in slots {
-        match slot.into_inner().expect("result slot poisoned") {
-            Some(Ok(record)) => records.push(record),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every job index was claimed by a worker"),
-        }
-    }
-    Ok(records)
+    ordered_map(jobs, workers, |job| execute_cached(job, cache))
 }
 
 #[cfg(test)]

@@ -20,6 +20,9 @@
 //!   friends) with hand-rolled UTC timestamps.
 //! * [`phase`] — process-global phase accumulators (simulate vs
 //!   serialize vs spill I/O) for the lab runner's profiling spans.
+//! * [`pool`] — the ordered worker pool the lab runner and the
+//!   exploration campaigns fan their work across (a leaf, so both reach
+//!   it without a new dependency).
 //!
 //! ## The never-perturbs contract
 //!
@@ -37,6 +40,7 @@ pub mod fnv;
 pub mod logger;
 pub mod metrics;
 pub mod phase;
+pub mod pool;
 pub mod ring;
 
 pub use event::{EventKind, TraceEvent};
