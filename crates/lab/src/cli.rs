@@ -30,7 +30,7 @@ struct BinOptions {
     jobs: usize,
     output: Output,
     out_dir: Option<PathBuf>,
-    /// Surface phase-profiling timings (simulate / serialize / spill I/O)
+    /// Surface phase-profiling timings (simulate / serialize)
     /// in record `meta` and a stdout summary. Off by default because the
     /// timings are wall-clock — records must stay byte-deterministic
     /// unless the caller opts into this.

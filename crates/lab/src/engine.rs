@@ -498,10 +498,10 @@ pub struct ResultStore {
     quarantined: AtomicU64,
     recovered_on_boot: AtomicU64,
     spill_write_failures: AtomicU64,
-    /// Optional spill-write latency sink (micros per landed write); the
-    /// daemon attaches its metrics registry's histogram here. Purely
-    /// observational — never consulted by any store decision.
-    spill_write_hist: Option<Arc<retcon_obs::Log2Hist>>,
+    /// Spill-write latency, micros per landed write; the daemon renders
+    /// it in its metrics. Purely observational — never consulted by any
+    /// store decision.
+    spill_write_hist: retcon_obs::Log2Hist,
 }
 
 /// How many least-recently-used candidates the cost-aware eviction
@@ -525,7 +525,7 @@ impl ResultStore {
             quarantined: AtomicU64::new(0),
             recovered_on_boot: AtomicU64::new(0),
             spill_write_failures: AtomicU64::new(0),
-            spill_write_hist: None,
+            spill_write_hist: retcon_obs::Log2Hist::new(),
         }
     }
 
@@ -545,11 +545,9 @@ impl ResultStore {
         self
     }
 
-    /// Routes spill-write latencies (micros per landed write) into `hist`
-    /// — the daemon points this at its metrics registry.
-    pub fn with_spill_write_hist(mut self, hist: Arc<retcon_obs::Log2Hist>) -> ResultStore {
-        self.spill_write_hist = Some(hist);
-        self
+    /// Spill-write latencies, micros per landed write.
+    pub fn spill_write_hist(&self) -> &retcon_obs::Log2Hist {
+        &self.spill_write_hist
     }
 
     fn spill_path(&self, hash: u128) -> Option<PathBuf> {
@@ -600,13 +598,7 @@ impl ResultStore {
     /// returns `None`: a record that does not verify is never served.
     fn spill_read(&self, hash: u128) -> Option<SimReport> {
         let path = self.spill_path(hash)?;
-        let t = Instant::now();
-        let verified = verify_spill_file(hash, &path);
-        retcon_obs::phase::add(
-            retcon_obs::phase::Phase::SpillRead,
-            t.elapsed().as_micros() as u64,
-        );
-        match verified {
+        match verify_spill_file(hash, &path) {
             Ok(report) => Some(report),
             Err(_) => {
                 self.quarantine(hash, &path);
@@ -658,12 +650,9 @@ impl ResultStore {
         let landed = std::fs::write(&tmp, &bytes)
             .and_then(|()| std::fs::rename(&tmp, dir.join(format!("{hash:032x}.json"))));
         let micros = t.elapsed().as_micros() as u64;
-        retcon_obs::phase::add(retcon_obs::phase::Phase::SpillWrite, micros);
         match landed {
             Ok(()) => {
-                if let Some(hist) = &self.spill_write_hist {
-                    hist.observe(micros);
-                }
+                self.spill_write_hist.observe(micros);
                 lock_recover(&self.inner).on_disk.insert(hash);
             }
             Err(_) => {

@@ -322,14 +322,6 @@ fn render_fig4(r: &ExperimentRecord) -> String {
             other
         );
     }
-    let _ = writeln!(
-        out,
-        "\nExpected shape: -sz variants and python dominated by conflict;"
-    );
-    let _ = writeln!(
-        out,
-        "labyrinth by barrier (load imbalance); ssca2 mostly busy (memory-bound)."
-    );
     out
 }
 
@@ -613,14 +605,6 @@ fn render_scaling(r: &ExperimentRecord) -> String {
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "\nExpected: RetCon tracks ideal scaling on auxiliary-data workloads;"
-    );
-    let _ = writeln!(
-        out,
-        "eager flattens (or degrades) as contention on the hot words grows."
-    );
     out
 }
 
@@ -650,18 +634,6 @@ fn render_scaling_xl(r: &ExperimentRecord) -> String {
             at(System::Retcon)
         );
     }
-    let _ = writeln!(
-        out,
-        "\nExpected: contention is group-private (8 cores per counter), so"
-    );
-    let _ = writeln!(
-        out,
-        "cycles stay near-flat as groups are added; RetCon repairs the"
-    );
-    let _ = writeln!(
-        out,
-        "within-group conflicts that make eager's stall share grow."
-    );
     out
 }
 
@@ -680,6 +652,24 @@ mod tests {
         let text = render(Dataset::Table2, &t2);
         assert!(text.contains("counter"));
         assert!(text.contains("tape words"));
+    }
+
+    #[test]
+    fn renderings_state_no_claim_beside_the_check_table() {
+        // `ALL` is the regeneration set; `scaling_xl` renders on demand.
+        for dataset in Dataset::ALL.into_iter().chain([Dataset::ScalingXl]) {
+            let record = ExperimentRecord {
+                name: dataset.name().to_string(),
+                seed: SEED,
+                meta: vec![],
+                runs: vec![],
+            };
+            let text = render(dataset, &record);
+            assert!(
+                !text.lines().any(|l| l.starts_with("Expected")),
+                "{dataset:?}:\n{text}"
+            );
+        }
     }
 
     #[test]

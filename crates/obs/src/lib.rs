@@ -14,12 +14,13 @@
 //!   stream hash and the schedules' decision fingerprints.
 //! * [`chrome`] — export to Chrome trace-event JSON (cores as threads),
 //!   loadable in `chrome://tracing` and Perfetto.
-//! * [`metrics`] — integer-only counters, gauges, and log2 histograms
-//!   with Prometheus text exposition.
+//! * [`metrics`] — integer-only log2 histograms and
+//!   [`render_exposition`], which renders them beside caller-held
+//!   counter and gauge values as Prometheus text exposition.
 //! * [`logger`] — a leveled stderr logger ([`info!`]/[`warn!`] and
 //!   friends) with hand-rolled UTC timestamps.
 //! * [`phase`] — process-global phase accumulators (simulate vs
-//!   serialize vs spill I/O) for the lab runner's profiling spans.
+//!   serialize) for the lab runner's profiling spans.
 //! * [`pool`] — the ordered worker pool the lab runner and the
 //!   exploration campaigns fan their work across (a leaf, so both reach
 //!   it without a new dependency).
@@ -45,5 +46,5 @@ pub mod ring;
 
 pub use event::{EventKind, TraceEvent};
 pub use fnv::Fnv1a;
-pub use metrics::{validate_exposition, Counter, Gauge, Log2Hist, Registry};
+pub use metrics::{render_exposition, validate_exposition, Log2Hist, MetricKind};
 pub use ring::RingTracer;

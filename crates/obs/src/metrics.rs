@@ -1,75 +1,16 @@
-//! Integer-only metrics: counters, gauges, and log2 histograms, with
-//! Prometheus text exposition.
+//! Integer-only metrics: log2 histograms and Prometheus text exposition.
 //!
-//! Everything is atomics — recording on a hot path is one
+//! A [`Log2Hist`] is atomics — recording on a hot path is one
 //! `fetch_add` — and everything renders as integers, matching the
-//! repo-wide "no floats in machine-readable output" rule. A
-//! [`Registry`] holds named metrics in registration order and renders
-//! the whole set as one exposition document; [`validate_exposition`]
+//! repo-wide "no floats in machine-readable output" rule. Counters and
+//! gauges have no type of their own: [`render_exposition`] renders the
+//! values a caller already keeps (the daemon's `stats` fields) beside
+//! its histograms as one exposition document; [`validate_exposition`]
 //! checks a document well-formed (used by the CI smoke job and the
 //! test suite, so the daemon's output is verified by the same code
 //! that defines the format).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Monotonically increasing count.
-#[derive(Debug, Default)]
-pub struct Counter {
-    v: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value — for counters mirrored from an external
-    /// source of truth (the daemon's existing stats atomics) right
-    /// before rendering. Callers must preserve monotonicity themselves.
-    pub fn store(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A value that can go up and down.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    v: AtomicU64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
 
 /// Histogram buckets: powers of two up to `2^(BUCKETS-1)`, plus an
 /// implicit `+Inf`. 40 doublings cover one microsecond to ~12 days —
@@ -163,115 +104,38 @@ impl Log2Hist {
     }
 }
 
-enum Entry {
-    Counter(String, Arc<Counter>),
-    Gauge(String, Arc<Gauge>),
-    Hist(String, Arc<Log2Hist>),
+/// The Prometheus type of a scalar sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A monotone tally.
+    Counter,
+    /// A point-in-time value that can go up and down.
+    Gauge,
 }
 
-impl std::fmt::Debug for Entry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (kind, name) = match self {
-            Entry::Counter(n, _) => ("counter", n),
-            Entry::Gauge(n, _) => ("gauge", n),
-            Entry::Hist(n, _) => ("histogram", n),
+/// Renders one Prometheus text exposition document: each histogram in
+/// `histograms` order, then each scalar in `scalars` order, every name
+/// rendered as `<prefix>_<name>`. The caller passes the numbers it
+/// already holds, so nothing is copied into a second set of metrics.
+pub fn render_exposition(
+    prefix: &str,
+    histograms: &[(&str, &Log2Hist)],
+    scalars: &[(&str, MetricKind, u64)],
+) -> String {
+    let mut out = String::new();
+    for (name, hist) in histograms {
+        hist.render_into(&mut out, &format!("{prefix}_{name}"));
+    }
+    for (name, kind, value) in scalars {
+        let kind = match kind {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
         };
-        write!(f, "{kind} {name}")
+        out.push_str(&format!(
+            "# TYPE {prefix}_{name} {kind}\n{prefix}_{name} {value}\n"
+        ));
     }
-}
-
-/// A named collection of metrics, rendered as one Prometheus text
-/// exposition document in registration order.
-///
-/// Names are prefixed at render time (`<prefix>_<name>`); registering
-/// the same name twice returns the existing metric, so call sites can
-/// look metrics up by name without plumbing handles around.
-#[derive(Debug)]
-pub struct Registry {
-    prefix: String,
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry whose metrics render as `<prefix>_<name>`.
-    pub fn new(prefix: &str) -> Registry {
-        Registry {
-            prefix: prefix.to_string(),
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The counter registered under `name` (created on first use).
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut entries = self.lock();
-        for e in entries.iter() {
-            if let Entry::Counter(n, c) = e {
-                if n == name {
-                    return Arc::clone(c);
-                }
-            }
-        }
-        let c = Arc::new(Counter::new());
-        entries.push(Entry::Counter(name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut entries = self.lock();
-        for e in entries.iter() {
-            if let Entry::Gauge(n, g) = e {
-                if n == name {
-                    return Arc::clone(g);
-                }
-            }
-        }
-        let g = Arc::new(Gauge::new());
-        entries.push(Entry::Gauge(name.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// The histogram registered under `name` (created on first use).
-    pub fn histogram(&self, name: &str) -> Arc<Log2Hist> {
-        let mut entries = self.lock();
-        for e in entries.iter() {
-            if let Entry::Hist(n, h) = e {
-                if n == name {
-                    return Arc::clone(h);
-                }
-            }
-        }
-        let h = Arc::new(Log2Hist::new());
-        entries.push(Entry::Hist(name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    /// The whole registry as Prometheus text exposition.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in self.lock().iter() {
-            match e {
-                Entry::Counter(name, c) => {
-                    let full = format!("{}_{name}", self.prefix);
-                    out.push_str(&format!("# TYPE {full} counter\n{full} {}\n", c.get()));
-                }
-                Entry::Gauge(name, g) => {
-                    let full = format!("{}_{name}", self.prefix);
-                    out.push_str(&format!("# TYPE {full} gauge\n{full} {}\n", g.get()));
-                }
-                Entry::Hist(name, h) => {
-                    h.render_into(&mut out, &format!("{}_{name}", self.prefix));
-                }
-            }
-        }
-        out
-    }
+    out
 }
 
 fn valid_metric_name(s: &str) -> bool {
@@ -383,11 +247,14 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_render_in_order() {
-        let r = Registry::new("retcon_test");
-        r.counter("executed").add(5);
-        r.gauge("queue_depth").set(3);
-        r.counter("executed").inc(); // same handle by name
-        let text = r.render();
+        let text = render_exposition(
+            "retcon_test",
+            &[],
+            &[
+                ("executed", MetricKind::Counter, 6),
+                ("queue_depth", MetricKind::Gauge, 3),
+            ],
+        );
         assert_eq!(
             text,
             "# TYPE retcon_test_executed counter\nretcon_test_executed 6\n\
@@ -430,11 +297,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_renders_histograms() {
-        let r = Registry::new("svc");
-        r.histogram("latency_micros").observe(7);
-        let text = r.render();
-        assert!(text.contains("# TYPE svc_latency_micros histogram"));
+    fn exposition_renders_histograms_before_scalars() {
+        let h = Log2Hist::new();
+        h.observe(7);
+        let text = render_exposition(
+            "svc",
+            &[("latency_micros", &h)],
+            &[("executed", MetricKind::Counter, 1)],
+        );
+        assert!(
+            text.starts_with("# TYPE svc_latency_micros histogram\n"),
+            "{text}"
+        );
+        assert!(
+            text.ends_with("# TYPE svc_executed counter\nsvc_executed 1\n"),
+            "{text}"
+        );
         validate_exposition(&text).unwrap();
     }
 

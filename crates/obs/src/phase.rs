@@ -1,5 +1,5 @@
 //! Process-global phase accumulators: where does lab wall-clock go —
-//! simulating, serializing records, or spill I/O?
+//! simulating or serializing records?
 //!
 //! Callers time a span themselves (`std::time::Instant`) and charge the
 //! elapsed microseconds to a [`Phase`] with [`add`]; [`snapshot`] reads
@@ -18,45 +18,24 @@ pub enum Phase {
     Simulate = 0,
     /// Serializing records to JSON/CSV.
     Serialize = 1,
-    /// Reading spill files back from disk.
-    SpillRead = 2,
-    /// Writing spill files to disk.
-    SpillWrite = 3,
 }
 
 impl Phase {
     /// Every phase, in index order.
-    pub const ALL: [Phase; 4] = [
-        Phase::Simulate,
-        Phase::Serialize,
-        Phase::SpillRead,
-        Phase::SpillWrite,
-    ];
+    pub const ALL: [Phase; 2] = [Phase::Simulate, Phase::Serialize];
 
     /// Stable display name (used as the record-meta key suffix).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Simulate => "simulate",
             Phase::Serialize => "serialize",
-            Phase::SpillRead => "spill_read",
-            Phase::SpillWrite => "spill_write",
         }
     }
 }
 
-const N: usize = 4;
-static MICROS: [AtomicU64; N] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static SPANS: [AtomicU64; N] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+const N: usize = 2;
+static MICROS: [AtomicU64; N] = [AtomicU64::new(0), AtomicU64::new(0)];
+static SPANS: [AtomicU64; N] = [AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Charges one `micros`-long span to `phase`.
 pub fn add(phase: Phase, micros: u64) {
@@ -77,7 +56,7 @@ pub struct PhaseTotal {
 }
 
 /// Current totals for every phase, in [`Phase::ALL`] order.
-pub fn snapshot() -> [PhaseTotal; 4] {
+pub fn snapshot() -> [PhaseTotal; 2] {
     std::array::from_fn(|i| PhaseTotal {
         phase: Phase::ALL[i],
         micros: MICROS[i].load(Ordering::Relaxed),
@@ -87,7 +66,7 @@ pub fn snapshot() -> [PhaseTotal; 4] {
 
 /// `now - then`, per phase — the per-dataset delta the lab's `--profile`
 /// meta reports. Saturating, so a racing reset cannot underflow.
-pub fn delta(then: &[PhaseTotal; 4], now: &[PhaseTotal; 4]) -> [PhaseTotal; 4] {
+pub fn delta(then: &[PhaseTotal; 2], now: &[PhaseTotal; 2]) -> [PhaseTotal; 2] {
     std::array::from_fn(|i| PhaseTotal {
         phase: now[i].phase,
         micros: now[i].micros.saturating_sub(then[i].micros),
@@ -104,12 +83,12 @@ mod tests {
         let before = snapshot();
         add(Phase::Simulate, 100);
         add(Phase::Simulate, 50);
-        add(Phase::SpillWrite, 7);
+        add(Phase::Serialize, 7);
         let after = snapshot();
         let d = delta(&before, &after);
         assert_eq!(d[Phase::Simulate as usize].micros, 150);
         assert_eq!(d[Phase::Simulate as usize].spans, 2);
-        assert_eq!(d[Phase::SpillWrite as usize].micros, 7);
-        assert_eq!(d[Phase::Serialize as usize].micros, 0);
+        assert_eq!(d[Phase::Serialize as usize].micros, 7);
+        assert_eq!(d[Phase::Serialize as usize].spans, 1);
     }
 }

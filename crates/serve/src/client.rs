@@ -243,8 +243,10 @@ impl Client {
     fn sweep_once(&mut self, req: &SweepRequest) -> Result<SweepResult, SweepError> {
         self.send(&Request::Sweep(req.clone()))
             .map_err(SweepError::Transport)?;
-        let runs = req.explode().len();
-        let mut slots: Vec<Option<(RunRecord, bool)>> = vec![None; runs];
+        // Slots grow as records arrive: a sweep the daemon rejects for
+        // its size never costs its size here.
+        let runs = req.runs();
+        let mut slots: Vec<Option<(RunRecord, bool)>> = Vec::new();
         let summary: DoneSummary = loop {
             match self.recv().map_err(SweepError::Transport)? {
                 Response::Record {
@@ -258,10 +260,16 @@ impl Client {
                             "record for unexpected sweep id {id}"
                         )));
                     }
-                    let slot = slots.get_mut(index as usize).ok_or_else(|| {
-                        SweepError::Transport(format!("record index {index} out of range"))
-                    })?;
-                    if slot.replace((*run, cached)).is_some() {
+                    let index = index as usize;
+                    if index >= runs {
+                        return Err(SweepError::Transport(format!(
+                            "record index {index} out of range"
+                        )));
+                    }
+                    if index >= slots.len() {
+                        slots.resize_with(index + 1, || None);
+                    }
+                    if slots[index].replace((*run, cached)).is_some() {
                         return Err(SweepError::Transport(format!(
                             "duplicate record for index {index}"
                         )));
@@ -296,6 +304,7 @@ impl Client {
                 summary.errors
             )));
         }
+        slots.resize_with(runs, || None);
         let mut records = Vec::with_capacity(runs);
         let mut cached = Vec::with_capacity(runs);
         for (index, slot) in slots.into_iter().enumerate() {
@@ -326,8 +335,8 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's metrics registry as a Prometheus text
-    /// exposition document.
+    /// Fetches the daemon's metrics as a Prometheus text exposition
+    /// document.
     ///
     /// # Errors
     ///

@@ -30,8 +30,9 @@
 //! {"type":"error","id":1,"message":"..."}
 //! ```
 //!
-//! The `metrics` reply carries the daemon's whole metrics registry as a
-//! Prometheus text exposition document, JSON-escaped into one line.
+//! The `metrics` reply carries the daemon's latency histograms and its
+//! `stats` fields as a Prometheus text exposition document, JSON-escaped
+//! into one line.
 //!
 //! Record lines stream back **as runs finish**, so their arrival order
 //! depends on scheduling; the `index` field is the run's position in the
@@ -60,6 +61,15 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
+    /// How many runs this sweep explodes into, saturating at
+    /// `usize::MAX` — the size to bound before [`SweepRequest::explode`]
+    /// allocates them.
+    pub fn runs(&self) -> usize {
+        [self.systems.len(), self.cores.len(), self.seeds.len()]
+            .into_iter()
+            .fold(self.workloads.len(), usize::saturating_mul)
+    }
+
     /// The per-run keys of this sweep, in canonical order (the nesting
     /// order of the request arrays: workload-major, then system, then
     /// cores, then seed).
@@ -151,7 +161,7 @@ pub enum Request {
     Sweep(SweepRequest),
     /// Report service counters.
     Stats,
-    /// Report the metrics registry as Prometheus text exposition.
+    /// Report the daemon's metrics as Prometheus text exposition.
     Metrics,
     /// Drain in-flight work and stop the daemon.
     Shutdown,
@@ -222,7 +232,7 @@ pub enum Response {
     Done(DoneSummary),
     /// Service counters, in emission order.
     Stats(Vec<(String, u64)>),
-    /// The metrics registry as Prometheus text exposition.
+    /// The daemon's metrics as Prometheus text exposition.
     Metrics(String),
     /// Acknowledgement (e.g. shutdown accepted).
     Ok(String),
@@ -254,9 +264,13 @@ pub fn done_line(s: &DoneSummary) -> String {
 }
 
 /// Formats a stats line from ordered counters.
-pub fn stats_line(fields: &[(String, u64)]) -> String {
+pub fn stats_line<'a>(fields: impl IntoIterator<Item = (&'a str, u64)>) -> String {
     let mut json = vec![("type".to_string(), Json::str("stats"))];
-    json.extend(fields.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))));
+    json.extend(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Json::UInt(v))),
+    );
     Json::Obj(json).to_string()
 }
 
@@ -376,6 +390,21 @@ mod tests {
         assert_eq!((keys[1].system, keys[1].cores), (System::Eager, 2));
         assert_eq!((keys[2].system, keys[2].cores), (System::Retcon, 1));
         assert_eq!(keys[4].workload, Workload::Genome { resizable: true });
+        assert_eq!(req.runs(), keys.len());
+    }
+
+    #[test]
+    fn sweep_runs_saturate_instead_of_wrapping() {
+        // 2^16 entries per dimension name 2^64 runs, past any usize.
+        let n = 1 << 16;
+        let req = SweepRequest {
+            id: 1,
+            workloads: vec![Workload::Counter; n],
+            systems: vec![System::Eager; n],
+            cores: vec![1; n],
+            seeds: vec![42; n],
+        };
+        assert_eq!(req.runs(), usize::MAX);
     }
 
     #[test]
@@ -445,7 +474,7 @@ mod tests {
         );
         let fields = vec![("executed".to_string(), 5), ("queue_depth".to_string(), 0)];
         assert_eq!(
-            Response::parse_line(&stats_line(&fields)),
+            Response::parse_line(&stats_line(fields.iter().map(|(k, v)| (k.as_str(), *v)))),
             Ok(Response::Stats(fields))
         );
         assert_eq!(

@@ -36,6 +36,7 @@
 
 use crate::proto::{self, Request, SweepRequest};
 use retcon_lab::engine::{self, lock_recover, FaultPlan, LineFault, ResultStore, RunKey};
+use retcon_obs::MetricKind::{self, Counter, Gauge};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -158,13 +159,8 @@ struct Core {
     /// Keys quarantined after exhausting panic retries: answered with a
     /// structured error immediately, never re-executed.
     key_quarantine: Mutex<HashSet<u128>>,
-    /// Metrics registry served by the `metrics` verb. Histograms record
-    /// live (request latency here, spill-write latency inside the
-    /// store); scalar counters/gauges mirror [`Core::stats_fields`] at
-    /// scrape time, so the two views can never disagree.
-    metrics: retcon_obs::Registry,
     /// Per-executed-run simulation latency, micros.
-    request_latency: Arc<retcon_obs::Log2Hist>,
+    request_latency: retcon_obs::Log2Hist,
 }
 
 impl Core {
@@ -194,62 +190,60 @@ impl Core {
             remaining: AtomicU64::new(keys.len() as u64 + 1),
             outstanding: Arc::clone(outstanding),
         });
-        for (index, key) in keys.into_iter().enumerate() {
+        'keys: for (index, key) in keys.into_iter().enumerate() {
             let index = index as u64;
             let hash = key.content_hash();
-            // Fast path outside the in-flight lock: most warm-sweep keys
-            // resolve here.
-            if let Some(report) = self.store.lookup_hash(hash) {
-                pending.hits.fetch_add(1, Ordering::Relaxed);
-                let run_json = engine::record_for(&key, report).to_json().to_string();
-                let _ = out.send(proto::record_line(req.id, index, true, &run_json));
-                pending.deliver_one();
-                continue;
-            }
-            // Quarantined keys (repeated worker panics) answer with a
-            // structured error instead of wedging another worker.
-            if lock_recover(&self.key_quarantine).contains(&hash) {
-                pending.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = out.send(proto::error_line(
-                    Some(req.id),
-                    Some(index),
-                    "key quarantined after repeated worker panics",
-                ));
-                pending.deliver_one();
-                continue;
-            }
-            let waiter = Waiter {
-                out: out.clone(),
-                id: req.id,
-                index,
-                pending: Arc::clone(&pending),
-            };
-            let mut inflight = lock_recover(&self.inflight);
-            if let Some(waiters) = inflight.get_mut(&hash) {
-                // Single-flight join: the execution already under way
-                // will stream to this waiter too.
-                waiters.push(waiter);
-                pending.joined.fetch_add(1, Ordering::Relaxed);
-                self.joined_total.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // Re-check the store under the in-flight lock: a worker
-            // completes by inserting into the store *before* removing the
-            // in-flight entry (both ordered by this lock), so a key
-            // missing from both really is idle.
-            if let Some(report) = self.store.lookup_hash(hash) {
+            let report = 'hit: {
+                // Fast path outside the in-flight lock: most warm-sweep
+                // keys resolve here.
+                if let Some(report) = self.store.lookup_hash(hash) {
+                    break 'hit report;
+                }
+                // Quarantined keys (repeated worker panics) answer with a
+                // structured error instead of wedging another worker.
+                if lock_recover(&self.key_quarantine).contains(&hash) {
+                    pending.errors.fetch_add(1, Ordering::Relaxed);
+                    let _ = out.send(proto::error_line(
+                        Some(req.id),
+                        Some(index),
+                        "key quarantined after repeated worker panics",
+                    ));
+                    pending.deliver_one();
+                    continue 'keys;
+                }
+                let waiter = Waiter {
+                    out: out.clone(),
+                    id: req.id,
+                    index,
+                    pending: Arc::clone(&pending),
+                };
+                let mut inflight = lock_recover(&self.inflight);
+                if let Some(waiters) = inflight.get_mut(&hash) {
+                    // Single-flight join: the execution already under way
+                    // will stream to this waiter too.
+                    waiters.push(waiter);
+                    pending.joined.fetch_add(1, Ordering::Relaxed);
+                    self.joined_total.fetch_add(1, Ordering::Relaxed);
+                    continue 'keys;
+                }
+                // Re-check the store under the in-flight lock: a worker
+                // completes by inserting into the store *before* removing
+                // the in-flight entry (both ordered by this lock), so a
+                // key missing from both really is idle.
+                if let Some(report) = self.store.lookup_hash(hash) {
+                    break 'hit report;
+                }
+                inflight.insert(hash, vec![waiter]);
                 drop(inflight);
-                pending.hits.fetch_add(1, Ordering::Relaxed);
-                let run_json = engine::record_for(&key, report).to_json().to_string();
-                let _ = out.send(proto::record_line(req.id, index, true, &run_json));
-                pending.deliver_one();
-                continue;
-            }
-            inflight.insert(hash, vec![waiter]);
-            drop(inflight);
-            pending.misses.fetch_add(1, Ordering::Relaxed);
-            lock_recover(&self.queue).push_back(WorkItem { hash, key });
-            self.queue_cv.notify_one();
+                pending.misses.fetch_add(1, Ordering::Relaxed);
+                lock_recover(&self.queue).push_back(WorkItem { hash, key });
+                self.queue_cv.notify_one();
+                continue 'keys;
+            };
+            pending.hits.fetch_add(1, Ordering::Relaxed);
+            let run_json = engine::record_for(&key, report).to_json().to_string();
+            let _ = out.send(proto::record_line(req.id, index, true, &run_json));
+            pending.deliver_one();
         }
         // Release the classification guard: if every key was a hit, this
         // is what emits `done`.
@@ -360,69 +354,57 @@ impl Core {
         }
     }
 
-    /// Service counters, in emission order.
-    fn stats_fields(&self) -> Vec<(String, u64)> {
+    /// Service counters, in emission order, each with the Prometheus
+    /// type `metrics` renders it as: point-in-time values are gauges,
+    /// monotone tallies counters.
+    fn stats_fields(&self) -> Vec<(&'static str, MetricKind, u64)> {
         let store = self.store.stats();
         let inflight = lock_recover(&self.inflight).len() as u64;
         let queue_depth = lock_recover(&self.queue).len() as u64;
         let key_quarantined = lock_recover(&self.key_quarantine).len() as u64;
-        [
-            ("executed", self.executed.load(Ordering::Relaxed)),
-            ("store_hits", store.hits),
-            ("spill_hits", store.spill_hits),
-            ("store_misses", store.misses),
-            ("insertions", store.insertions),
-            ("evictions", store.evictions),
-            ("resident", store.resident),
-            ("resident_bytes", store.resident_cost),
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        vec![
+            ("executed", Counter, load(&self.executed)),
+            ("store_hits", Counter, store.hits),
+            ("spill_hits", Counter, store.spill_hits),
+            ("store_misses", Counter, store.misses),
+            ("insertions", Counter, store.insertions),
+            ("evictions", Counter, store.evictions),
+            ("resident", Gauge, store.resident),
+            ("resident_bytes", Gauge, store.resident_cost),
             // Quarantines of both kinds: spill files that failed
             // verification plus keys retired after repeated panics.
-            ("quarantined", store.quarantined + key_quarantined),
-            ("recovered_on_boot", store.recovered_on_boot),
-            ("worker_panics", self.worker_panics.load(Ordering::Relaxed)),
-            ("spill_write_failures", store.spill_write_failures),
-            ("joined", self.joined_total.load(Ordering::Relaxed)),
-            ("inflight", inflight),
-            ("queue_depth", queue_depth),
-            ("sweeps", self.sweeps.load(Ordering::Relaxed)),
-            ("connections", self.connections.load(Ordering::Relaxed)),
-            ("workers", self.cfg.workers as u64),
-            ("draining", u64::from(self.draining())),
+            ("quarantined", Counter, store.quarantined + key_quarantined),
+            ("recovered_on_boot", Counter, store.recovered_on_boot),
+            ("worker_panics", Counter, load(&self.worker_panics)),
+            ("spill_write_failures", Counter, store.spill_write_failures),
+            ("joined", Counter, load(&self.joined_total)),
+            ("inflight", Gauge, inflight),
+            ("queue_depth", Gauge, queue_depth),
+            ("sweeps", Counter, load(&self.sweeps)),
+            ("connections", Gauge, load(&self.connections)),
+            ("workers", Gauge, self.cfg.workers as u64),
+            ("draining", Gauge, u64::from(self.draining())),
             // Spill-directory occupancy (quarantine sidecar included) —
             // what the disk actually holds, as opposed to the resident_*
             // memory view above.
-            ("spill_files", store.spill_files),
-            ("spill_bytes", store.spill_bytes),
+            ("spill_files", Gauge, store.spill_files),
+            ("spill_bytes", Gauge, store.spill_bytes),
         ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
     }
 
-    /// The metrics registry as Prometheus text exposition. Scalar fields
-    /// mirror [`Core::stats_fields`] into the registry at scrape time
-    /// (point-in-time values as gauges, monotone tallies as counters);
-    /// the latency histograms were recorded live.
+    /// The `metrics` reply: the latency histograms, then the
+    /// [`Core::stats_fields`] scalars — the values `stats` reports, read
+    /// once, so the two views cannot disagree.
     fn metrics_text(&self) -> String {
-        const GAUGES: [&str; 9] = [
-            "resident",
-            "resident_bytes",
-            "inflight",
-            "queue_depth",
-            "connections",
-            "workers",
-            "draining",
-            "spill_files",
-            "spill_bytes",
-        ];
-        for (name, value) in self.stats_fields() {
-            if GAUGES.contains(&name.as_str()) {
-                self.metrics.gauge(&name).set(value);
-            } else {
-                self.metrics.counter(&name).store(value);
-            }
-        }
-        self.metrics.render()
+        retcon_obs::render_exposition(
+            "retcon_serve",
+            &[
+                ("request_latency_micros", &self.request_latency),
+                ("spill_write_latency_micros", self.store.spill_write_hist()),
+            ],
+            &self.stats_fields(),
+        )
     }
 }
 
@@ -541,14 +523,15 @@ fn connection_loop(
                     ));
                     continue;
                 }
-                let keys = req.explode();
-                if keys.len() > core.cfg.max_runs_per_request {
+                // Bounded before exploding: a short request line can name
+                // a matrix far too large to allocate.
+                let runs = req.runs();
+                if runs > core.cfg.max_runs_per_request {
                     let _ = out.send(proto::error_line(
                         Some(req.id),
                         None,
                         &format!(
-                            "sweep explodes to {} runs (limit {})",
-                            keys.len(),
+                            "sweep explodes to {runs} runs (limit {})",
                             core.cfg.max_runs_per_request
                         ),
                     ));
@@ -569,10 +552,11 @@ fn connection_loop(
                     ));
                     continue;
                 }
-                core.submit_sweep(&req, keys, &out, &outstanding);
+                core.submit_sweep(&req, req.explode(), &out, &outstanding);
             }
             Ok(Request::Stats) => {
-                let _ = out.send(proto::stats_line(&core.stats_fields()));
+                let fields = core.stats_fields();
+                let _ = out.send(proto::stats_line(fields.iter().map(|&(k, _, v)| (k, v))));
             }
             Ok(Request::Metrics) => {
                 let _ = out.send(proto::metrics_line(&core.metrics_text()));
@@ -627,10 +611,7 @@ impl Server {
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let metrics = retcon_obs::Registry::new("retcon_serve");
-        let request_latency = metrics.histogram("request_latency_micros");
-        let mut store = ResultStore::new(cfg.capacity_bytes)
-            .with_spill_write_hist(metrics.histogram("spill_write_latency_micros"));
+        let mut store = ResultStore::new(cfg.capacity_bytes);
         if let Some(dir) = &cfg.spill {
             store = store.with_spill(dir.clone());
         }
@@ -657,8 +638,7 @@ impl Server {
             connections: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             key_quarantine: Mutex::new(HashSet::new()),
-            metrics,
-            request_latency,
+            request_latency: retcon_obs::Log2Hist::new(),
         });
         Ok(Server {
             listener,
@@ -852,6 +832,75 @@ mod tests {
             .sweep(&sweep(1, vec![System::Eager], vec![1, 2, 4]))
             .expect_err("3 runs over a 2-run limit");
         assert!(err.contains("limit 2"), "{err}");
+
+        // A line of ~25 KB naming a 10^12-run matrix: rejected from the
+        // array lengths alone, before any key is allocated, and the
+        // connection keeps serving.
+        let huge = SweepRequest {
+            id: 2,
+            workloads: vec![Workload::Counter; 1000],
+            systems: vec![System::Eager; 1000],
+            cores: vec![1; 1000],
+            seeds: vec![42; 1000],
+        };
+        assert_eq!(huge.runs(), 1_000_000_000_000);
+        let err = client
+            .sweep(&huge)
+            .expect_err("10^12 runs over a 2-run limit");
+        assert!(
+            err.contains("sweep explodes to 1000000000000 runs (limit 2)"),
+            "{err}"
+        );
+        let stats = client.stats().expect("stats after the rejection");
+        assert!(
+            stats.iter().any(|(k, v)| k == "sweeps" && *v == 0),
+            "{stats:?}"
+        );
+
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
+    }
+
+    #[test]
+    fn metrics_families_are_pinned() {
+        let (addr, handle) = spawn_server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(&addr.to_string()).expect("connect");
+        client
+            .sweep(&sweep(1, vec![System::Retcon], vec![1, 2]))
+            .expect("sweep");
+        let text = client.metrics().expect("metrics");
+        let families: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        assert_eq!(
+            families,
+            [
+                "# TYPE retcon_serve_request_latency_micros histogram",
+                "# TYPE retcon_serve_spill_write_latency_micros histogram",
+                "# TYPE retcon_serve_executed counter",
+                "# TYPE retcon_serve_store_hits counter",
+                "# TYPE retcon_serve_spill_hits counter",
+                "# TYPE retcon_serve_store_misses counter",
+                "# TYPE retcon_serve_insertions counter",
+                "# TYPE retcon_serve_evictions counter",
+                "# TYPE retcon_serve_resident gauge",
+                "# TYPE retcon_serve_resident_bytes gauge",
+                "# TYPE retcon_serve_quarantined counter",
+                "# TYPE retcon_serve_recovered_on_boot counter",
+                "# TYPE retcon_serve_worker_panics counter",
+                "# TYPE retcon_serve_spill_write_failures counter",
+                "# TYPE retcon_serve_joined counter",
+                "# TYPE retcon_serve_inflight gauge",
+                "# TYPE retcon_serve_queue_depth gauge",
+                "# TYPE retcon_serve_sweeps counter",
+                "# TYPE retcon_serve_connections gauge",
+                "# TYPE retcon_serve_workers gauge",
+                "# TYPE retcon_serve_draining gauge",
+                "# TYPE retcon_serve_spill_files gauge",
+                "# TYPE retcon_serve_spill_bytes gauge",
+            ]
+        );
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread").expect("server run");
     }
