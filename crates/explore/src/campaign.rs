@@ -8,7 +8,7 @@
 //! determinism contract as the `retcon-lab` dataset runner.
 
 use retcon_obs::pool::ordered_map;
-use retcon_sim::{SimConfig, SimReport};
+use retcon_sim::{SeededFuzz, SimConfig, SimReport};
 use retcon_workloads::{machine_for, System};
 
 use crate::fuzz::{fuzz, FuzzBudget};
@@ -210,7 +210,10 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignResult {
                 .map(|v| {
                     format!(
                         "seed={} window={} jitter={}: {}",
-                        v.seed, budget.window, budget.max_jitter, v.violation.detail
+                        v.seed,
+                        SeededFuzz::WINDOW,
+                        SeededFuzz::MAX_JITTER,
+                        v.violation.detail
                     )
                 })
                 .collect();
@@ -280,8 +283,6 @@ pub fn suite(quick: bool) -> Vec<Campaign> {
                 mode: Mode::Fuzz(FuzzBudget {
                     base_seed: 1,
                     seeds: fuzz_seeds,
-                    window: 2,
-                    max_jitter: 3,
                 }),
             });
         }
@@ -291,8 +292,6 @@ pub fn suite(quick: bool) -> Vec<Campaign> {
             mode: Mode::Fuzz(FuzzBudget {
                 base_seed: 1,
                 seeds: if quick { 500 } else { 5_000 },
-                window: 2,
-                max_jitter: 3,
             }),
         });
         campaigns.push(Campaign {
@@ -318,8 +317,6 @@ mod tests {
                 mode: Mode::Fuzz(FuzzBudget {
                     base_seed: 1,
                     seeds: 25,
-                    window: 2,
-                    max_jitter: 3,
                 }),
             },
             Campaign {

@@ -19,18 +19,13 @@ pub struct FuzzBudget {
     pub base_seed: u64,
     /// Number of seeds to run.
     pub seeds: u64,
-    /// Eligibility window in cycles (see [`SeededFuzz`]).
-    pub window: u64,
-    /// Maximum stall jitter in cycles.
-    pub max_jitter: u64,
 }
 
 /// One oracle violation found by fuzzing, replayable from its seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzViolation {
     /// The schedule seed that produced the failing interleaving; replay
-    /// with `SeededFuzz::with_params(seed, window, max_jitter)` (or
-    /// `retcon-run --schedule-seed` for default window/jitter).
+    /// with `SeededFuzz::new(seed)` or `retcon-run --schedule-seed`.
     pub seed: u64,
     /// The failed check.
     pub violation: Violation,
@@ -66,7 +61,7 @@ pub fn fuzz(scenario: &Scenario, system: System, budget: &FuzzBudget) -> FuzzOut
     let cfg = SimConfig::with_cores(scenario.cores);
     for seed in budget.base_seed..budget.base_seed + budget.seeds {
         let mut machine = machine_for(&scenario.spec, system.protocol(scenario.cores), cfg);
-        let mut sched = SeededFuzz::with_params(seed, budget.window, budget.max_jitter);
+        let mut sched = SeededFuzz::new(seed);
         let report = machine
             .run_with(&mut sched)
             .expect("explore scenario stays under the cycle cap");
@@ -91,8 +86,6 @@ mod tests {
         let budget = FuzzBudget {
             base_seed: 0,
             seeds: 40,
-            window: 2,
-            max_jitter: 3,
         };
         let a = fuzz(&scenario, System::Eager, &budget);
         let b = fuzz(&scenario, System::Eager, &budget);

@@ -13,22 +13,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Output selection for a single-dataset invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Output {
-    /// The historical stdout table.
-    Table,
-    /// The lossless JSON record.
-    Json,
-    /// The flat CSV projection.
-    Csv,
-}
-
 /// Options shared by `all`, `run` and `explore`.
 #[derive(Debug)]
 struct BinOptions {
     jobs: usize,
-    output: Output,
+    /// Print the lossless JSON record instead of the stdout table.
+    json: bool,
     out_dir: Option<PathBuf>,
     /// Surface phase-profiling timings (simulate / serialize)
     /// in record `meta` and a stdout summary. Off by default because the
@@ -40,7 +30,7 @@ struct BinOptions {
 fn parse_bin_options(args: &[String]) -> Result<BinOptions, String> {
     let mut opts = BinOptions {
         jobs: 1,
-        output: Output::Table,
+        json: false,
         out_dir: None,
         profile: false,
     };
@@ -57,11 +47,7 @@ fn parse_bin_options(args: &[String]) -> Result<BinOptions, String> {
                 i += 2;
             }
             "--json" => {
-                opts.output = Output::Json;
-                i += 1;
-            }
-            "--csv" => {
-                opts.output = Output::Csv;
+                opts.json = true;
                 i += 1;
             }
             "--out" | "-o" => {
@@ -109,15 +95,6 @@ fn profile_meta(delta: &[PhaseTotal]) -> Vec<(String, String)> {
     rows
 }
 
-fn emit(dataset: Dataset, record: &ExperimentRecord, output: Output) -> Result<(), String> {
-    match output {
-        Output::Table => print!("{}", render::render(dataset, record)),
-        Output::Json => print!("{}", record.to_json_string()),
-        Output::Csv => print!("{}", csv::to_csv(record)?),
-    }
-    Ok(())
-}
-
 fn run_error(e: SimError) -> ExitCode {
     eprintln!("simulation failed: {e}");
     ExitCode::FAILURE
@@ -130,9 +107,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "  all   [--jobs N] [--out DIR] [--profile]   regenerate every dataset (default out: results/)"
     );
-    eprintln!("  run   <dataset> [--jobs N] [--json | --csv] [--out DIR] [--profile]");
-    eprintln!("  check [--quick] [--jobs N] [--in DIR]");
-    eprintln!("  explore [--quick] [--jobs N] [--json | --csv] [--out DIR]   schedule exploration");
+    eprintln!("  run   <dataset> [--jobs N] [--json] [--out DIR] [--profile]");
+    eprintln!("  check [--quick] [--jobs N]");
+    eprintln!("  explore [--quick] [--jobs N] [--json] [--out DIR]   schedule exploration");
     eprintln!("  list");
     eprintln!();
     eprintln!(
@@ -157,10 +134,10 @@ fn cmd_all(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    if opts.output != Output::Table {
+    if opts.json {
         // `all` always writes the JSON+CSV pair per dataset; accepting a
         // stdout-format flag here and ignoring it would mislead.
-        eprintln!("`all` writes both formats to --out; --json/--csv apply to `run`");
+        eprintln!("`all` writes both formats to --out; --json applies to `run`");
         return usage();
     }
     let dir = opts
@@ -246,9 +223,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Err(e) = emit(dataset, &record, opts.output) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
+    if opts.json {
+        print!("{}", record.to_json_string());
+    } else {
+        print!("{}", render::render(dataset, &record));
     }
     if opts.profile {
         eprintln!();
@@ -265,30 +243,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn load_or_collect(
-    dataset: Dataset,
-    in_dir: Option<&Path>,
-    jobs: usize,
-    cache: &ReportCache,
-) -> Result<ExperimentRecord, String> {
-    if let Some(dir) = in_dir {
-        let path = dir.join(format!("{}.json", dataset.name()));
-        if path.exists() {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            return ExperimentRecord::from_json_str(&text)
-                .map_err(|e| format!("{}: {e}", path.display()));
-        }
-    }
-    dataset
-        .collect_cached(jobs, cache)
-        .map_err(|e| format!("{}: {e}", dataset.name()))
-}
-
 fn cmd_check(args: &[String]) -> ExitCode {
     let mut quick = false;
     let mut jobs = 1usize;
-    let mut in_dir: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -307,13 +264,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 jobs = v;
                 i += 2;
             }
-            "--in" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                in_dir = Some(PathBuf::from(v));
-                i += 2;
-            }
             _ => return usage(),
         }
     }
@@ -329,12 +279,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
         let mut records = BTreeMap::new();
         let cache = ReportCache::new();
         for dataset in checks::datasets(&checks) {
-            match load_or_collect(dataset, in_dir.as_deref(), jobs, &cache) {
+            match dataset.collect_cached(jobs, &cache) {
                 Ok(record) => {
                     records.insert(dataset.name().to_string(), record);
                 }
                 Err(e) => {
-                    eprintln!("{e}");
+                    eprintln!("{}: {e}", dataset.name());
                     return ExitCode::FAILURE;
                 }
             }
@@ -392,16 +342,10 @@ fn cmd_explore(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    match opts.output {
-        Output::Table => print!("{}", run.summary),
-        Output::Json => print!("{}", run.record.to_json_string()),
-        Output::Csv => match csv::to_csv(&run.record) {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    if opts.json {
+        print!("{}", run.record.to_json_string());
+    } else {
+        print!("{}", run.summary);
     }
     if run.all_passed {
         ExitCode::SUCCESS

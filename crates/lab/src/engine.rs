@@ -186,7 +186,7 @@ pub trait SimCache: Sync {
     /// The cached report for `key`, if present.
     fn lookup(&self, key: &RunKey) -> Option<SimReport>;
     /// Stores `report` for `key`. `cost_micros` is the wall-clock the
-    /// simulation took — cost-aware stores use it to bias eviction.
+    /// simulation took; no cache in this workspace reads it.
     fn insert(&self, key: &RunKey, report: &SimReport, cost_micros: u64);
 }
 
@@ -268,30 +268,30 @@ pub enum LineFault {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Fail the Nth spill write with a simulated I/O error (no file).
-    pub fail_spill_write: Option<u64>,
+    fail_spill_write: Option<u64>,
     /// Corrupt the Nth spill write (file lands, bytes damaged).
-    pub corrupt_spill_write: Option<u64>,
+    corrupt_spill_write: Option<u64>,
     /// Panic inside the Nth worker execution (one-shot; a retry of the
     /// same key is a new execution and succeeds).
-    pub panic_on_execution: Option<u64>,
+    panic_on_execution: Option<u64>,
     /// Panic on *every* execution of the key with this content hash
     /// (exhausts the bounded retries and quarantines the key).
-    pub panic_on_key: Option<u128>,
+    panic_on_key: Option<u128>,
     /// Hard-drop the connection right before the Nth response line.
-    pub drop_after_line: Option<u64>,
+    drop_after_line: Option<u64>,
     /// Before the Nth response line, stall for `(n, millis)` — a client
     /// that stops draining its socket.
-    pub stall_line: Option<(u64, u64)>,
+    stall_line: Option<(u64, u64)>,
     /// Seed for the corruption damage pattern.
-    pub seed: u64,
+    seed: u64,
     spill_writes: AtomicU64,
     executions: AtomicU64,
     lines: AtomicU64,
 }
 
 impl FaultPlan {
-    /// An empty plan (injects nothing). Chain the `*_on` builders to arm
-    /// specific faults — the counter atomics stay private.
+    /// An empty plan (injects nothing). Chain the builders to arm
+    /// specific faults.
     pub fn new() -> FaultPlan {
         FaultPlan::default()
     }
@@ -427,14 +427,12 @@ pub struct StoreStats {
     pub spill_bytes: u64,
 }
 
-/// One resident entry: the report plus its recency stamp and cost.
+/// One resident entry: the report plus its recency stamp and size.
 #[derive(Debug)]
 struct StoreEntry {
     report: SimReport,
     /// Estimated serialized size — the capacity currency.
     cost: u64,
-    /// Wall-clock micros the simulation took (recompute cost).
-    sim_micros: u64,
     /// Recency stamp (monotone ticks; larger = newer).
     tick: u64,
 }
@@ -456,14 +454,8 @@ struct StoreInner {
 
 /// The daemon's content-addressed result store: reports keyed by
 /// [`RunKey::content_hash`], capacity-bounded in estimated bytes with
-/// cost-aware LRU eviction, and an optional **durable** on-disk spill so
-/// results survive eviction *and* daemon crashes.
-///
-/// Eviction is LRU with one cost-aware refinement: among the four least
-/// recently used entries, the one that was *cheapest to compute* is
-/// evicted first — a hot store keeps the reports that are expensive to
-/// regenerate (a 32-core `python` run costs ~500 ms; a 1-core `counter`
-/// run costs ~1 ms) at a small recency penalty.
+/// least-recently-used eviction, and an optional **durable** on-disk
+/// spill so results survive eviction *and* daemon crashes.
 ///
 /// ## Crash safety (the spill contract)
 ///
@@ -503,10 +495,6 @@ pub struct ResultStore {
     /// store decision.
     spill_write_hist: retcon_obs::Log2Hist,
 }
-
-/// How many least-recently-used candidates the cost-aware eviction
-/// considers per eviction.
-const EVICT_WINDOW: usize = 4;
 
 impl ResultStore {
     /// An empty store bounded at `capacity_bytes` of estimated resident
@@ -581,11 +569,9 @@ impl ResultStore {
         }
         if let Some(report) = self.spill_read(hash) {
             self.spill_hits.fetch_add(1, Ordering::Relaxed);
-            // Re-admit: recently wanted again. Spill micros are unknown
-            // post-restart; admit at zero recompute cost (it can be
-            // re-read from disk again if evicted). The file is already on
+            // Re-admit: recently wanted again. The file is already on
             // disk, so skip the write-through.
-            self.admit(hash, &report, 0, false);
+            self.admit(hash, &report, false);
             return Some(report);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -664,11 +650,13 @@ impl ResultStore {
 
     /// Stores `report` under `hash`, evicting as needed and writing
     /// through to the spill directory (durability — see the type docs).
-    pub fn insert_hash(&self, hash: u128, report: &SimReport, sim_micros: u64) {
-        self.admit(hash, report, sim_micros, true);
+    /// `_sim_micros` is unused: eviction is plain LRU, whatever a report
+    /// cost to compute.
+    pub fn insert_hash(&self, hash: u128, report: &SimReport, _sim_micros: u64) {
+        self.admit(hash, report, true);
     }
 
-    fn admit(&self, hash: u128, report: &SimReport, sim_micros: u64, write_spill: bool) {
+    fn admit(&self, hash: u128, report: &SimReport, write_spill: bool) {
         let text = report.to_json().to_string();
         let cost = text.len() as u64;
         {
@@ -684,32 +672,21 @@ impl ResultStore {
                 StoreEntry {
                     report: report.clone(),
                     cost,
-                    sim_micros,
                     tick,
                 },
             );
             inner.lru.insert(tick, hash);
             inner.resident_cost += cost;
-            // Evict until within capacity (never the entry just inserted —
-            // it is the newest, and the window only sees the oldest four
-            // unless the store has shrunk to that size; guard explicitly).
-            // Spill is write-through, so eviction only drops memory: the
-            // victim's file (if its write succeeded) is already on disk.
+            // Evict the least recently used until within capacity, never
+            // the entry just inserted: it is the newest, so with more than
+            // one entry resident the oldest is another. Spill is
+            // write-through, so eviction only drops memory: the victim's
+            // file (if its write succeeded) is already on disk.
             while inner.resident_cost > self.capacity_bytes && inner.entries.len() > 1 {
-                let victim = {
-                    let candidates: Vec<u128> = inner
-                        .lru
-                        .values()
-                        .copied()
-                        .filter(|h| *h != hash)
-                        .take(EVICT_WINDOW)
-                        .collect();
-                    // Cheapest-to-recompute among the oldest few.
-                    candidates
-                        .into_iter()
-                        .min_by_key(|h| inner.entries[h].sim_micros)
-                        .expect("entries.len() > 1 guarantees a candidate")
-                };
+                let (_, &victim) = inner
+                    .lru
+                    .first_key_value()
+                    .expect("entries.len() > 1 guarantees an oldest entry");
                 let entry = inner.entries.remove(&victim).expect("victim resident");
                 inner.lru.remove(&entry.tick);
                 inner.resident_cost -= entry.cost;
@@ -931,20 +908,30 @@ mod tests {
     }
 
     #[test]
-    fn store_evicts_cheapest_of_oldest_when_full() {
-        let store = ResultStore::new(1); // everything over budget
+    fn store_evicts_least_recently_used_when_full() {
         let a = key(1, 1);
         let b = key(1, 2);
-        let ra = simulate(&a).unwrap();
-        let rb = simulate(&b).unwrap();
+        let c = key(1, 3);
+        let (ra, rb, rc) = (
+            simulate(&a).unwrap(),
+            simulate(&b).unwrap(),
+            simulate(&c).unwrap(),
+        );
+        let cost = |r: &SimReport| r.to_json().to_string().len() as u64;
+        // Room for any two of the three reports, not for all three.
+        let two = [&ra, &rb, &rc].map(cost);
+        let store = ResultStore::new(two.iter().sum::<u64>() - two.iter().min().unwrap());
         store.insert(&a, &ra, 5);
         store.insert(&b, &rb, 500);
-        // Capacity 1 byte: inserting b evicts a (older AND cheaper).
+        // Touch `a`: `b` is now the least recently used, and it goes
+        // although it cost the most to compute.
+        assert!(store.lookup(&a).is_some());
+        store.insert(&c, &rc, 5);
         let s = store.stats();
-        assert_eq!(s.resident, 1);
-        assert!(s.evictions >= 1);
-        assert!(store.lookup(&b).is_some());
-        assert!(store.lookup(&a).is_none());
+        assert_eq!((s.resident, s.evictions), (2, 1));
+        assert!(store.lookup(&b).is_none());
+        assert!(store.lookup(&a).is_some());
+        assert!(store.lookup(&c).is_some());
     }
 
     fn temp_spill_dir(tag: &str) -> PathBuf {
@@ -1001,11 +988,8 @@ mod tests {
         let dir = temp_spill_dir("corrupt");
         let a = key(1, 1);
         let ra = simulate(&a).unwrap();
-        let plan = Arc::new(FaultPlan {
-            corrupt_spill_write: Some(0),
-            seed: 43, // odd: byte flips
-            ..FaultPlan::default()
-        });
+        // Odd seed: byte flips.
+        let plan = Arc::new(FaultPlan::new().corrupt_spill_write_on(0, 43));
         {
             let store = ResultStore::new(1 << 20)
                 .with_spill(dir.clone())
@@ -1032,10 +1016,7 @@ mod tests {
         let dir = temp_spill_dir("failwrite");
         let a = key(1, 1);
         let ra = simulate(&a).unwrap();
-        let plan = Arc::new(FaultPlan {
-            fail_spill_write: Some(0),
-            ..FaultPlan::default()
-        });
+        let plan = Arc::new(FaultPlan::new().fail_spill_write_on(0));
         let store = ResultStore::new(1 << 20)
             .with_spill(dir.clone())
             .with_faults(plan);

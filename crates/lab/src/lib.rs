@@ -31,7 +31,7 @@
 //! ```
 //!
 //! `run <dataset>` regenerates one figure or table and prints the
-//! historical stdout table, or the record itself with `--json` / `--csv`.
+//! historical stdout table, or the record itself with `--json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

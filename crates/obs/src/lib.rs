@@ -1,7 +1,6 @@
 //! `retcon-obs`: the repo's observability layer — transaction event
-//! tracing, daemon metrics, phase profiling, and a minimal leveled
-//! logger — built under one hard invariant: **observation never changes
-//! simulation output**.
+//! tracing, daemon metrics and phase profiling — built under one hard
+//! invariant: **observation never changes simulation output**.
 //!
 //! The crate is a leaf (no dependencies, not even on the simulator) so
 //! every other crate can thread it through without cycles. Its pieces:
@@ -17,8 +16,6 @@
 //! * [`metrics`] — integer-only log2 histograms and
 //!   [`render_exposition`], which renders them beside caller-held
 //!   counter and gauge values as Prometheus text exposition.
-//! * [`logger`] — a leveled stderr logger ([`info!`]/[`warn!`] and
-//!   friends) with hand-rolled UTC timestamps.
 //! * [`phase`] — process-global phase accumulators (simulate vs
 //!   serialize) for the lab runner's profiling spans.
 //! * [`pool`] — the ordered worker pool the lab runner and the
@@ -38,7 +35,6 @@
 pub mod chrome;
 pub mod event;
 pub mod fnv;
-pub mod logger;
 pub mod metrics;
 pub mod phase;
 pub mod pool;

@@ -35,14 +35,16 @@ pub struct ClientConfig {
     pub read_timeout: Option<Duration>,
     /// Transport-failure retries per sweep (0 = fail fast).
     pub retries: u32,
-    /// Base backoff before the first retry; doubles per attempt, plus
-    /// seeded jitter in `[0, base)`.
-    pub backoff: Duration,
-    /// Jitter seed — deterministic, so a fleet of clients configured
-    /// with distinct seeds desynchronizes instead of thundering back in
-    /// lockstep, and a test replays exactly.
-    pub retry_seed: u64,
 }
+
+/// Base backoff before the first retry; doubles per attempt, plus seeded
+/// jitter in `[0, BACKOFF)`.
+const BACKOFF: Duration = Duration::from_millis(50);
+
+/// Jitter seed, salted per sweep id and attempt so concurrent sweeps
+/// desynchronize instead of thundering back in lockstep, and a test
+/// replays exactly.
+const RETRY_SEED: u64 = 0x5eed;
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -50,8 +52,6 @@ impl Default for ClientConfig {
             connect_timeout: Some(Duration::from_secs(10)),
             read_timeout: None,
             retries: 0,
-            backoff: Duration::from_millis(50),
-            retry_seed: 0x5eed,
         }
     }
 }
@@ -168,17 +168,13 @@ impl Client {
         Ok(())
     }
 
-    /// Backoff before retry `attempt` (1-based): exponential in the base
-    /// with seeded jitter, salted by the sweep id so concurrent sweeps
-    /// from one config desynchronize too.
-    fn backoff_delay(&self, attempt: u32, salt: u64) -> Duration {
-        let base = self.cfg.backoff.as_millis() as u64;
+    /// Backoff before retry `attempt` (1-based): exponential in
+    /// [`BACKOFF`] with seeded jitter, salted by the sweep id so
+    /// concurrent sweeps desynchronize too.
+    fn backoff_delay(attempt: u32, salt: u64) -> Duration {
+        let base = BACKOFF.as_millis() as u64;
         let exp = base.saturating_mul(1u64 << (attempt - 1).min(16));
-        let jitter = if base == 0 {
-            0
-        } else {
-            SplitMix64::new(self.cfg.retry_seed ^ salt ^ u64::from(attempt)).next_u64() % base
-        };
+        let jitter = SplitMix64::new(RETRY_SEED ^ salt ^ u64::from(attempt)).next_u64() % base;
         Duration::from_millis(exp + jitter)
     }
 
@@ -207,7 +203,9 @@ impl Client {
     /// transport failures per the [`ClientConfig`]: reconnect, back off
     /// (exponential + seeded jitter), and reissue the whole sweep.
     /// Reissue is idempotent — see the module docs. Rejections and
-    /// per-run errors are returned immediately, never retried.
+    /// per-run errors are never retried: a rejection returns at once, a
+    /// per-run error once the sweep's `done` line has arrived, so the
+    /// connection is ready for the next request.
     ///
     /// # Errors
     ///
@@ -221,7 +219,7 @@ impl Client {
             Err(SweepError::Transport(message)) => message,
         };
         for attempt in 1..=self.cfg.retries {
-            std::thread::sleep(self.backoff_delay(attempt, req.id));
+            std::thread::sleep(Client::backoff_delay(attempt, req.id));
             if let Err(e) = self.reconnect() {
                 last = format!("reconnect failed: {e}");
                 continue;
@@ -247,6 +245,7 @@ impl Client {
         // its size never costs its size here.
         let runs = req.runs();
         let mut slots: Vec<Option<(RunRecord, bool)>> = Vec::new();
+        let mut run_error = None;
         let summary: DoneSummary = loop {
             match self.recv().map_err(SweepError::Transport)? {
                 Response::Record {
@@ -282,13 +281,20 @@ impl Client {
                         summary.id
                     )));
                 }
-                Response::Error { id, index, message } => {
-                    return Err(SweepError::Rejected(match (id, index) {
-                        (Some(id), Some(index)) => {
-                            format!("sweep {id} run {index} failed: {message}")
-                        }
-                        (Some(id), None) => format!("sweep {id} rejected: {message}"),
-                        _ => format!("request failed: {message}"),
+                // A failed run still ends in `done`: read on to it so the
+                // sweep's remaining lines do not reach the next call.
+                Response::Error {
+                    id: Some(id),
+                    index: Some(index),
+                    message,
+                } => {
+                    run_error.get_or_insert(format!("sweep {id} run {index} failed: {message}"));
+                }
+                // A rejection sends no `done`.
+                Response::Error { id, message, .. } => {
+                    return Err(SweepError::Rejected(match id {
+                        Some(id) => format!("sweep {id} rejected: {message}"),
+                        None => format!("request failed: {message}"),
                     }));
                 }
                 other => {
@@ -298,6 +304,9 @@ impl Client {
                 }
             }
         };
+        if let Some(message) = run_error {
+            return Err(SweepError::Rejected(message));
+        }
         if summary.errors > 0 {
             return Err(SweepError::Rejected(format!(
                 "{} runs failed",

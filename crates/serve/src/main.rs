@@ -2,27 +2,22 @@
 //!
 //! ```text
 //! retcon-serve [--addr HOST:PORT] [--workers N] [--capacity-mb MB]
-//!              [--spill DIR] [--max-runs N] [--max-pending N]
-//!              [--max-line-bytes N] [--log-level LEVEL]
+//!              [--spill DIR]
 //! ```
 //!
-//! Lifecycle lines go through the [`retcon_obs`] leveled stderr logger
-//! (timestamped, filtered by `--log-level`; default `info`). When
-//! `--spill` names a directory with prior results, the boot warm-start
-//! scan is reported (`recovered N, quarantined M` — a warning if
-//! anything quarantined) before the listening line. Logs
-//! `retcon-serve listening on ADDR` once the socket is bound (port 0
-//! resolves to the ephemeral port picked), then serves until a
-//! `shutdown` request drains it.
+//! Lifecycle lines go to stderr. When `--spill` names a directory with
+//! prior results, the boot warm-start scan is reported (`recovered N,
+//! quarantined M`) before the listening line. Prints `retcon-serve
+//! listening on ADDR` once the socket is bound (port 0 resolves to the
+//! ephemeral port picked), then serves until a `shutdown` request drains
+//! it. The request limits and the worker-panic retry bound are fixed
+//! (DESIGN.md § Serving → Fault model).
 
-use retcon_obs::{info, warn};
 use retcon_serve::{Server, ServerConfig};
 use std::process::ExitCode;
 
 fn usage() -> String {
-    "usage: retcon-serve [--addr HOST:PORT] [--workers N] [--capacity-mb MB] \
-     [--spill DIR] [--max-runs N] [--max-pending N] [--max-line-bytes N] \
-     [--log-level error|warn|info|debug]"
+    "usage: retcon-serve [--addr HOST:PORT] [--workers N] [--capacity-mb MB] [--spill DIR]"
         .to_string()
 }
 
@@ -49,27 +44,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 cfg.capacity_bytes = mb << 20;
             }
             "--spill" => cfg.spill = Some(value("--spill")?.into()),
-            "--max-runs" => {
-                cfg.max_runs_per_request = value("--max-runs")?
-                    .parse()
-                    .map_err(|e| format!("--max-runs: {e}"))?;
-            }
-            "--max-pending" => {
-                cfg.max_pending_per_conn = value("--max-pending")?
-                    .parse()
-                    .map_err(|e| format!("--max-pending: {e}"))?;
-            }
-            "--max-line-bytes" => {
-                cfg.max_line_bytes = value("--max-line-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--max-line-bytes: {e}"))?;
-            }
-            "--log-level" => {
-                let v = value("--log-level")?;
-                let level = retcon_obs::logger::Level::parse(&v)
-                    .ok_or_else(|| format!("--log-level: unknown level `{v}`\n{}", usage()))?;
-                retcon_obs::logger::set_level(level);
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
@@ -96,21 +70,12 @@ fn main() -> ExitCode {
     };
     if spilled {
         let stats = server.store_stats();
-        // Quarantined entries mean on-disk damage was found (and
-        // contained) — worth a warning, not just an info line.
-        if stats.quarantined > 0 {
-            warn!(
-                "retcon-serve warm start: recovered {}, quarantined {}",
-                stats.recovered_on_boot, stats.quarantined
-            );
-        } else {
-            info!(
-                "retcon-serve warm start: recovered {}, quarantined {}",
-                stats.recovered_on_boot, stats.quarantined
-            );
-        }
+        eprintln!(
+            "retcon-serve warm start: recovered {}, quarantined {}",
+            stats.recovered_on_boot, stats.quarantined
+        );
     }
-    info!("retcon-serve listening on {}", server.local_addr());
+    eprintln!("retcon-serve listening on {}", server.local_addr());
     match server.run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -47,6 +47,20 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Maximum runs one sweep may explode into.
+const MAX_RUNS_PER_REQUEST: usize = 4096;
+
+/// Maximum sweeps one connection may have outstanding (backpressure:
+/// further sweeps are rejected until earlier ones complete).
+const MAX_PENDING_PER_CONN: usize = 8;
+
+/// Maximum request-line length in bytes: longer lines are discarded with
+/// a structured error, and the connection stays alive.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Bounded retries after a worker panic before the key is quarantined.
+const PANIC_RETRIES: u32 = 2;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -60,17 +74,6 @@ pub struct ServerConfig {
     /// verified on read, and recovered by a warm-start scan at bind
     /// (optional).
     pub spill: Option<PathBuf>,
-    /// Maximum runs one sweep may explode into.
-    pub max_runs_per_request: usize,
-    /// Maximum sweeps one connection may have outstanding (backpressure:
-    /// further sweeps are rejected until earlier ones complete).
-    pub max_pending_per_conn: usize,
-    /// Maximum request-line length in bytes: longer lines are discarded
-    /// with a structured error, and the connection stays alive.
-    pub max_line_bytes: usize,
-    /// Bounded retries after a worker panic before the key is
-    /// quarantined.
-    pub panic_retries: u32,
     /// Deterministic fault injector (test-only; see [`FaultPlan`]).
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -82,10 +85,6 @@ impl Default for ServerConfig {
             workers: 4,
             capacity_bytes: 64 << 20,
             spill: None,
-            max_runs_per_request: 4096,
-            max_pending_per_conn: 8,
-            max_line_bytes: 1 << 20,
-            panic_retries: 2,
             faults: None,
         }
     }
@@ -255,7 +254,7 @@ impl Core {
     ///
     /// Fault isolation: `simulate` runs under [`catch_unwind`], so a
     /// panicking workload cannot kill the worker thread. A panicked key
-    /// is retried with linear backoff up to `panic_retries` times (a
+    /// is retried with linear backoff up to `PANIC_RETRIES` times (a
     /// transient fault clears; an injected one-shot panic succeeds on
     /// retry), then quarantined: its waiters are woken with a structured
     /// error — never left hanging — and later requests for the key are
@@ -282,7 +281,7 @@ impl Core {
             };
             let t = Instant::now();
             let mut outcome = None;
-            for attempt in 0..=self.cfg.panic_retries {
+            for attempt in 0..=PANIC_RETRIES {
                 let unwound = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(plan) = &self.cfg.faults {
                         if plan.on_execution(hash) {
@@ -332,7 +331,7 @@ impl Core {
                         hash,
                         &format!(
                             "worker panicked {} times; key quarantined",
-                            self.cfg.panic_retries + 1
+                            PANIC_RETRIES + 1
                         ),
                     );
                 }
@@ -489,7 +488,7 @@ fn connection_loop(
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
-        match read_line_capped(&mut reader, &mut buf, core.cfg.max_line_bytes) {
+        match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
             Err(_) | Ok(LineRead::Eof) => break,
             Ok(LineRead::TooLong) => {
                 // Hostile input answers with a structured error; the
@@ -497,10 +496,7 @@ fn connection_loop(
                 let _ = out.send(proto::error_line(
                     None,
                     None,
-                    &format!(
-                        "request line exceeds {} bytes and was discarded",
-                        core.cfg.max_line_bytes
-                    ),
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes and was discarded"),
                 ));
                 continue;
             }
@@ -526,28 +522,24 @@ fn connection_loop(
                 // Bounded before exploding: a short request line can name
                 // a matrix far too large to allocate.
                 let runs = req.runs();
-                if runs > core.cfg.max_runs_per_request {
+                if runs > MAX_RUNS_PER_REQUEST {
                     let _ = out.send(proto::error_line(
                         Some(req.id),
                         None,
-                        &format!(
-                            "sweep explodes to {runs} runs (limit {})",
-                            core.cfg.max_runs_per_request
-                        ),
+                        &format!("sweep explodes to {runs} runs (limit {MAX_RUNS_PER_REQUEST})"),
                     ));
                     continue;
                 }
                 // Backpressure: reject rather than queue unboundedly for
                 // one connection.
                 let was = outstanding.fetch_add(1, Ordering::AcqRel);
-                if was >= core.cfg.max_pending_per_conn {
+                if was >= MAX_PENDING_PER_CONN {
                     outstanding.fetch_sub(1, Ordering::AcqRel);
                     let _ = out.send(proto::error_line(
                         Some(req.id),
                         None,
                         &format!(
-                            "connection has {was} sweeps outstanding (limit {})",
-                            core.cfg.max_pending_per_conn
+                            "connection has {was} sweeps outstanding (limit {MAX_PENDING_PER_CONN})"
                         ),
                     ));
                     continue;
@@ -824,14 +816,20 @@ mod tests {
     fn oversized_and_excess_sweeps_are_rejected() {
         let (addr, handle) = spawn_server(ServerConfig {
             workers: 1,
-            max_runs_per_request: 2,
             ..ServerConfig::default()
         });
         let mut client = Client::connect(&addr.to_string()).expect("connect");
+        let over = SweepRequest {
+            seeds: (0..4097).collect(),
+            ..sweep(1, vec![System::Eager], vec![1])
+        };
         let err = client
-            .sweep(&sweep(1, vec![System::Eager], vec![1, 2, 4]))
-            .expect_err("3 runs over a 2-run limit");
-        assert!(err.contains("limit 2"), "{err}");
+            .sweep(&over)
+            .expect_err("4097 runs over the 4096-run limit");
+        assert!(
+            err.contains("sweep explodes to 4097 runs (limit 4096)"),
+            "{err}"
+        );
 
         // A line of ~25 KB naming a 10^12-run matrix: rejected from the
         // array lengths alone, before any key is allocated, and the
@@ -846,9 +844,9 @@ mod tests {
         assert_eq!(huge.runs(), 1_000_000_000_000);
         let err = client
             .sweep(&huge)
-            .expect_err("10^12 runs over a 2-run limit");
+            .expect_err("10^12 runs over the 4096-run limit");
         assert!(
-            err.contains("sweep explodes to 1000000000000 runs (limit 2)"),
+            err.contains("sweep explodes to 1000000000000 runs (limit 4096)"),
             "{err}"
         );
         let stats = client.stats().expect("stats after the rejection");
@@ -857,6 +855,84 @@ mod tests {
             "{stats:?}"
         );
 
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
+    }
+
+    /// Nine sweeps of one slow key pipelined on one connection: the
+    /// first misses, the next seven join its execution, and the ninth
+    /// finds eight outstanding and is refused. The eight accepted sweeps
+    /// all complete, and the connection keeps serving.
+    #[test]
+    fn ninth_outstanding_sweep_on_a_connection_is_refused() {
+        let (addr, handle) = spawn_server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        // python at 8 cores simulates for tens of milliseconds, far
+        // longer than the reader takes to classify nine buffered lines.
+        let slow = |id| SweepRequest {
+            workloads: vec![Workload::Python { optimized: false }],
+            ..sweep(id, vec![System::Retcon], vec![8])
+        };
+        let mut lines = String::new();
+        for id in 1..=9 {
+            lines.push_str(&Request::Sweep(slow(id)).to_line());
+            lines.push('\n');
+        }
+        writer.write_all(lines.as_bytes()).expect("send");
+        writer.flush().expect("flush");
+
+        let mut done = Vec::new();
+        let mut refused = Vec::new();
+        let mut records = 0;
+        while done.len() < 8 {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("reply");
+            match proto::Response::parse_line(line.trim_end()).expect("response") {
+                proto::Response::Record { cached, .. } => {
+                    assert!(!cached);
+                    records += 1;
+                }
+                proto::Response::Done(summary) => done.push(summary),
+                proto::Response::Error { id, index, message } => {
+                    refused.push((id, index, message));
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert_eq!(
+            refused,
+            [(
+                Some(9),
+                None,
+                "connection has 8 sweeps outstanding (limit 8)".to_string()
+            )]
+        );
+        assert_eq!(records, 8);
+        done.sort_by_key(|d| d.id);
+        let ids: Vec<u64> = done.iter().map(|d| d.id).collect();
+        assert_eq!(ids, (1..=8).collect::<Vec<u64>>());
+        assert_eq!((done[0].misses, done[0].joined), (1, 0));
+        for d in &done[1..] {
+            assert_eq!(
+                (d.runs, d.misses, d.joined, d.errors),
+                (1, 0, 1, 0),
+                "{d:?}"
+            );
+        }
+
+        writer
+            .write_all(b"{\"type\":\"stats\"}\n")
+            .expect("send stats");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("stats reply");
+        assert!(line.contains(r#""type":"stats""#), "{line}");
+
+        let mut client = Client::connect(&addr.to_string()).expect("connect");
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread").expect("server run");
     }

@@ -4,10 +4,10 @@
 //! offline runner, previously-completed keys count as store hits, and
 //! `executed` counts only keys never finished before the crash.
 //!
-//! This drives the released binary through its stderr log contract (the
-//! warm-start summary then the listening line, both through the leveled
-//! logger), not an in-process [`Server`], so the crash is a real process
-//! death: no destructors, no flushes, no drain.
+//! This drives the released binary through its stderr boot lines (the
+//! warm-start summary then the listening line), not an in-process
+//! [`Server`], so the crash is a real process death: no destructors, no
+//! flushes, no drain.
 
 use retcon_lab::engine::{self, RunKey};
 use retcon_serve::{Client, SweepRequest};
@@ -86,8 +86,6 @@ fn launch(spill: &Path) -> Daemon {
         .next()
         .expect("listening line")
         .expect("read listening line");
-    // Logger lines carry a `<timestamp> <LEVEL> ` prefix; split on the
-    // stable marker instead of stripping it.
     let addr = listen
         .split_once("retcon-serve listening on ")
         .unwrap_or_else(|| panic!("unexpected boot line: {listen}"))
@@ -101,8 +99,7 @@ fn launch(spill: &Path) -> Daemon {
     }
 }
 
-/// Parses `retcon-serve warm start: recovered N, quarantined M` (after
-/// the logger's timestamp/level prefix).
+/// Parses `retcon-serve warm start: recovered N, quarantined M`.
 fn parse_warm_start(line: &str) -> (u64, u64) {
     let rest = line
         .split_once("retcon-serve warm start: recovered ")

@@ -441,12 +441,15 @@ impl Schedule for DeterministicMin {
 }
 
 /// A seeded schedule perturber: at every instruction boundary it picks
-/// uniformly among the cores whose clock lies within `window` cycles of
-/// the runnable minimum, and every stall charge gains `0..=max_jitter`
-/// extra cycles. With `window = 0` it only reorders exact `(clock)` ties —
-/// the schedules a real machine could exhibit under identical timing —
-/// while jitter perturbs the clocks themselves, opening timing-shifted
+/// uniformly among the cores whose clock lies within [`WINDOW`] cycles
+/// of the runnable minimum, and every stall charge gains
+/// `0..=`[`MAX_JITTER`] extra cycles. The window reorders near-ties —
+/// schedules a real machine could exhibit under nearly identical timing
+/// — while jitter perturbs the clocks themselves, opening timing-shifted
 /// interleavings. Fully reproducible from the seed.
+///
+/// [`WINDOW`]: SeededFuzz::WINDOW
+/// [`MAX_JITTER`]: SeededFuzz::MAX_JITTER
 #[derive(Debug, Clone)]
 pub struct SeededFuzz {
     rng: SplitMix64,
@@ -455,33 +458,23 @@ pub struct SeededFuzz {
     /// Scratch list of eligible core ids (reused; no steady-state
     /// allocation).
     eligible: Vec<usize>,
-    window: u64,
-    max_jitter: u64,
     hash: Fnv1a,
     decisions: u64,
 }
 
 impl SeededFuzz {
-    /// The default eligibility window (cycles above the runnable minimum a
-    /// core may be chosen from).
-    pub const DEFAULT_WINDOW: u64 = 2;
-    /// The default maximum stall jitter in cycles.
-    pub const DEFAULT_JITTER: u64 = 3;
+    /// The eligibility window: cycles above the runnable minimum a core
+    /// may be chosen from.
+    pub const WINDOW: u64 = 2;
+    /// The maximum stall jitter in cycles.
+    pub const MAX_JITTER: u64 = 3;
 
-    /// A fuzz schedule with the default window and jitter.
+    /// The fuzz schedule of `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_params(seed, Self::DEFAULT_WINDOW, Self::DEFAULT_JITTER)
-    }
-
-    /// A fuzz schedule with explicit eligibility window and maximum stall
-    /// jitter.
-    pub fn with_params(seed: u64, window: u64, max_jitter: u64) -> Self {
         SeededFuzz {
             rng: SplitMix64::new(seed),
             runnable: Vec::new(),
             eligible: Vec::new(),
-            window,
-            max_jitter,
             hash: Fnv1a::new(),
             decisions: 0,
         }
@@ -512,7 +505,7 @@ impl Schedule for SeededFuzz {
         self.eligible.clear();
         for (i, clock) in self.runnable.iter().enumerate() {
             if let Some(c) = *clock {
-                if c <= min.saturating_add(self.window) {
+                if c <= min.saturating_add(Self::WINDOW) {
                     self.eligible.push(i);
                 }
             }
@@ -534,10 +527,7 @@ impl Schedule for SeededFuzz {
     }
 
     fn observe_stall(&mut self, _core: usize, _now: u64) -> u64 {
-        if self.max_jitter == 0 {
-            return 0;
-        }
-        let jitter = self.rng.below(self.max_jitter + 1);
+        let jitter = self.rng.below(Self::MAX_JITTER + 1);
         self.hash.push(0x8000_0000_0000_0000 | jitter);
         jitter
     }
@@ -586,7 +576,7 @@ mod tests {
     #[test]
     fn fuzz_is_reproducible_and_window_bounded() {
         let drive = |seed| {
-            let mut s = SeededFuzz::with_params(seed, 0, 0);
+            let mut s = SeededFuzz::new(seed);
             s.begin(&[0, 0, 7]);
             let mut picks = Vec::new();
             for _ in 0..2 {
@@ -605,14 +595,11 @@ mod tests {
 
     #[test]
     fn fuzz_jitter_is_bounded() {
-        let mut s = SeededFuzz::with_params(1, 2, 5);
+        let mut s = SeededFuzz::new(1);
         s.begin(&[0]);
-        for _ in 0..100 {
-            assert!(s.observe_stall(0, 0) <= 5);
-        }
-        let mut none = SeededFuzz::with_params(1, 2, 0);
-        none.begin(&[0]);
-        assert_eq!(none.observe_stall(0, 0), 0);
+        let jitters: Vec<u64> = (0..100).map(|_| s.observe_stall(0, 0)).collect();
+        assert!(jitters.iter().all(|&j| j <= SeededFuzz::MAX_JITTER));
+        assert!(jitters.contains(&SeededFuzz::MAX_JITTER));
     }
 
     #[test]

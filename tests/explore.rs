@@ -49,8 +49,6 @@ fn fuzzed_schedules_preserve_oracles_across_protocols() {
     let budget = FuzzBudget {
         base_seed: 1,
         seeds: 25,
-        window: 2,
-        max_jitter: 3,
     };
     for system in [System::Eager, System::LazyVb, System::Retcon, System::Datm] {
         let out = fuzz(&scenario, system, &budget);
@@ -198,8 +196,6 @@ fn explore_records_are_byte_stable_and_round_trip() {
             mode: Mode::Fuzz(FuzzBudget {
                 base_seed: 1,
                 seeds: 20,
-                window: 2,
-                max_jitter: 3,
             }),
         },
         Campaign {

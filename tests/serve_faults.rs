@@ -108,12 +108,13 @@ fn one_shot_worker_panic_is_retried_transparently() {
 /// quarantined: waiters get a structured error (not a hang), the daemon
 /// keeps serving, unaffected keys stay byte-identical to offline, and a
 /// repeat request for the bad key fails fast at classification time.
+/// The client reads a failed sweep through to its `done` line, so the
+/// same connection carries every later sweep.
 #[test]
 fn persistent_panic_quarantines_key_and_daemon_survives() {
     let bad = RunKey::new(Workload::Counter, System::Retcon, 1, SEED).content_hash();
     let (addr, handle) = spawn(ServerConfig {
         workers: 2,
-        panic_retries: 1,
         faults: Some(Arc::new(FaultPlan::new().panic_on_key_hash(bad))),
         ..ServerConfig::default()
     });
@@ -121,23 +122,24 @@ fn persistent_panic_quarantines_key_and_daemon_survives() {
     let mixed = sweep(1, &[System::Eager, System::Retcon], &[1]);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let err = client.sweep(&mixed).expect_err("bad key must error");
-    assert!(err.contains("quarantined"), "unexpected error: {err}");
+    assert!(
+        err.contains("worker panicked 3 times; key quarantined"),
+        "unexpected error: {err}"
+    );
 
     // The daemon is still up; the unaffected key serves byte-identically.
     let good = sweep(2, &[System::Eager], &[1]);
-    let mut fresh = Client::connect(&addr.to_string()).expect("reconnect");
-    let result = fresh.sweep(&good).expect("good key still serves");
+    let result = client.sweep(&good).expect("good key still serves");
     assert_eq!(to_lines(&result.records), offline(&good));
 
     // Quarantine is sticky and fast: no new execution, immediate error.
     let executed_before = stat(addr, "executed");
     let retry = sweep(3, &[System::Retcon], &[1]);
-    let mut again = Client::connect(&addr.to_string()).expect("reconnect");
-    let err = again.sweep(&retry).expect_err("quarantined key refused");
+    let err = client.sweep(&retry).expect_err("quarantined key refused");
     assert!(err.contains("quarantined"), "unexpected error: {err}");
     assert_eq!(stat(addr, "executed"), executed_before);
     assert_eq!(stat(addr, "quarantined"), 1);
-    assert_eq!(stat(addr, "worker_panics"), 2); // 1 attempt + 1 retry
+    assert_eq!(stat(addr, "worker_panics"), 3); // 1 attempt + 2 retries
 
     shutdown(addr, handle);
 }
@@ -235,7 +237,6 @@ fn mid_stream_disconnect_reconnects_and_reissues_idempotently() {
     let req = sweep(1, &[System::Eager, System::Retcon], &[1]);
     let cfg = ClientConfig {
         retries: 2,
-        backoff: Duration::from_millis(10),
         ..ClientConfig::default()
     };
     let mut client = Client::connect_with(&addr.to_string(), cfg).expect("connect");
@@ -316,7 +317,6 @@ fn slow_client_stall_does_not_block_other_connections() {
 fn hostile_input_gets_structured_errors_and_connection_survives() {
     let (addr, handle) = spawn(ServerConfig {
         workers: 1,
-        max_line_bytes: 1024,
         ..ServerConfig::default()
     });
 
@@ -331,15 +331,15 @@ fn hostile_input_gets_structured_errors_and_connection_survives() {
         line
     };
 
-    // Oversized line: discarded with an error naming the cap.
-    let mut oversized = vec![b'x'; 4096];
+    // Oversized line, just past the 1 MiB cap: discarded with an error
+    // naming the cap.
+    let mut oversized = vec![b'x'; (1 << 20) + 1];
     oversized.push(b'\n');
     let line = reply(&oversized);
     assert!(
-        line.contains(r#""type":"error""#) && line.contains("1024"),
+        line.contains(r#""type":"error""#) && line.contains("exceeds 1048576 bytes"),
         "unexpected reply: {line}"
     );
-
     // Truncated JSON.
     let line = reply(b"{\"type\":\"swe\n");
     assert!(
